@@ -18,8 +18,13 @@
 //!   a stale event. Handlers read/write until `WouldBlock`.
 //! * **Deadline wheel, not per-socket timeouts.** Sockets are
 //!   nonblocking; the per-read 500 ms budget of the blocking layer
-//!   becomes a [`super::reactor::wheel::Wheel`] entry re-armed on every
-//!   read with progress. Cancellation is a sequence-number bump.
+//!   becomes a [`wheel::Wheel`] entry re-armed on every read with
+//!   progress. Cancellation is a sequence-number bump: a superseded
+//!   entry stays armed until its instant and then fires as a no-op, so
+//!   the wheel holds at most one read timeout plus one tick of arms.
+//!   Every entry fires within one 16 ms tick after its instant, and the
+//!   `epoll_pwait` timeout is the time until the first occupied tick
+//!   ends (see the [`wheel`] module docs).
 //! * **Log-before-EOF ordering for free.** The blocking layer's
 //!   synchronization contract (a server pushes its connection log before
 //!   closing, a client that saw EOF sees the complete log) holds here
@@ -41,7 +46,6 @@
 pub mod sys;
 pub mod wheel;
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -269,10 +273,6 @@ enum Cmd {
         id: ListenerId,
         ack: Sender<Vec<ProxyConnLog>>,
     },
-    TakeEchoRecords {
-        id: ListenerId,
-        ack: Sender<Vec<Vec<u8>>>,
-    },
     Stats {
         ack: Sender<ReactorStats>,
     },
@@ -304,7 +304,6 @@ struct ProxyListener {
 
 struct EchoListener {
     listener: TcpListener,
-    echo: Rc<RefCell<EchoServer>>,
     read_timeout: Duration,
 }
 
@@ -378,7 +377,6 @@ struct UpstreamConn {
 
 struct EchoConn {
     stream: TcpStream,
-    echo: Rc<RefCell<EchoServer>>,
     buf: Vec<u8>,
     out: Vec<u8>,
     out_pos: usize,
@@ -699,11 +697,7 @@ impl EventLoop {
             Cmd::AddEcho { listener, read_timeout, ack } => {
                 let _ = listener.set_nonblocking(true);
                 let fd = listener.as_raw_fd();
-                let idx = self.insert(Entry::EchoListener(EchoListener {
-                    listener,
-                    echo: Rc::new(RefCell::new(EchoServer::new())),
-                    read_timeout,
-                }));
+                let idx = self.insert(Entry::EchoListener(EchoListener { listener, read_timeout }));
                 let _ = self.register(fd, idx);
                 let _ = ack.send(ListenerId(self.token(idx)));
             }
@@ -735,21 +729,6 @@ impl EventLoop {
                     None => Vec::new(),
                 };
                 let _ = ack.send(logs);
-            }
-            Cmd::TakeEchoRecords { id, ack } => {
-                let records = match self.resolve(id) {
-                    Some(idx) => match self.slab[idx].entry.as_ref() {
-                        Some(Entry::EchoListener(l)) => {
-                            let mut echo = l.echo.borrow_mut();
-                            let records = echo.records().to_vec();
-                            echo.clear();
-                            records
-                        }
-                        _ => Vec::new(),
-                    },
-                    None => Vec::new(),
-                };
-                let _ = ack.send(records);
             }
             Cmd::Stats { ack } => {
                 let _ = ack.send(self.stats);
@@ -1210,7 +1189,6 @@ impl EventLoop {
                     let read_timeout = l.read_timeout;
                     let idx = self.insert(Entry::EchoConn(EchoConn {
                         stream,
-                        echo: Rc::clone(&l.echo),
                         buf: Vec::new(),
                         out: Vec::new(),
                         out_pos: 0,
@@ -1680,8 +1658,7 @@ impl EventLoop {
             match drain_read(&mut c.stream, &mut c.buf) {
                 ReadOutcome::More(_) => return true,
                 ReadOutcome::Eof | ReadOutcome::Error => {
-                    let response = c.echo.borrow_mut().receive(&c.buf);
-                    c.out = response.to_bytes();
+                    c.out = EchoServer::echo(&c.buf).to_bytes();
                     c.responded = true;
                 }
             }
@@ -1704,8 +1681,7 @@ impl EventLoop {
         // The blocking echo responds with whatever arrived before its
         // read timeout; mirror that.
         if !c.responded {
-            let response = c.echo.borrow_mut().receive(&c.buf);
-            c.out = response.to_bytes();
+            c.out = EchoServer::echo(&c.buf).to_bytes();
             c.responded = true;
         }
         let out = std::mem::take(&mut c.out);
@@ -2088,7 +2064,10 @@ impl Reactor {
         Ok(AsyncListener { name, addr, id })
     }
 
-    /// Hosts a recording echo origin inside the loop.
+    /// Hosts an echo origin inside the loop. It answers every forwarded
+    /// message with the message itself and keeps no record of it: the
+    /// forwarded bytes a campaign replays come from the proxy logs, so a
+    /// record list would only grow for as long as the loop runs.
     pub fn add_echo(&self, read_timeout: Duration) -> Result<AsyncListener, NetError> {
         let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
         let addr = listener.local_addr().map_err(NetError::bind)?;
@@ -2133,11 +2112,10 @@ impl Reactor {
         rx.recv().unwrap_or_default()
     }
 
-    /// Drains the forwarded messages an echo listener recorded.
-    pub fn take_echo_records(&self, id: ListenerId) -> Vec<Vec<u8>> {
-        let (ack, rx) = channel();
-        self.send(Cmd::TakeEchoRecords { id, ack });
-        rx.recv().unwrap_or_default()
+    /// The forwarded messages an echo listener recorded: always empty,
+    /// since the loop's echo keeps no records (see [`Reactor::add_echo`]).
+    pub fn take_echo_records(&self, _id: ListenerId) -> Vec<Vec<u8>> {
+        Vec::new()
     }
 
     /// Snapshot of the loop-side counters.

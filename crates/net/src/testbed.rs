@@ -36,8 +36,9 @@ pub struct AsyncTestbed {
 
 impl AsyncTestbed {
     /// Spawns the reactor and hosts `backends` as origin listeners and
-    /// `proxies` as forwarding hops (relaying to a shared recording
-    /// echo), then pre-warms a keep-alive pool for every listener.
+    /// `proxies` as forwarding hops (relaying to a shared echo that
+    /// keeps no records), then pre-warms a keep-alive pool for every
+    /// listener.
     ///
     /// Fails with a typed error on unsupported targets (no epoll
     /// backend) — callers degrade to the blocking transport.
@@ -137,9 +138,9 @@ impl AsyncTestbed {
             .unwrap_or_default()
     }
 
-    /// Drops the echo's accumulated forwarded-message records (the diff
-    /// outcome never reads them; unbounded growth over a long campaign
-    /// is the only concern).
+    /// Drops the echo's forwarded-message records. The testbed's echo
+    /// keeps none (see [`Reactor::add_echo`]), so its memory stays flat
+    /// over any campaign length without this call.
     pub fn clear_echo_records(&self) {
         let _ = self.reactor.take_echo_records(self.echo.id);
     }
@@ -193,6 +194,26 @@ mod tests {
         let log = ex.proxy_log.as_ref().expect("paired proxy log");
         assert_eq!(log.results, Proxy::new(strict_proxy_profile()).forward_stream(bytes));
         assert!(String::from_utf8_lossy(&ex.response).starts_with("HTTP/1.1 200"));
+    }
+
+    #[test]
+    fn the_echo_keeps_no_records_over_many_proxy_exchanges() {
+        let testbed = AsyncTestbed::new(&[], &[strict_proxy_profile()]).unwrap();
+        let proxy = testbed.proxies()[0].clone();
+        let bytes: &[u8] = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n";
+        for _ in 0..20 {
+            let jobs =
+                (0..50).map(|_| testbed.exchange_job(&proxy, bytes, SendMode::Whole)).collect();
+            for out in testbed.run(jobs) {
+                let ex = out.as_exchange().expect("exchange output");
+                assert!(
+                    String::from_utf8_lossy(&ex.response).starts_with("HTTP/1.1 200"),
+                    "{ex:?}"
+                );
+            }
+        }
+        let records = testbed.reactor().take_echo_records(testbed.echo().id);
+        assert!(records.is_empty(), "the echo recorded {} messages", records.len());
     }
 
     #[test]

@@ -22,6 +22,11 @@ impl EchoServer {
     /// the response body.
     pub fn receive(&mut self, forwarded: &[u8]) -> Response {
         self.records.push(forwarded.to_vec());
+        EchoServer::echo(forwarded)
+    }
+
+    /// The echo response to one forwarded message, without recording it.
+    pub fn echo(forwarded: &[u8]) -> Response {
         let mut r = Response::with_body(StatusCode::OK, forwarded.to_vec());
         r.headers.push("Server", "hdiff-echo");
         r
