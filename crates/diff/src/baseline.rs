@@ -7,6 +7,8 @@
 //! baseline rejects, or resolving differently while both accept) are
 //! attributed to the deviating product.
 
+use std::sync::LazyLock;
+
 use hdiff_gen::AttackClass;
 use hdiff_servers::{interpret, Interpretation, Outcome, ParserProfile};
 
@@ -40,6 +42,13 @@ pub struct Deviation {
 /// The RFC-strict baseline profile.
 pub fn baseline_profile() -> ParserProfile {
     ParserProfile::strict("rfc-baseline")
+}
+
+/// [`baseline_profile`], built once for the whole process: detection
+/// interprets every case under it.
+pub(crate) fn strict_baseline() -> &'static ParserProfile {
+    static BASELINE: LazyLock<ParserProfile> = LazyLock::new(baseline_profile);
+    &BASELINE
 }
 
 /// Classifies a baseline rejection reason (plus the message bytes) into
@@ -135,7 +144,7 @@ pub fn deviations(
 
 /// Convenience: interpret under the baseline and diff in one call.
 pub fn deviations_from_strict(profile: &ParserProfile, bytes: &[u8]) -> Vec<Deviation> {
-    let b = interpret(&baseline_profile(), bytes);
+    let b = interpret(strict_baseline(), bytes);
     let i = interpret(profile, bytes);
     deviations(&i, &b, bytes)
 }

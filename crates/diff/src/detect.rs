@@ -12,7 +12,7 @@ use hdiff_gen::AttackClass;
 use hdiff_servers::fault::FaultKind;
 use hdiff_servers::{interpret, Outcome, ParserProfile};
 
-use crate::baseline::{baseline_profile, deviations, Deviation, DeviationKind};
+use crate::baseline::{deviations, strict_baseline, Deviation, DeviationKind};
 use crate::findings::Finding;
 use crate::syntax::SyntaxOracle;
 use crate::workflow::{CaseOutcome, FaultReaction};
@@ -114,7 +114,7 @@ pub fn detect_case_with_oracle(
     outcome: &CaseOutcome,
     oracle: Option<&SyntaxOracle>,
 ) -> Vec<Finding> {
-    let baseline = interpret(&baseline_profile(), &outcome.bytes);
+    let baseline = interpret(strict_baseline(), &outcome.bytes);
     let mut findings = Vec::new();
 
     // Detection is a pass over what the workflow *recorded* — it never
@@ -147,16 +147,29 @@ pub fn detect_case_with_oracle(
         recorded(name).map(|i| deviations(i, &baseline, &outcome.bytes)).unwrap_or_default()
     };
 
-    // ---- Model 0: single-implementation deviations ------------------------
-    // (covers both direct back-end runs and proxy interpretations).
-    let mut singles: Vec<&str> = outcome.direct.iter().map(|(n, _)| n.as_str()).collect();
+    // Every implementation of the case — direct back-ends, then proxies
+    // not already among them — with its deviations, worked out once.
+    let mut singles: Vec<(&str, Vec<Deviation>)> =
+        outcome.direct.iter().map(|(name, _)| (name.as_str(), devs_of(name))).collect();
     for chain in &outcome.chains {
-        if !singles.contains(&chain.proxy.as_str()) {
-            singles.push(chain.proxy.as_str());
+        if !singles.iter().any(|(name, _)| *name == chain.proxy) {
+            singles.push((chain.proxy.as_str(), devs_of(&chain.proxy)));
         }
     }
-    for name in singles {
-        for dev in devs_of(name) {
+    // Whether an implementation deviates other than by strict rejection:
+    // what makes it a culprit of a pair finding. A name missing from
+    // `singles` has no recorded interpretation, hence no deviation.
+    let lenient = |name: &str| {
+        singles
+            .iter()
+            .find(|(n, _)| *n == name)
+            .is_some_and(|(_, devs)| devs.iter().any(|d| d.kind != DeviationKind::StrictReject))
+    };
+
+    // ---- Model 0: single-implementation deviations ------------------------
+    // (covers both direct back-end runs and proxy interpretations).
+    for (name, devs) in &singles {
+        for dev in devs {
             let attributable = matches!(
                 dev.kind,
                 DeviationKind::LenientAccept
@@ -185,26 +198,27 @@ pub fn detect_case_with_oracle(
         if !first_proxy.interpretation.outcome.is_accept() {
             continue;
         }
-        let proxy_host = first_proxy.interpretation.host.clone();
-        let proxy_devs = devs_of(&chain.proxy);
+        let proxy_host = &first_proxy.interpretation.host;
+        let proxy_lenient = lenient(&chain.proxy);
 
         for replay in &chain.replays {
             let Some(first_reply) = replay.replies.first() else { continue };
-            let backend_devs = devs_of(&replay.backend);
-            let mut pair_culprits: BTreeSet<String> = BTreeSet::new();
-            for d in proxy_devs.iter().filter(|d| d.kind != DeviationKind::StrictReject) {
-                let _ = d;
-                pair_culprits.insert(chain.proxy.clone());
-            }
-            for d in backend_devs.iter().filter(|d| d.kind != DeviationKind::StrictReject) {
-                let _ = d;
-                pair_culprits.insert(replay.backend.clone());
-            }
+            let backend_lenient = lenient(&replay.backend);
+            let pair_culprits = || {
+                let mut culprits = BTreeSet::new();
+                if proxy_lenient {
+                    culprits.insert(chain.proxy.clone());
+                }
+                if backend_lenient {
+                    culprits.insert(replay.backend.clone());
+                }
+                culprits
+            };
 
             // HoT: both accept, host views differ.
             if first_reply.interpretation.outcome.is_accept() {
                 let backend_host = &first_reply.interpretation.host;
-                if proxy_host.is_some() && backend_host.is_some() && proxy_host != *backend_host {
+                if proxy_host.is_some() && backend_host.is_some() && proxy_host != backend_host {
                     let mut evidence = format!(
                         "host views differ: proxy sees {:?}, backend sees {:?}",
                         String::from_utf8_lossy(proxy_host.as_deref().unwrap_or_default()),
@@ -223,12 +237,9 @@ pub fn detect_case_with_oracle(
                         origin: outcome.origin.clone(),
                         front: Some(chain.proxy.clone()),
                         back: Some(replay.backend.clone()),
-                        culprits: {
-                            let mut c = pair_culprits.clone();
-                            c.insert(chain.proxy.clone());
-                            c.insert(replay.backend.clone());
-                            c
-                        },
+                        culprits: [chain.proxy.clone(), replay.backend.clone()]
+                            .into_iter()
+                            .collect(),
                         evidence,
                     });
                 }
@@ -244,7 +255,7 @@ pub fn detect_case_with_oracle(
                     origin: outcome.origin.clone(),
                     front: Some(chain.proxy.clone()),
                     back: Some(replay.backend.clone()),
-                    culprits: pair_culprits.clone(),
+                    culprits: pair_culprits(),
                     evidence: format!(
                         "desync: proxy forwarded {} message(s), backend parsed {}",
                         chain.forwarded_count, backend_msgs
@@ -261,7 +272,7 @@ pub fn detect_case_with_oracle(
                         origin: outcome.origin.clone(),
                         front: Some(chain.proxy.clone()),
                         back: Some(replay.backend.clone()),
-                        culprits: pair_culprits.clone(),
+                        culprits: pair_culprits(),
                         evidence: format!(
                             "boundary disagreement: forwarded message is {} bytes, backend consumed {}",
                             len, first_reply.interpretation.consumed
@@ -273,11 +284,9 @@ pub fn detect_case_with_oracle(
             // HRS: framing-related rejection of a forwarded message the
             // proxy accepted.
             if let Outcome::Reject { status, reason } = &first_reply.interpretation.outcome {
-                let r = reason.to_ascii_lowercase();
-                if r.contains("content-length")
-                    || r.contains("transfer")
-                    || r.contains("chunk")
-                    || r.contains("body shorter")
+                if ["content-length", "transfer", "chunk", "body shorter"]
+                    .iter()
+                    .any(|needle| contains_ignore_case(reason, needle))
                 {
                     findings.push(Finding {
                         class: AttackClass::Hrs,
@@ -285,7 +294,7 @@ pub fn detect_case_with_oracle(
                         origin: outcome.origin.clone(),
                         front: Some(chain.proxy.clone()),
                         back: Some(replay.backend.clone()),
-                        culprits: pair_culprits.clone(),
+                        culprits: pair_culprits(),
                         evidence: format!(
                             "proxy accepted but backend rejected framing ({status} {reason})"
                         ),
@@ -312,6 +321,13 @@ pub fn detect_case_with_oracle(
     }
 
     findings
+}
+
+/// Whether `haystack` contains the lowercase ASCII `needle` in any ASCII
+/// case: `haystack.to_ascii_lowercase().contains(needle)` without the
+/// lowercased copy.
+fn contains_ignore_case(haystack: &str, needle: &str) -> bool {
+    haystack.as_bytes().windows(needle.len()).any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 #[cfg(test)]

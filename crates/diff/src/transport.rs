@@ -48,13 +48,13 @@ use hdiff_net::{
     NetServer, NetServerConfig, SendMode, ServerFault, WireClient,
 };
 use hdiff_servers::fault::{FaultKind, FaultSession, FaultStage};
-use hdiff_servers::{ParserProfile, Proxy, ServerReply, ORIGIN_HOP};
+use hdiff_servers::{ParserProfile, ServerReply, ORIGIN_HOP};
 
 use crate::findings::Finding;
 use crate::hmetrics::HMetrics;
 use crate::workflow::{
-    damaged_upstream_bytes, is_ambiguous, probe_relay, simulate_cache, CaseOutcome, ChainRun,
-    ReplayRun, Workflow,
+    damaged_upstream_bytes, forwarded_stream, probe_relay, simulate_cache, CaseOutcome, ChainRun,
+    ReplayGate, ReplayRun, Workflow,
 };
 
 /// How a campaign executes its cases.
@@ -218,8 +218,9 @@ pub fn try_run_bytes_tcp(
     }
 
     // Steps 1 and 2 per proxy.
+    let mut gate = ReplayGate::new(workflow.replay_reduction);
     let mut chains = Vec::new();
-    for proxy_profile in workflow.proxies() {
+    for (proxy_profile, proxy_sim) in workflow.proxies().iter().zip(workflow.sim_proxies()) {
         let decision = faults.and_then(|s| s.peek(&proxy_profile.name, FaultStage::Forward));
         let raw_results = if faults.is_some_and(FaultSession::exhausted) {
             Vec::new() // the sim's charge fails before the first message
@@ -252,25 +253,10 @@ pub fn try_run_bytes_tcp(
             proxy_results.push(r);
         }
 
-        let mut forwarded = Vec::new();
-        let mut forwarded_count = 0usize;
-        let mut forwarded_lens = Vec::new();
-        for r in &proxy_results {
-            if let Some(f) = r.action.forwarded() {
-                forwarded.extend_from_slice(f);
-                forwarded_lens.push(f.len());
-                forwarded_count += 1;
-            }
-        }
-
-        let any_accepted = proxy_results.iter().any(|r| r.interpretation.outcome.is_accept());
-        let should_replay = forwarded_count > 0
-            && any_accepted
-            && (!workflow.replay_reduction || is_ambiguous(&bytes));
+        let (forwarded, forwarded_lens) = forwarded_stream(&proxy_results);
 
         let mut replays = Vec::new();
-        if should_replay {
-            let proxy_sim = Proxy::new(proxy_profile.clone());
+        if gate.admits(&bytes, &proxy_results, forwarded_lens.len()) {
             for (backend_profile, net) in workflow.backends().iter().zip(&backend_nets) {
                 let raw = match (net, faults.is_some_and(FaultSession::exhausted)) {
                     (Some(server), false) => roundtrip(server, &forwarded, &SendMode::Whole),
@@ -285,7 +271,7 @@ pub fn try_run_bytes_tcp(
                     }
                     replies.push(reply);
                 }
-                let cache_stored_error = simulate_cache(&proxy_sim, &proxy_results, &replies);
+                let cache_stored_error = simulate_cache(proxy_sim, &proxy_results, &replies);
                 replays.push(ReplayRun {
                     backend: backend_profile.name.clone(),
                     replies,
@@ -303,7 +289,7 @@ pub fn try_run_bytes_tcp(
             proxy: proxy_profile.name.clone(),
             proxy_results,
             forwarded,
-            forwarded_count,
+            forwarded_count: forwarded_lens.len(),
             forwarded_lens,
             replays,
             relay_reaction,
@@ -455,8 +441,10 @@ pub fn try_run_bytes_tcp_async(
     }
 
     // Then per proxy: message charges, then replays.
+    let mut gate = ReplayGate::new(workflow.replay_reduction);
     let mut chains = Vec::new();
-    for (proxy_profile, out) in workflow.proxies().iter().zip(proxy_outs) {
+    let proxies = workflow.proxies().iter().zip(workflow.sim_proxies());
+    for ((proxy_profile, proxy_sim), out) in proxies.zip(proxy_outs) {
         let ex = out.as_exchange();
         observe_async_exchange(ex);
         let raw_results = if faults.is_some_and(FaultSession::exhausted) {
@@ -481,25 +469,10 @@ pub fn try_run_bytes_tcp_async(
             proxy_results.push(r);
         }
 
-        let mut forwarded = Vec::new();
-        let mut forwarded_count = 0usize;
-        let mut forwarded_lens = Vec::new();
-        for r in &proxy_results {
-            if let Some(f) = r.action.forwarded() {
-                forwarded.extend_from_slice(f);
-                forwarded_lens.push(f.len());
-                forwarded_count += 1;
-            }
-        }
-
-        let any_accepted = proxy_results.iter().any(|r| r.interpretation.outcome.is_accept());
-        let should_replay = forwarded_count > 0
-            && any_accepted
-            && (!workflow.replay_reduction || is_ambiguous(&bytes));
+        let (forwarded, forwarded_lens) = forwarded_stream(&proxy_results);
 
         let mut replays = Vec::new();
-        if should_replay {
-            let proxy_sim = Proxy::new(proxy_profile.clone());
+        if gate.admits(&bytes, &proxy_results, forwarded_lens.len()) {
             // Wave B for this proxy: the forwarded stream replays to
             // every backend concurrently. The blocking path gates each
             // backend's replay exchange on exhaustion; charges inside
@@ -535,7 +508,7 @@ pub fn try_run_bytes_tcp_async(
                     }
                     replies.push(reply);
                 }
-                let cache_stored_error = simulate_cache(&proxy_sim, &proxy_results, &replies);
+                let cache_stored_error = simulate_cache(proxy_sim, &proxy_results, &replies);
                 replays.push(ReplayRun {
                     backend: backend_profile.name.clone(),
                     replies,
@@ -548,7 +521,7 @@ pub fn try_run_bytes_tcp_async(
             proxy: proxy_profile.name.clone(),
             proxy_results,
             forwarded,
-            forwarded_count,
+            forwarded_count: forwarded_lens.len(),
             forwarded_lens,
             replays,
             relay_reaction: None, // an origin fault would have delegated

@@ -2,7 +2,8 @@
 //!
 //! * **Step 1** — the client sends each test case to every proxy, which
 //!   forwards to the echo server; proxy logs and forwarded bytes are
-//!   recorded.
+//!   recorded. In-process the forwarded bytes are read straight from the
+//!   proxy's results, so no echo server runs.
 //! * **Step 2** — forwarded bytes are replayed against every back-end
 //!   (replay reduction: only proxy-accepted, ambiguous messages are
 //!   replayed), simulating all proxy×back-end chains without deploying
@@ -10,16 +11,20 @@
 //! * **Step 3** — the client also sends each case directly to every
 //!   back-end to learn its own interpretation.
 //!
-//! After step 2 the proxy's cache is fed with the back-end response so the
-//! CPDoS model can check storability.
+//! After step 2 the proxy's cache policy decides whether it would store
+//! the back-end response, so the CPDoS model can check storability.
+//!
+//! A [`Workflow`] builds its [`Server`] and [`Proxy`] models once, when it
+//! is constructed, and reuses them for every case: neither keeps state
+//! between cases (the storability check reads the cache policy and
+//! never stores). DESIGN.md "How the sim chain allocates" lists what is
+//! built once per workflow, once per case and once per message.
 
 use hdiff_gen::TestCase;
-use hdiff_servers::cache::{CacheKey, StoreDecision};
+use hdiff_servers::cache::StoreDecision;
 use hdiff_servers::fault::{FaultEvent, FaultKind, FaultSession, FaultStage};
 use hdiff_servers::response_path::{relay_response, RelayAction};
-use hdiff_servers::{
-    EchoServer, ParserProfile, Proxy, ProxyResult, Server, ServerReply, ORIGIN_HOP,
-};
+use hdiff_servers::{ParserProfile, Proxy, ProxyResult, Server, ServerReply, ORIGIN_HOP};
 
 /// One back-end's replies to a byte stream.
 #[derive(Debug, Clone)]
@@ -95,14 +100,24 @@ pub struct CaseOutcome {
 pub struct Workflow {
     proxies: Vec<ParserProfile>,
     backends: Vec<ParserProfile>,
+    /// `proxies` as runnable models, built once.
+    sim_proxies: Vec<Proxy>,
+    /// `backends` as runnable models, built once.
+    sim_backends: Vec<Server>,
     /// Replay-reduction switch (on by default, like the paper).
     pub replay_reduction: bool,
 }
 
 impl Workflow {
     /// Builds a workflow over proxy and back-end profiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a proxy profile has no proxy behavior configured.
     pub fn new(proxies: Vec<ParserProfile>, backends: Vec<ParserProfile>) -> Workflow {
-        Workflow { proxies, backends, replay_reduction: true }
+        let sim_proxies = proxies.iter().cloned().map(Proxy::new).collect();
+        let sim_backends = backends.iter().cloned().map(Server::new).collect();
+        Workflow { proxies, backends, sim_proxies, sim_backends, replay_reduction: true }
     }
 
     /// The standard Fig. 6 environment: six proxies, six back-ends.
@@ -118,6 +133,12 @@ impl Workflow {
     /// The back-ends under test.
     pub fn backends(&self) -> &[ParserProfile] {
         &self.backends
+    }
+
+    /// The proxies as the models the sim runs, in [`Workflow::proxies`]
+    /// order.
+    pub(crate) fn sim_proxies(&self) -> &[Proxy] {
+        &self.sim_proxies
     }
 
     /// Runs all three steps for one test case.
@@ -136,12 +157,7 @@ impl Workflow {
         case: &TestCase,
         faults: Option<&FaultSession<'_>>,
     ) -> CaseOutcome {
-        self.run_bytes_faulted(
-            case.uuid,
-            &case.origin.to_string(),
-            &case.request.to_bytes(),
-            faults,
-        )
+        self.run_owned(case.uuid, case.origin.to_string(), case.request.to_bytes(), faults)
     }
 
     /// The raw-bytes workflow entry: runs all three steps over an exact
@@ -155,51 +171,45 @@ impl Workflow {
         bytes: &[u8],
         faults: Option<&FaultSession<'_>>,
     ) -> CaseOutcome {
-        let bytes = bytes.to_vec();
+        self.run_owned(uuid, origin.to_string(), bytes.to_vec(), faults)
+    }
+
+    /// The three steps over a case the outcome takes ownership of.
+    fn run_owned(
+        &self,
+        uuid: u64,
+        origin: String,
+        bytes: Vec<u8>,
+        faults: Option<&FaultSession<'_>>,
+    ) -> CaseOutcome {
         let origin_fault =
             faults.and_then(|s| s.decide(ORIGIN_HOP, FaultStage::OriginRespond)).map(|d| d.kind);
         let probe_bytes = origin_fault.and_then(damaged_upstream_bytes);
 
         // Step 3: direct back-end interpretation.
         let direct: Vec<(String, Vec<ServerReply>)> = self
-            .backends
+            .sim_backends
             .iter()
-            .map(|b| (b.name.clone(), Server::new(b.clone()).handle_stream_faulted(&bytes, faults)))
+            .map(|b| (b.profile.name.clone(), b.handle_stream_faulted(&bytes, faults)))
             .collect();
 
         // Steps 1 and 2 per proxy.
-        let mut chains = Vec::new();
-        for proxy_profile in &self.proxies {
-            let proxy = Proxy::new(proxy_profile.clone());
-            let mut echo = EchoServer::new();
+        let mut gate = ReplayGate::new(self.replay_reduction);
+        let mut chains = Vec::with_capacity(self.sim_proxies.len());
+        for proxy in &self.sim_proxies {
             let proxy_results = proxy.forward_stream_faulted(&bytes, faults);
-            let mut forwarded = Vec::new();
-            let mut forwarded_count = 0usize;
-            let mut forwarded_lens = Vec::new();
-            for r in &proxy_results {
-                if let Some(f) = r.action.forwarded() {
-                    echo.receive(f);
-                    forwarded.extend_from_slice(f);
-                    forwarded_lens.push(f.len());
-                    forwarded_count += 1;
-                }
-            }
-
-            let any_accepted = proxy_results.iter().any(|r| r.interpretation.outcome.is_accept());
-            let should_replay = forwarded_count > 0
-                && any_accepted
-                && (!self.replay_reduction || is_ambiguous(&bytes));
+            let (forwarded, forwarded_lens) = forwarded_stream(&proxy_results);
 
             let mut replays = Vec::new();
-            if should_replay {
-                for backend_profile in &self.backends {
-                    let backend = Server::new(backend_profile.clone());
+            if gate.admits(&bytes, &proxy_results, forwarded_lens.len()) {
+                replays.reserve_exact(self.sim_backends.len());
+                for backend in &self.sim_backends {
                     let replies = backend.handle_stream_faulted(&forwarded, faults);
-                    // Feed the proxy cache with the first backend response
-                    // under the proxy's own view of the request.
-                    let cache_stored_error = simulate_cache(&proxy, &proxy_results, &replies);
+                    // The proxy's cache decides on the first backend
+                    // response under the proxy's own view of the request.
+                    let cache_stored_error = simulate_cache(proxy, &proxy_results, &replies);
                     replays.push(ReplayRun {
-                        backend: backend_profile.name.clone(),
+                        backend: backend.profile.name.clone(),
                         replies,
                         cache_stored_error,
                     });
@@ -207,15 +217,15 @@ impl Workflow {
             }
 
             let relay_reaction = match (&origin_fault, &probe_bytes) {
-                (Some(kind), Some(probe)) => Some(probe_relay(proxy_profile, *kind, probe)),
+                (Some(kind), Some(probe)) => Some(probe_relay(&proxy.profile, *kind, probe)),
                 _ => None,
             };
 
             chains.push(ChainRun {
-                proxy: proxy_profile.name.clone(),
+                proxy: proxy.profile.name.clone(),
                 proxy_results,
                 forwarded,
-                forwarded_count,
+                forwarded_count: forwarded_lens.len(),
                 forwarded_lens,
                 replays,
                 relay_reaction,
@@ -224,7 +234,7 @@ impl Workflow {
 
         CaseOutcome {
             uuid,
-            origin: origin.to_string(),
+            origin,
             bytes,
             chains,
             direct,
@@ -232,6 +242,48 @@ impl Workflow {
             budget_exhausted: faults.is_some_and(FaultSession::exhausted),
         }
     }
+}
+
+/// The replay-reduction decision of one case (§IV-A step 2). A proxy
+/// chain replays to the back-ends when it forwarded something, the proxy
+/// accepted at least one message, and either reduction is off or the
+/// client bytes are ambiguous. The ambiguity verdict depends on the case
+/// alone, so it is worked out the first time a chain needs it and reused
+/// by every later chain.
+pub(crate) struct ReplayGate {
+    reduction: bool,
+    ambiguous: Option<bool>,
+}
+
+impl ReplayGate {
+    pub(crate) fn new(reduction: bool) -> ReplayGate {
+        ReplayGate { reduction, ambiguous: None }
+    }
+
+    /// Whether the chain with these proxy results replays `bytes`.
+    pub(crate) fn admits(
+        &mut self,
+        bytes: &[u8],
+        proxy_results: &[ProxyResult],
+        forwarded_count: usize,
+    ) -> bool {
+        forwarded_count > 0
+            && proxy_results.iter().any(|r| r.interpretation.outcome.is_accept())
+            && (!self.reduction || *self.ambiguous.get_or_insert_with(|| is_ambiguous(bytes)))
+    }
+}
+
+/// What a proxy sent downstream: the forwarded messages concatenated,
+/// and the length of each.
+pub(crate) fn forwarded_stream(proxy_results: &[ProxyResult]) -> (Vec<u8>, Vec<usize>) {
+    let messages = || proxy_results.iter().filter_map(|r| r.action.forwarded());
+    let mut forwarded = Vec::with_capacity(messages().map(<[u8]>::len).sum());
+    let mut lens = Vec::new();
+    for message in messages() {
+        forwarded.extend_from_slice(message);
+        lens.push(message.len());
+    }
+    (forwarded, lens)
 }
 
 /// Canonical damaged upstream bytes for an origin-side fault — what a
@@ -291,8 +343,9 @@ pub(crate) fn probe_relay(
     }
 }
 
-/// Simulates the proxy caching the back-end's first response; returns
-/// whether an *error* response was stored (the CPDoS precondition).
+/// Whether the proxy would cache the back-end's first response and that
+/// response is an error (the CPDoS precondition). Reads the storage
+/// decision alone: the proxy's cache stays untouched.
 pub(crate) fn simulate_cache(
     proxy: &Proxy,
     proxy_results: &[ProxyResult],
@@ -301,29 +354,25 @@ pub(crate) fn simulate_cache(
     let (Some(first_proxy), Some(first_reply)) = (proxy_results.first(), replies.first()) else {
         return false;
     };
-    if !first_proxy.interpretation.outcome.is_accept() {
+    let view = &first_proxy.interpretation;
+    if !view.outcome.is_accept() {
         return false;
     }
-    let mut cache = proxy.cache.clone();
-    let key = CacheKey::new(
-        first_proxy.interpretation.host.clone().unwrap_or_default(),
-        first_proxy.interpretation.target.clone(),
-    );
-    let decision = cache.store(
-        key,
-        &first_proxy.interpretation.method,
-        &first_proxy.interpretation.version,
-        &first_reply.response,
-    );
-    decision == StoreDecision::Stored && first_reply.response.status.is_error()
+    proxy.cache.decide(&view.method, &view.version, &first_reply.response) == StoreDecision::Stored
+        && first_reply.response.status.is_error()
 }
 
 /// The replay-reduction ambiguity heuristic (§IV-A step 2): a request is
 /// worth replaying when it carries any marker of semantic ambiguity.
+/// Every marker is matched in any ASCII case, without a lowercased copy
+/// of the request.
 pub fn is_ambiguous(bytes: &[u8]) -> bool {
-    let lower = bytes.to_ascii_lowercase();
-    let count = |needle: &[u8]| lower.windows(needle.len()).filter(|w| *w == needle).count();
-    let has = |needle: &[u8]| count(needle) > 0;
+    let find =
+        |needle: &[u8]| bytes.windows(needle.len()).position(|w| w.eq_ignore_ascii_case(needle));
+    let count = |needle: &[u8]| {
+        bytes.windows(needle.len()).filter(|w| w.eq_ignore_ascii_case(needle)).count()
+    };
+    let has = |needle: &[u8]| find(needle).is_some();
 
     // Duplicated or conflicting framing / host fields.
     if count(b"content-length") >= 2 || count(b"transfer-encoding") >= 2 || count(b"host:") >= 2 {
@@ -336,29 +385,28 @@ pub fn is_ambiguous(bytes: &[u8]) -> bool {
         return true;
     }
     // Special characters in the header section.
-    let header_end = lower.windows(4).position(|w| w == b"\r\n\r\n").unwrap_or(lower.len());
-    if lower[..header_end].iter().any(|&b| {
+    let header_end = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap_or(bytes.len());
+    let head = &bytes[..header_end];
+    if head.iter().any(|&b| {
         b == 0 || b == 0x0b || (b < 0x20 && b != b'\r' && b != b'\n' && b != b'\t') || b >= 0x80
     }) {
         return true;
     }
     // Request-line anomalies.
-    let line_end = lower.windows(2).position(|w| w == b"\r\n").unwrap_or(lower.len());
-    let line = &lower[..line_end];
-    if !line.ends_with(b"http/1.1") || line.iter().filter(|&&b| b == b' ').count() != 2 {
+    let line = &bytes[..hdiff_wire::ascii::find_crlf(bytes).unwrap_or(bytes.len())];
+    let version_ok = line.len() >= 8 && line[line.len() - 8..].eq_ignore_ascii_case(b"http/1.1");
+    if !version_ok || line.iter().filter(|&&b| b == b' ').count() != 2 {
         return true;
     }
-    if has(b"http://") || has(b"://") {
+    if has(b"://") {
         return true;
     }
     // Ambiguous Host spellings (userinfo, lists, path junk, spaces).
-    if let Some(hpos) = lower.windows(5).position(|w| w == b"host:") {
-        let rest = &lower[hpos + 5..];
-        let vend = rest.windows(2).position(|w| w == b"\r\n").unwrap_or(rest.len());
-        let value: &[u8] = &rest[..vend];
-        let trimmed: Vec<u8> = value.iter().copied().filter(|&b| b != b' ').collect();
-        if value.iter().any(|&b| matches!(b, b',' | b'@' | b'/')) || trimmed.len() + 1 < value.len()
-        {
+    if let Some(hpos) = find(b"host:") {
+        let rest = &bytes[hpos + 5..];
+        let value = &rest[..hdiff_wire::ascii::find_crlf(rest).unwrap_or(rest.len())];
+        let spaces = value.iter().filter(|&&b| b == b' ').count();
+        if value.iter().any(|&b| matches!(b, b',' | b'@' | b'/')) || spaces > 1 {
             return true;
         }
     }
@@ -366,10 +414,10 @@ pub fn is_ambiguous(bytes: &[u8]) -> bool {
     if has(b"expect") || has(b"connection:") {
         return true;
     }
-    if lower[..header_end].windows(3).any(|w| w == b"\r\n " || w == b"\r\n\t") {
+    if head.windows(3).any(|w| w == b"\r\n " || w == b"\r\n\t") {
         return true;
     }
-    if lower.starts_with(b"get") && header_end + 4 < lower.len() {
+    if bytes.len() >= 3 && bytes[..3].eq_ignore_ascii_case(b"get") && header_end + 4 < bytes.len() {
         return true;
     }
     false

@@ -66,9 +66,27 @@ impl Cache {
     }
 
     /// Attempts to store a response for `(key, method, request version)`.
+    /// Stores exactly when [`Cache::decide`] says [`StoreDecision::Stored`].
     pub fn store(
         &mut self,
         key: CacheKey,
+        method: &[u8],
+        request_version: &Version,
+        response: &Response,
+    ) -> StoreDecision {
+        let decision = self.decide(method, request_version, response);
+        if decision == StoreDecision::Stored {
+            self.entries.insert(key, response.clone());
+        }
+        decision
+    }
+
+    /// The decision [`Cache::store`] would make for this request and
+    /// response, read from the policy alone: nothing is stored and
+    /// nothing is copied. The decision never depends on the key or on
+    /// what the cache already holds.
+    pub fn decide(
+        &self,
         method: &[u8],
         request_version: &Version,
         response: &Response,
@@ -85,7 +103,6 @@ impl Cache {
         if request_version.is_pre_1_1() && !self.policy.store_pre11 {
             return StoreDecision::Pre11NotStorable;
         }
-        self.entries.insert(key, response.clone());
         StoreDecision::Stored
     }
 

@@ -6,6 +6,8 @@
 //! [`ParserProfile`] policy, so a product's behavior is exactly its
 //! profile — auditable data, not code.
 
+use std::borrow::Cow;
+
 use hdiff_wire::ascii;
 use hdiff_wire::chunked::decode_chunked;
 use hdiff_wire::header::HeaderField;
@@ -65,7 +67,35 @@ pub struct ClassifiedHeader {
     pub field: HeaderField,
     /// Canonical lowercase name if the implementation recognized the
     /// field; `None` for unknown/opaque fields it would pass through.
-    pub canon: Option<String>,
+    /// Borrowed for the names the engines compare against (see
+    /// [`canonical_name`]), owned for any other name.
+    pub canon: Option<Cow<'static, str>>,
+}
+
+/// Header names the engines compare canonical names against. Each
+/// canonicalizes to a borrowed `'static` string, so recognizing the
+/// fields that drive framing, routing and hop-by-hop stripping costs no
+/// allocation.
+const COMPARED_NAMES: [&str; 9] = [
+    "host",
+    "content-length",
+    "transfer-encoding",
+    "expect",
+    "connection",
+    "keep-alive",
+    "proxy-authorization",
+    "proxy-authenticate",
+    "te",
+];
+
+/// The canonical (ASCII-lowercased) spelling of a header name:
+/// `String::from_utf8_lossy(name).to_ascii_lowercase()`, borrowed when
+/// the name is one the engines compare against.
+pub fn canonical_name(name: &[u8]) -> Cow<'static, str> {
+    match COMPARED_NAMES.iter().find(|known| name.eq_ignore_ascii_case(known.as_bytes())) {
+        Some(known) => Cow::Borrowed(known),
+        None => Cow::Owned(String::from_utf8_lossy(name).to_ascii_lowercase()),
+    }
 }
 
 /// The complete interpretation of one request under one profile.
@@ -125,10 +155,6 @@ impl Interpretation {
     }
 }
 
-fn find_crlf(s: &[u8]) -> Option<usize> {
-    s.windows(2).position(|w| w == b"\r\n")
-}
-
 /// Interprets one request from `input` under `profile`.
 pub fn interpret(profile: &ParserProfile, input: &[u8]) -> Interpretation {
     // Fault hook: a profile marked `always_panic` models an
@@ -140,7 +166,7 @@ pub fn interpret(profile: &ParserProfile, input: &[u8]) -> Interpretation {
         profile.name,
         input.len()
     );
-    let Some(line_end) = find_crlf(input) else {
+    let Some(line_end) = ascii::find_crlf(input) else {
         // HTTP/0.9 simple request: `GET /path\n`? Model strictly: no CRLF
         // at all means an incomplete message.
         return Interpretation::reject(400, "no request line terminator");
@@ -150,15 +176,10 @@ pub fn interpret(profile: &ParserProfile, input: &[u8]) -> Interpretation {
     let mut notes = Vec::new();
 
     // ---- request line -------------------------------------------------
-    let parts: Vec<&[u8]> = if profile.multi_space_request_line {
-        line.split(|&b| b == b' ').filter(|p| !p.is_empty()).collect()
-    } else {
-        line.split(|&b| b == b' ').collect()
-    };
-    let (method, target_b, version_b): (&[u8], &[u8], &[u8]) = match parts.len() {
-        2 => (parts[0], parts[1], b"HTTP/0.9"),
-        3 => (parts[0], parts[1], parts[2]),
-        _ => return Interpretation::reject(400, "malformed request line"),
+    let Some((method, target_b, version_b)) =
+        split_request_line(line, profile.multi_space_request_line)
+    else {
+        return Interpretation::reject(400, "malformed request line");
     };
     if !ascii::is_token(method) {
         return Interpretation::reject(400, "invalid method token");
@@ -192,7 +213,7 @@ pub fn interpret(profile: &ParserProfile, input: &[u8]) -> Interpretation {
     let mut headers: Vec<ClassifiedHeader> = Vec::new();
     let mut header_bytes = 0usize;
     loop {
-        let Some(h_end) = find_crlf(&input[pos..]) else {
+        let Some(h_end) = ascii::find_crlf(&input[pos..]) else {
             return Interpretation::reject(400, "header section not terminated");
         };
         let raw = &input[pos..pos + h_end];
@@ -211,12 +232,11 @@ pub fn interpret(profile: &ParserProfile, input: &[u8]) -> Interpretation {
                     return Interpretation::reject(400, "obsolete line folding");
                 }
                 ObsFoldPolicy::MergeSp => {
-                    if let Some(last) = headers.pop() {
-                        let mut merged = last.field.into_raw();
+                    if let Some(ClassifiedHeader { field, canon }) = headers.pop() {
+                        let mut merged = field.into_raw();
                         merged.push(b' ');
                         merged.extend_from_slice(ascii::trim_ows(raw));
                         let field = HeaderField::from_raw(merged);
-                        let canon = last.canon.clone();
                         headers.push(ClassifiedHeader { field, canon });
                         notes.push("merged obs-fold".to_string());
                         continue;
@@ -235,37 +255,35 @@ pub fn interpret(profile: &ParserProfile, input: &[u8]) -> Interpretation {
     }
 
     // ---- host -------------------------------------------------------------
-    let target = RequestTarget::classify(target_b);
-    let host_fields: Vec<&ClassifiedHeader> =
-        headers.iter().filter(|h| h.canon.as_deref() == Some("host")).collect();
-    let header_host: Option<Vec<u8>> = match host_fields.len() {
-        0 => None,
-        1 => Some(host_fields[0].field.value().to_vec()),
-        _ => match profile.multi_host {
+    let target_authority = RequestTarget::authority_in(target_b);
+    let mut host_fields = headers.iter().filter(|h| h.canon.as_deref() == Some("host"));
+    let header_host: Option<&[u8]> = match (host_fields.next(), host_fields.next()) {
+        (None, _) => None,
+        (Some(only), None) => Some(only.field.value()),
+        (Some(first), Some(second)) => match profile.multi_host {
             MultiHostPolicy::Reject => {
                 return Interpretation::reject(400, "multiple host headers");
             }
             MultiHostPolicy::First => {
                 notes.push("multiple host: using first".to_string());
-                Some(host_fields[0].field.value().to_vec())
+                Some(first.field.value())
             }
             MultiHostPolicy::Last => {
                 notes.push("multiple host: using last".to_string());
-                Some(host_fields[host_fields.len() - 1].field.value().to_vec())
+                Some(host_fields.next_back().unwrap_or(second).field.value())
             }
         },
     };
     if header_host.is_none()
         && profile.host_required_11
         && version == Version::Http11
-        && target.authority().is_none()
+        && target_authority.is_none()
     {
         return Interpretation::reject(400, "missing host header");
     }
-    let host = match (&target, &header_host) {
-        (t, hh) if t.authority().is_some() => {
-            let uri_host =
-                Authority::parse(t.authority().expect("checked")).host.to_ascii_lowercase();
+    let host = match (target_authority, header_host) {
+        (Some(authority), hh) => {
+            let uri_host = Authority::parse(authority).host.to_ascii_lowercase();
             match profile.abs_uri {
                 AbsUriPolicy::PreferUri => Some(uri_host),
                 AbsUriPolicy::PreferHost => match hh {
@@ -327,8 +345,7 @@ pub fn interpret(profile: &ParserProfile, input: &[u8]) -> Interpretation {
 
     // ---- Expect ----------------------------------------------------------------
     if let Some(expect) = headers.iter().find(|h| h.canon.as_deref() == Some("expect")) {
-        let value = expect.field.value().to_ascii_lowercase();
-        let known = value == b"100-continue";
+        let known = expect.field.value().eq_ignore_ascii_case(b"100-continue");
         if version != Version::Http10 {
             match profile.expect {
                 ExpectPolicy::Strict => {
@@ -398,7 +415,7 @@ fn classify_header(
     profile: &ParserProfile,
     field: &HeaderField,
     notes: &mut Vec<String>,
-) -> Result<Option<String>, String> {
+) -> Result<Option<Cow<'static, str>>, String> {
     if field.raw().iter().all(|&b| b != b':') {
         return match profile.name_policy {
             NamePolicy::Reject => Err("header line without colon".to_string()),
@@ -415,16 +432,14 @@ fn classify_header(
                     "trimmed whitespace before colon in {:?}",
                     String::from_utf8_lossy(field.name_trimmed())
                 ));
-                return Ok(Some(
-                    String::from_utf8_lossy(field.name_trimmed()).to_ascii_lowercase(),
-                ));
+                return Ok(Some(canonical_name(field.name_trimmed())));
             }
             WsColonPolicy::TreatUnknown => return Ok(None),
         }
     }
     let name = field.name_raw();
     if ascii::is_token(name) {
-        return Ok(Some(String::from_utf8_lossy(name).to_ascii_lowercase()));
+        return Ok(Some(canonical_name(name)));
     }
     match profile.name_policy {
         NamePolicy::Reject => Err("invalid header name".to_string()),
@@ -438,40 +453,124 @@ fn classify_header(
                     "stripped junk from header name {:?}",
                     String::from_utf8_lossy(name)
                 ));
-                Ok(Some(String::from_utf8_lossy(&stripped).to_ascii_lowercase()))
+                Ok(Some(canonical_name(&stripped)))
             }
         }
     }
 }
 
-/// Recognizes a strictly valid TE list ending in chunked.
-fn strict_te(values: &[Vec<u8>]) -> Result<bool, String> {
-    let mut codings = Vec::new();
-    for v in values {
-        for part in v.split(|&b| b == b',') {
-            let part = ascii::trim_ows(part).to_ascii_lowercase();
-            if !part.is_empty() {
-                codings.push(part);
+/// Splits a request line into method, target and version on SP. A
+/// two-token line is HTTP/0.9; with `multi_space` runs of SP count as
+/// one separator. `None` for any other token count.
+fn split_request_line(line: &[u8], multi_space: bool) -> Option<(&[u8], &[u8], &[u8])> {
+    let mut parts = line.split(|&b| b == b' ').filter(|p| !(multi_space && p.is_empty()));
+    match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some(method), Some(target), None, _) => Some((method, target, b"HTTP/0.9")),
+        (Some(method), Some(target), Some(version), None) => Some((method, target, version)),
+        _ => None,
+    }
+}
+
+/// Reads one Content-Length field value under `policy`, noting any
+/// lenient repair; the error is the rejection status and reason.
+fn content_length_value(
+    policy: ClValuePolicy,
+    raw: &[u8],
+    notes: &mut Vec<String>,
+) -> Result<u64, (u16, String)> {
+    let members = || raw.split(|&b| b == b',').map(ascii::trim_ows);
+    let first_member = members().next();
+    match policy {
+        ClValuePolicy::Strict => {
+            // A comma list of identical values is the RFC recovery
+            // case — identical meaning identical *member bytes*, not
+            // merely equal parsed numbers: `10, 010` is a byte-level
+            // disagreement some real servers reject, and comparing
+            // parsed values here would silently collapse it.
+            let mut first = None;
+            for member in members() {
+                match ascii::parse_dec_strict(member) {
+                    Some(v) => {
+                        first.get_or_insert(v);
+                    }
+                    None => {
+                        return Err((
+                            400,
+                            format!("invalid content-length {:?}", String::from_utf8_lossy(raw)),
+                        ));
+                    }
+                }
             }
+            if members().any(|m| Some(m) != first_member) {
+                return Err((400, "differing content-length list values".to_string()));
+            }
+            Ok(first.expect("split yields at least one member"))
         }
+        ClValuePolicy::Lenient => match ascii::parse_dec_lenient(raw) {
+            Some(v) => {
+                if ascii::parse_dec_strict(raw).is_none() {
+                    notes.push(format!(
+                        "leniently parsed content-length {:?} as {v}",
+                        String::from_utf8_lossy(raw)
+                    ));
+                }
+                // List members that agree numerically but differ in
+                // spelling (`10, 010`): accepted, but the repair is
+                // recorded so the divergence stays observable.
+                if members().nth(1).is_some()
+                    && members().all(|m| ascii::parse_dec_lenient(m) == Some(v))
+                    && members().any(|m| Some(m) != first_member)
+                {
+                    notes.push(format!(
+                        "content-length list members differ textually {:?}",
+                        String::from_utf8_lossy(raw)
+                    ));
+                }
+                Ok(v)
+            }
+            None => {
+                Err((400, format!("unparseable content-length {:?}", String::from_utf8_lossy(raw))))
+            }
+        },
     }
-    if codings.is_empty() {
+}
+
+/// Checks that the Transfer-Encoding field values form a strictly valid
+/// coding list ending in chunked; the error is the rejection reason.
+fn strict_te<'a>(values: impl Iterator<Item = &'a [u8]>) -> Result<(), String> {
+    let codings = values
+        .flat_map(|v| v.split(|&b| b == b','))
+        .map(ascii::trim_ows)
+        .filter(|part| !part.is_empty());
+    let mut last: Option<&[u8]> = None;
+    let mut chunked = 0usize;
+    for coding in codings {
+        if !KNOWN_CODINGS.iter().any(|known| coding.eq_ignore_ascii_case(known)) {
+            return Err(format!(
+                "unknown transfer coding {:?}",
+                String::from_utf8_lossy(&coding.to_ascii_lowercase())
+            ));
+        }
+        if coding.eq_ignore_ascii_case(b"chunked") {
+            chunked += 1;
+        }
+        last = Some(coding);
+    }
+    let Some(last) = last else {
         return Err("empty transfer-encoding".to_string());
-    }
-    for c in &codings {
-        if !matches!(c.as_slice(), b"chunked" | b"gzip" | b"deflate" | b"compress") {
-            return Err(format!("unknown transfer coding {:?}", String::from_utf8_lossy(c)));
-        }
-    }
-    if codings.last().map(Vec::as_slice) != Some(b"chunked") {
+    };
+    if !last.eq_ignore_ascii_case(b"chunked") {
         return Err("final transfer coding is not chunked".to_string());
     }
     // RFC 7230 §4.1.1: chunked must not be applied more than once.
-    if codings.iter().filter(|c| c.as_slice() == b"chunked").count() > 1 {
+    if chunked > 1 {
         return Err("chunked transfer coding applied twice".to_string());
     }
-    Ok(true)
+    Ok(())
 }
+
+/// The transfer codings [`strict_te`] recognizes.
+const KNOWN_CODINGS: [&[u8]; 4] = [b"chunked", b"gzip", b"deflate", b"compress"];
 
 fn decide_framing(
     profile: &ParserProfile,
@@ -479,80 +578,14 @@ fn decide_framing(
     version: &Version,
     notes: &mut Vec<String>,
 ) -> Result<FramingChoice, (u16, String)> {
-    let cl_fields: Vec<&ClassifiedHeader> =
-        headers.iter().filter(|h| h.canon.as_deref() == Some("content-length")).collect();
-    let te_fields: Vec<&ClassifiedHeader> =
-        headers.iter().filter(|h| h.canon.as_deref() == Some("transfer-encoding")).collect();
+    let fields_named = |name: &'static str| {
+        headers.iter().filter(move |h| h.canon.as_deref() == Some(name)).map(|h| h.field.value())
+    };
 
     // Content-Length value(s).
     let mut cl_values: Vec<u64> = Vec::new();
-    for f in &cl_fields {
-        let raw = f.field.value();
-        let parsed = match profile.cl_value {
-            ClValuePolicy::Strict => {
-                // A comma list of identical values is the RFC recovery
-                // case — identical meaning identical *member bytes*, not
-                // merely equal parsed numbers: `10, 010` is a byte-level
-                // disagreement some real servers reject, and comparing
-                // parsed values here would silently collapse it.
-                let mut vals = Vec::new();
-                let mut members: Vec<&[u8]> = Vec::new();
-                for part in raw.split(|&b| b == b',') {
-                    let member = ascii::trim_ows(part);
-                    match ascii::parse_dec_strict(member) {
-                        Some(v) => {
-                            vals.push(v);
-                            members.push(member);
-                        }
-                        None => {
-                            return Err((
-                                400,
-                                format!(
-                                    "invalid content-length {:?}",
-                                    String::from_utf8_lossy(raw)
-                                ),
-                            ));
-                        }
-                    }
-                }
-                if members.windows(2).any(|w| w[0] != w[1]) {
-                    return Err((400, "differing content-length list values".to_string()));
-                }
-                vals[0]
-            }
-            ClValuePolicy::Lenient => match ascii::parse_dec_lenient(raw) {
-                Some(v) => {
-                    if ascii::parse_dec_strict(raw).is_none() {
-                        notes.push(format!(
-                            "leniently parsed content-length {:?} as {v}",
-                            String::from_utf8_lossy(raw)
-                        ));
-                    }
-                    // List members that agree numerically but differ in
-                    // spelling (`10, 010`): accepted, but the repair is
-                    // recorded so the divergence stays observable.
-                    let members: Vec<&[u8]> =
-                        raw.split(|&b| b == b',').map(ascii::trim_ows).collect();
-                    if members.len() > 1
-                        && members.iter().all(|m| ascii::parse_dec_lenient(m) == Some(v))
-                        && members.windows(2).any(|w| w[0] != w[1])
-                    {
-                        notes.push(format!(
-                            "content-length list members differ textually {:?}",
-                            String::from_utf8_lossy(raw)
-                        ));
-                    }
-                    v
-                }
-                None => {
-                    return Err((
-                        400,
-                        format!("unparseable content-length {:?}", String::from_utf8_lossy(raw)),
-                    ));
-                }
-            },
-        };
-        cl_values.push(parsed);
+    for raw in fields_named("content-length") {
+        cl_values.push(content_length_value(profile.cl_value, raw, notes)?);
     }
     let cl = if cl_values.is_empty() {
         None
@@ -581,18 +614,16 @@ fn decide_framing(
     };
 
     // Transfer-Encoding recognition.
-    let te_values: Vec<Vec<u8>> = te_fields.iter().map(|f| f.field.value().to_vec()).collect();
-    let (te_chunked, te_strictly_valid) = if te_values.is_empty() {
+    let (te_chunked, te_strictly_valid) = if fields_named("transfer-encoding").next().is_none() {
         (false, false)
     } else {
-        match strict_te(&te_values) {
-            Ok(_) => (true, true),
+        match strict_te(fields_named("transfer-encoding")) {
+            Ok(()) => (true, true),
             Err(reason) => match profile.te_recognition {
                 TeRecognition::Strict => return Err((400, reason)),
                 TeRecognition::ChunkedSubstring => {
-                    let has = te_values
-                        .iter()
-                        .any(|v| v.to_ascii_lowercase().windows(7).any(|w| w == b"chunked"));
+                    let has = fields_named("transfer-encoding")
+                        .any(|v| v.windows(7).any(|w| w.eq_ignore_ascii_case(b"chunked")));
                     if has {
                         notes.push("leniently recognized chunked in malformed TE".to_string());
                     }
@@ -1018,5 +1049,185 @@ mod tests {
         let i = interpret(&strict(), msg);
         assert!(i.outcome.is_accept());
         assert!(msg[i.consumed..].starts_with(b"GET /next"));
+    }
+
+    /// The helpers above replaced copying code; each must give the old
+    /// code's answer on any input. The `old_*` functions are that code.
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `items` joined by `separators`, with now and then a stray byte
+        /// in place of an item.
+        fn list_of(
+            items: &'static [&'static [u8]],
+            separators: &'static [&'static [u8]],
+        ) -> impl Strategy<Value = Vec<u8>> {
+            proptest::collection::vec(any::<u32>(), 0..5).prop_map(move |codes| {
+                let mut out = Vec::new();
+                for (i, code) in codes.into_iter().enumerate() {
+                    if i > 0 {
+                        out.extend_from_slice(separators[(code >> 16) as usize % separators.len()]);
+                    }
+                    match code % 8 {
+                        7 => out.push((code >> 8) as u8),
+                        _ => out.extend_from_slice(items[(code / 8) as usize % items.len()]),
+                    }
+                }
+                out
+            })
+        }
+
+        /// Content-Length members: equal numbers in several spellings,
+        /// other numbers, and non-numbers.
+        const LENGTHS: [&[u8]; 9] =
+            [b"10", b"010", b"0010", b"+10", b"0", b"3", b"99999999999999999999", b"1O", b""];
+        /// Transfer codings in several spellings, and unknown ones.
+        const CODINGS: [&[u8]; 8] =
+            [b"chunked", b"CHUNKED", b"gzip", b"Deflate", b"compress", b"identity", b"", b"x"];
+        /// Separators of a field-value list, with optional whitespace.
+        const COMMAS: [&[u8]; 5] = [b",", b", ", b" ,", b",,", b" "];
+        /// Request-line tokens, including empty ones.
+        const TOKENS: [&[u8]; 7] = [b"GET", b"/a", b"HTTP/1.1", b"", b"\t", b"x,y", b"HTTP/0.9"];
+        /// Runs of SP between request-line tokens.
+        const SPACES: [&[u8]; 3] = [b" ", b"  ", b"   "];
+
+        fn old_split_request_line(line: &[u8], multi_space: bool) -> Option<(&[u8], &[u8], &[u8])> {
+            let parts: Vec<&[u8]> = if multi_space {
+                line.split(|&b| b == b' ').filter(|p| !p.is_empty()).collect()
+            } else {
+                line.split(|&b| b == b' ').collect()
+            };
+            match parts.len() {
+                2 => Some((parts[0], parts[1], b"HTTP/0.9")),
+                3 => Some((parts[0], parts[1], parts[2])),
+                _ => None,
+            }
+        }
+
+        fn old_content_length_value(
+            policy: ClValuePolicy,
+            raw: &[u8],
+            notes: &mut Vec<String>,
+        ) -> Result<u64, (u16, String)> {
+            match policy {
+                ClValuePolicy::Strict => {
+                    let mut vals = Vec::new();
+                    let mut members: Vec<&[u8]> = Vec::new();
+                    for part in raw.split(|&b| b == b',') {
+                        let member = ascii::trim_ows(part);
+                        match ascii::parse_dec_strict(member) {
+                            Some(v) => {
+                                vals.push(v);
+                                members.push(member);
+                            }
+                            None => {
+                                return Err((
+                                    400,
+                                    format!(
+                                        "invalid content-length {:?}",
+                                        String::from_utf8_lossy(raw)
+                                    ),
+                                ));
+                            }
+                        }
+                    }
+                    if members.windows(2).any(|w| w[0] != w[1]) {
+                        return Err((400, "differing content-length list values".to_string()));
+                    }
+                    Ok(vals[0])
+                }
+                ClValuePolicy::Lenient => match ascii::parse_dec_lenient(raw) {
+                    Some(v) => {
+                        if ascii::parse_dec_strict(raw).is_none() {
+                            notes.push(format!(
+                                "leniently parsed content-length {:?} as {v}",
+                                String::from_utf8_lossy(raw)
+                            ));
+                        }
+                        let members: Vec<&[u8]> =
+                            raw.split(|&b| b == b',').map(ascii::trim_ows).collect();
+                        if members.len() > 1
+                            && members.iter().all(|m| ascii::parse_dec_lenient(m) == Some(v))
+                            && members.windows(2).any(|w| w[0] != w[1])
+                        {
+                            notes.push(format!(
+                                "content-length list members differ textually {:?}",
+                                String::from_utf8_lossy(raw)
+                            ));
+                        }
+                        Ok(v)
+                    }
+                    None => Err((
+                        400,
+                        format!("unparseable content-length {:?}", String::from_utf8_lossy(raw)),
+                    )),
+                },
+            }
+        }
+
+        fn old_strict_te(values: &[Vec<u8>]) -> Result<bool, String> {
+            let mut codings = Vec::new();
+            for v in values {
+                for part in v.split(|&b| b == b',') {
+                    let part = ascii::trim_ows(part).to_ascii_lowercase();
+                    if !part.is_empty() {
+                        codings.push(part);
+                    }
+                }
+            }
+            if codings.is_empty() {
+                return Err("empty transfer-encoding".to_string());
+            }
+            for c in &codings {
+                if !matches!(c.as_slice(), b"chunked" | b"gzip" | b"deflate" | b"compress") {
+                    return Err(format!(
+                        "unknown transfer coding {:?}",
+                        String::from_utf8_lossy(c)
+                    ));
+                }
+            }
+            if codings.last().map(Vec::as_slice) != Some(b"chunked") {
+                return Err("final transfer coding is not chunked".to_string());
+            }
+            if codings.iter().filter(|c| c.as_slice() == b"chunked").count() > 1 {
+                return Err("chunked transfer coding applied twice".to_string());
+            }
+            Ok(true)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn request_line_split_matches_the_collected_split(line in list_of(&TOKENS, &SPACES)) {
+                for multi_space in [false, true] {
+                    prop_assert_eq!(
+                        split_request_line(&line, multi_space),
+                        old_split_request_line(&line, multi_space)
+                    );
+                }
+            }
+
+            #[test]
+            fn content_length_reading_matches_the_collected_members(raw in list_of(&LENGTHS, &COMMAS)) {
+                for policy in [ClValuePolicy::Strict, ClValuePolicy::Lenient] {
+                    let (mut new_notes, mut old_notes) = (Vec::new(), Vec::new());
+                    prop_assert_eq!(
+                        content_length_value(policy, &raw, &mut new_notes),
+                        old_content_length_value(policy, &raw, &mut old_notes)
+                    );
+                    prop_assert_eq!(new_notes, old_notes);
+                }
+            }
+
+            #[test]
+            fn te_check_matches_the_lowercased_codings(
+                values in proptest::collection::vec(list_of(&CODINGS, &COMMAS), 0..3),
+            ) {
+                let new = strict_te(values.iter().map(Vec::as_slice));
+                prop_assert_eq!(new.map(|()| true), old_strict_te(&values));
+            }
+        }
     }
 }

@@ -16,6 +16,11 @@ use crate::engine::{interpret, FramingChoice, Interpretation, Outcome};
 use crate::fault::{FaultKind, FaultSession, FaultStage};
 use crate::profile::{ForwardVersion, ParserProfile, RewriteAbsUri, VersionPolicy};
 
+/// Header names a hop-by-hop-stripping proxy always removes, whatever
+/// the Connection header nominates (RFC 7230 §6.1).
+const HOP_BY_HOP: [&str; 5] =
+    ["connection", "keep-alive", "proxy-authorization", "proxy-authenticate", "te"];
+
 /// What the proxy did with one parsed message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ForwardAction {
@@ -74,8 +79,8 @@ impl Proxy {
         let interpretation = interpret(&self.profile, input);
         match &interpretation.outcome {
             Outcome::Reject { status, reason } => {
-                let mut r = Response::with_body(StatusCode(*status), reason.clone());
-                r.headers.push("Server", self.profile.name.clone());
+                let mut r = Response::with_body(StatusCode(*status), reason.as_bytes());
+                r.headers.push("Server", &self.profile.name);
                 ProxyResult { action: ForwardAction::Rejected(r), interpretation }
             }
             Outcome::Accept => {
@@ -155,37 +160,34 @@ impl Proxy {
     /// Returns the bytes and the rewritten Host identity, if any.
     fn rebuild(&self, input: &[u8], i: &Interpretation) -> (Vec<u8>, Option<Vec<u8>>) {
         let behavior = self.profile.proxy.as_ref().expect("proxy behavior checked in new");
-        let mut out = Vec::new();
+        // The forwarded message is about the consumed input plus a Via
+        // line; sizing for that builds it in one allocation.
+        let mut out = Vec::with_capacity(i.consumed + 32 + self.profile.name.len());
 
         // ---- request line -------------------------------------------------
-        let target = RequestTarget::classify(&i.target);
-        let (target_bytes, rewritten_host): (Vec<u8>, Option<Vec<u8>>) =
-            match (&target, behavior.rewrite_abs_uri) {
-                (RequestTarget::Absolute { .. }, RewriteAbsUri::Always) => {
-                    let origin = target.to_origin_form().expect("absolute form");
-                    let host =
-                        target.authority().map(|a| Authority::parse(a).host.to_ascii_lowercase());
-                    (origin, host)
-                }
-                (RequestTarget::Absolute { .. }, RewriteAbsUri::OnlyHttpScheme) => {
-                    if target.is_http_absolute() {
-                        let origin = target.to_origin_form().expect("absolute form");
-                        let host = target
-                            .authority()
-                            .map(|a| Authority::parse(a).host.to_ascii_lowercase());
-                        (origin, host)
-                    } else {
-                        // Non-http scheme: forwarded transparently — the
-                        // Varnish HoT gap.
-                        (i.target.clone(), None)
-                    }
-                }
-                _ => (i.target.clone(), None),
-            };
+        // Only a target that carries an authority can be rewritten; the
+        // common origin-form target is forwarded without being copied.
+        let authority = RequestTarget::authority_in(&i.target);
+        let absolute = authority.map(|_| RequestTarget::classify(&i.target));
+        let uri_host = || authority.map(|a| Authority::parse(a).host.to_ascii_lowercase());
+        let (origin_form, rewritten_host) = match (&absolute, behavior.rewrite_abs_uri) {
+            (Some(t @ RequestTarget::Absolute { .. }), RewriteAbsUri::Always) => {
+                (t.to_origin_form(), uri_host())
+            }
+            // A non-http scheme falls through and is forwarded
+            // transparently — the Varnish HoT gap.
+            (Some(t @ RequestTarget::Absolute { .. }), RewriteAbsUri::OnlyHttpScheme)
+                if t.is_http_absolute() =>
+            {
+                (t.to_origin_form(), uri_host())
+            }
+            _ => (None, None),
+        };
+        let target_bytes = origin_form.as_deref().unwrap_or(&i.target);
 
         out.extend_from_slice(&i.method);
         out.push(b' ');
-        out.extend_from_slice(&target_bytes);
+        out.extend_from_slice(target_bytes);
         match (&i.version, self.profile.version_policy, behavior.forward_version) {
             (Version::Invalid(raw), VersionPolicy::RepairAppend, _) => {
                 // Keep the bad token and append the own version — the
@@ -197,7 +199,7 @@ impl Proxy {
             (v, _, ForwardVersion::Blind) => {
                 if *v != Version::Http09 {
                     out.push(b' ');
-                    out.extend_from_slice(&v.to_bytes());
+                    v.push_to(&mut out);
                 } else {
                     // Blind 0.9 forwarding keeps the two-token line.
                     out.push(b' ');
@@ -212,23 +214,18 @@ impl Proxy {
         out.extend_from_slice(b"\r\n");
 
         // ---- headers -------------------------------------------------------
-        // Hop-by-hop removal set from Connection headers.
-        let mut hop_names: Vec<Vec<u8>> = Vec::new();
-        if behavior.strip_hop_by_hop {
-            for h in i.recognized("connection") {
-                for part in h.field.value().split(|&b| b == b',') {
-                    let name = ascii::trim_ows(part).to_ascii_lowercase();
-                    if !name.is_empty() {
-                        hop_names.push(name);
-                    }
-                }
-            }
-            hop_names.push(b"connection".to_vec());
-            hop_names.push(b"keep-alive".to_vec());
-            hop_names.push(b"proxy-authorization".to_vec());
-            hop_names.push(b"proxy-authenticate".to_vec());
-            hop_names.push(b"te".to_vec());
-        }
+        // Hop-by-hop removal set: the fixed names plus every name the
+        // Connection headers nominate.
+        let is_hop_by_hop = |canon: &str| {
+            behavior.strip_hop_by_hop
+                && (HOP_BY_HOP.contains(&canon)
+                    || i.recognized("connection").any(|h| {
+                        h.field.value().split(|&b| b == b',').any(|part| {
+                            let name = ascii::trim_ows(part);
+                            !name.is_empty() && name.eq_ignore_ascii_case(canon.as_bytes())
+                        })
+                    }))
+        };
 
         let is_bodyless = i.method == b"GET" || i.method == b"HEAD";
         let mut wrote_host = false;
@@ -236,7 +233,7 @@ impl Proxy {
             let canon = h.canon.as_deref();
             // Hop-by-hop stripping (by canonical name).
             if let Some(c) = canon {
-                if hop_names.iter().any(|n| n.as_slice() == c.as_bytes()) {
+                if is_hop_by_hop(c) {
                     continue;
                 }
                 if c == "host" {
@@ -273,7 +270,7 @@ impl Proxy {
                 out.extend_from_slice(new_host);
                 out.extend_from_slice(b"\r\n");
             } else if behavior.add_host_from_uri && i.recognized("host").next().is_none() {
-                if let Some(auth) = target.authority() {
+                if let Some(auth) = authority {
                     out.extend_from_slice(b"Host: ");
                     out.extend_from_slice(&Authority::parse(auth).host.to_ascii_lowercase());
                     out.extend_from_slice(b"\r\n");

@@ -14,7 +14,7 @@ use hdiff_wire::chunked::decode_chunked;
 use hdiff_wire::header::HeaderField;
 use hdiff_wire::{Response, StatusCode};
 
-use crate::engine::{ClassifiedHeader, FramingChoice};
+use crate::engine::{canonical_name, ClassifiedHeader, FramingChoice};
 use crate::fault::{FaultKind, FaultSession, FaultStage};
 use crate::profile::{NamePolicy, ObsFoldPolicy, ParserProfile, WsColonPolicy};
 
@@ -36,10 +36,6 @@ impl RelayAction {
             RelayAction::Replaced(_) => None,
         }
     }
-}
-
-fn find_crlf(s: &[u8]) -> Option<usize> {
-    s.windows(2).position(|w| w == b"\r\n")
 }
 
 /// [`relay_response`] with a fault hook: a Relay-stage fault at this hop
@@ -91,7 +87,7 @@ pub fn relay_response(profile: &ParserProfile, input: &[u8]) -> RelayAction {
         RelayAction::Replaced(r)
     };
 
-    let Some(line_end) = find_crlf(input) else {
+    let Some(line_end) = ascii::find_crlf(input) else {
         return bad_gateway("upstream response without status line");
     };
     let line = &input[..line_end];
@@ -112,7 +108,7 @@ pub fn relay_response(profile: &ParserProfile, input: &[u8]) -> RelayAction {
     let mut headers: Vec<ClassifiedHeader> = Vec::new();
     let mut notes = Vec::new();
     loop {
-        let Some(h_end) = find_crlf(&input[pos..]) else {
+        let Some(h_end) = ascii::find_crlf(&input[pos..]) else {
             return bad_gateway("upstream header section not terminated");
         };
         let raw = &input[pos..pos + h_end];
@@ -149,26 +145,23 @@ pub fn relay_response(profile: &ParserProfile, input: &[u8]) -> RelayAction {
                 // response before forwarding — every policy normalizes.
                 WsColonPolicy::Reject | WsColonPolicy::AcceptUse | WsColonPolicy::TreatUnknown => {
                     notes.push("normalized ws-colon response header".to_string());
-                    Some(String::from_utf8_lossy(field.name_trimmed()).to_ascii_lowercase())
+                    Some(canonical_name(field.name_trimmed()))
                 }
             }
         } else if ascii::is_token(field.name_raw()) {
-            Some(String::from_utf8_lossy(field.name_raw()).to_ascii_lowercase())
+            Some(canonical_name(field.name_raw()))
         } else {
             match profile.name_policy {
                 NamePolicy::Reject => return bad_gateway("invalid upstream header name"),
                 NamePolicy::TreatUnknown => None,
-                NamePolicy::Strip => Some(
-                    String::from_utf8_lossy(
-                        &field
-                            .name_raw()
-                            .iter()
-                            .copied()
-                            .filter(|&b| ascii::is_tchar(b))
-                            .collect::<Vec<u8>>(),
-                    )
-                    .to_ascii_lowercase(),
-                ),
+                NamePolicy::Strip => Some(canonical_name(
+                    &field
+                        .name_raw()
+                        .iter()
+                        .copied()
+                        .filter(|&b| ascii::is_tchar(b))
+                        .collect::<Vec<u8>>(),
+                )),
             }
         };
         headers.push(ClassifiedHeader { field, canon });

@@ -2,7 +2,7 @@
 //! responses describing the interpretation (the paper's back-end feedback
 //! "through application scripting languages, such as PHP, and ASPX").
 
-use hdiff_wire::{Response, StatusCode};
+use hdiff_wire::{ascii, Response, StatusCode};
 
 use crate::engine::{interpret, Interpretation, Outcome};
 use crate::fault::{FaultKind, FaultSession, FaultStage};
@@ -94,7 +94,7 @@ impl Server {
                         StatusCode(503),
                         "injected transient upstream error".to_string(),
                     );
-                    r.headers.push("Server", self.profile.name.clone());
+                    r.headers.push("Server", &self.profile.name);
                     reply.response = r;
                 }
                 Some(FaultKind::TruncateResponse) => {
@@ -117,28 +117,32 @@ impl Server {
     /// length and payload) so the differential engine can read the
     /// back-end's perception (Fig. 6, step 3).
     fn respond(&self, i: &Interpretation) -> Response {
-        match &i.outcome {
+        let mut r = match &i.outcome {
             Outcome::Accept => {
                 let host = i.host.as_deref().unwrap_or(b"-");
-                let mut body = Vec::new();
+                // Sized for every part plus the decimal body length, so
+                // the body is built in one allocation.
+                let mut body = Vec::with_capacity(
+                    40 + host.len() + i.method.len() + i.target.len() + i.body.len(),
+                );
                 body.extend_from_slice(b"host=");
                 body.extend_from_slice(host);
                 body.extend_from_slice(b";method=");
                 body.extend_from_slice(&i.method);
                 body.extend_from_slice(b";target=");
                 body.extend_from_slice(&i.target);
-                body.extend_from_slice(format!(";len={};data=", i.body.len()).as_bytes());
+                body.extend_from_slice(b";len=");
+                ascii::push_dec(&mut body, i.body.len() as u64);
+                body.extend_from_slice(b";data=");
                 body.extend_from_slice(&i.body);
-                let mut r = Response::with_body(StatusCode::OK, body);
-                r.headers.push("Server", self.profile.name.clone());
-                r
+                Response::with_body(StatusCode::OK, body)
             }
             Outcome::Reject { status, reason } => {
-                let mut r = Response::with_body(StatusCode(*status), reason.clone());
-                r.headers.push("Server", self.profile.name.clone());
-                r
+                Response::with_body(StatusCode(*status), reason.as_bytes())
             }
-        }
+        };
+        r.headers.push("Server", &self.profile.name);
+        r
     }
 }
 

@@ -17,7 +17,7 @@ use hdiff_servers::{interpret, FramingChoice, Outcome, ParserProfile};
 fn message(value: &str, n: usize) -> Vec<u8> {
     let mut msg =
         format!("POST / HTTP/1.1\r\nHost: h\r\nContent-Length: {value}\r\n\r\n").into_bytes();
-    msg.extend(std::iter::repeat(b'x').take(n));
+    msg.extend(std::iter::repeat_n(b'x', n));
     msg
 }
 

@@ -76,6 +76,49 @@ pub fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y))
 }
 
+/// Offset of the first CRLF in `s`: the line-end search of every
+/// HTTP/1.1 parser in the workspace. Scans for CR alone and checks the
+/// byte after it, so each input byte is read about once.
+///
+/// ```
+/// assert_eq!(hdiff_wire::ascii::find_crlf(b"a\rb\r\nc"), Some(3));
+/// assert_eq!(hdiff_wire::ascii::find_crlf(b"a\n\r"), None);
+/// ```
+pub fn find_crlf(s: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    while let Some(i) = s[from..].iter().position(|&b| b == b'\r') {
+        let cr = from + i;
+        if s.get(cr + 1) == Some(&b'\n') {
+            return Some(cr);
+        }
+        from = cr + 1;
+    }
+    None
+}
+
+/// Appends `n` in decimal to `out`: `n.to_string()` without the
+/// temporary `String`.
+///
+/// ```
+/// let mut out = b"len=".to_vec();
+/// hdiff_wire::ascii::push_dec(&mut out, 1024);
+/// assert_eq!(out, b"len=1024");
+/// ```
+pub fn push_dec(out: &mut Vec<u8>, n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// Lowercases a byte slice into an owned vector (ASCII only).
 pub fn to_lower(s: &[u8]) -> Vec<u8> {
     s.to_ascii_lowercase()

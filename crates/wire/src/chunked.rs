@@ -153,7 +153,7 @@ pub fn decode_chunked(
     let mut repaired = false;
 
     loop {
-        let line_end = find_crlf(&input[pos..]).ok_or(ChunkedError::Truncated)?;
+        let line_end = ascii::find_crlf(&input[pos..]).ok_or(ChunkedError::Truncated)?;
         let line = &input[pos..pos + line_end];
         pos += line_end + 2;
 
@@ -190,7 +190,7 @@ pub fn decode_chunked(
         if size == 0 {
             // Trailer section: zero or more header lines, then empty line.
             loop {
-                let t_end = find_crlf(&input[pos..]).ok_or(ChunkedError::Truncated)?;
+                let t_end = ascii::find_crlf(&input[pos..]).ok_or(ChunkedError::Truncated)?;
                 let trailer = &input[pos..pos + t_end];
                 pos += t_end + 2;
                 if trailer.is_empty() {
@@ -348,10 +348,6 @@ fn parse_size(
             }
         },
     }
-}
-
-fn find_crlf(s: &[u8]) -> Option<usize> {
-    s.windows(2).position(|w| w == b"\r\n")
 }
 
 #[cfg(test)]

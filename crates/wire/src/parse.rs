@@ -194,8 +194,7 @@ impl From<ParsedResponse> for Response {
 
 fn find_line(input: &[u8], pos: usize) -> Result<(usize, usize), ParseError> {
     // Returns (line_end_exclusive, next_pos). Strict: requires CRLF.
-    let rel =
-        input[pos..].windows(2).position(|w| w == b"\r\n").ok_or(ParseError::UnexpectedEof)?;
+    let rel = ascii::find_crlf(&input[pos..]).ok_or(ParseError::UnexpectedEof)?;
     Ok((pos + rel, pos + rel + 2))
 }
 

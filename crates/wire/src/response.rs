@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::ascii;
 use crate::header::Headers;
 
 /// An HTTP status code, kept as a bare `u16` newtype so simulated products
@@ -134,9 +135,13 @@ impl Response {
 
     /// Builds a response with a body and a matching `Content-Length`.
     pub fn with_body(status: StatusCode, body: impl Into<Vec<u8>>) -> Response {
+        const NAME: &[u8] = b"Content-Length: ";
         let body = body.into();
         let mut r = Response::new(status);
-        r.headers.push("Content-Length", body.len().to_string());
+        let mut field = Vec::with_capacity(NAME.len() + 20);
+        field.extend_from_slice(NAME);
+        ascii::push_dec(&mut field, body.len() as u64);
+        r.headers.push_raw(field);
         r.body = body;
         r
     }
@@ -146,7 +151,7 @@ impl Response {
         let mut out = Vec::new();
         out.extend_from_slice(&self.version);
         out.push(b' ');
-        out.extend_from_slice(self.status.0.to_string().as_bytes());
+        ascii::push_dec(&mut out, u64::from(self.status.0));
         if !self.reason.is_empty() {
             out.push(b' ');
             out.extend_from_slice(&self.reason);

@@ -49,43 +49,41 @@ impl RequestTarget {
     /// assert_eq!(RequestTarget::classify(b"*"), RequestTarget::Asterisk);
     /// ```
     pub fn classify(raw: &[u8]) -> RequestTarget {
-        if raw == b"*" {
-            return RequestTarget::Asterisk;
-        }
-        if raw.first() == Some(&b'/') {
-            let (path, query) = match raw.iter().position(|&b| b == b'?') {
-                Some(i) => (raw[..i].to_vec(), Some(raw[i + 1..].to_vec())),
-                None => (raw.to_vec(), None),
-            };
-            return RequestTarget::Origin { path, query };
-        }
-        if let Some(colon) = raw.iter().position(|&b| b == b':') {
-            let scheme = &raw[..colon];
-            if is_scheme(scheme) && raw[colon + 1..].starts_with(b"//") {
-                let after = &raw[colon + 3..];
-                let end = after
-                    .iter()
-                    .position(|&b| b == b'/' || b == b'?' || b == b'#')
-                    .unwrap_or(after.len());
-                return RequestTarget::Absolute {
-                    scheme: scheme.to_vec(),
-                    authority: after[..end].to_vec(),
-                    rest: after[end..].to_vec(),
+        match Form::of(raw) {
+            Form::Asterisk => RequestTarget::Asterisk,
+            Form::Origin => {
+                let (path, query) = match raw.iter().position(|&b| b == b'?') {
+                    Some(i) => (raw[..i].to_vec(), Some(raw[i + 1..].to_vec())),
+                    None => (raw.to_vec(), None),
                 };
+                RequestTarget::Origin { path, query }
             }
-            // authority-form with a port, e.g. `example.com:443`.
-            if !scheme.is_empty()
-                && raw[colon + 1..].iter().all(u8::is_ascii_digit)
-                && !raw[colon + 1..].is_empty()
-                && looks_like_host(scheme)
-            {
-                return RequestTarget::Authority(raw.to_vec());
-            }
+            Form::Absolute { scheme, authority, rest } => RequestTarget::Absolute {
+                scheme: scheme.to_vec(),
+                authority: authority.to_vec(),
+                rest: rest.to_vec(),
+            },
+            Form::Authority => RequestTarget::Authority(raw.to_vec()),
+            Form::Invalid => RequestTarget::Invalid(raw.to_vec()),
         }
-        if looks_like_host(raw) && !raw.is_empty() {
-            return RequestTarget::Authority(raw.to_vec());
+    }
+
+    /// The authority bytes `RequestTarget::classify(raw).authority()`
+    /// returns, borrowed from `raw`: the form test without copying any
+    /// part of the target. `None` for origin-form targets, which is what
+    /// most requests carry.
+    ///
+    /// ```
+    /// use hdiff_wire::RequestTarget;
+    /// assert_eq!(RequestTarget::authority_in(b"http://h.com:80/a"), Some(&b"h.com:80"[..]));
+    /// assert_eq!(RequestTarget::authority_in(b"/a?b=1"), None);
+    /// ```
+    pub fn authority_in(raw: &[u8]) -> Option<&[u8]> {
+        match Form::of(raw) {
+            Form::Absolute { authority, .. } => Some(authority),
+            Form::Authority => Some(raw),
+            Form::Asterisk | Form::Origin | Form::Invalid => None,
         }
-        RequestTarget::Invalid(raw.to_vec())
     }
 
     /// The authority bytes carried by this target, if any.
@@ -120,6 +118,51 @@ impl RequestTarget {
             }
             _ => None,
         }
+    }
+}
+
+/// The form of a request-target, with the absolute form's parts borrowed
+/// from the raw bytes: the one classification both
+/// [`RequestTarget::classify`] and [`RequestTarget::authority_in`] read.
+enum Form<'a> {
+    Asterisk,
+    Origin,
+    Absolute { scheme: &'a [u8], authority: &'a [u8], rest: &'a [u8] },
+    Authority,
+    Invalid,
+}
+
+impl<'a> Form<'a> {
+    fn of(raw: &'a [u8]) -> Form<'a> {
+        if raw == b"*" {
+            return Form::Asterisk;
+        }
+        if raw.first() == Some(&b'/') {
+            return Form::Origin;
+        }
+        if let Some(colon) = raw.iter().position(|&b| b == b':') {
+            let scheme = &raw[..colon];
+            if is_scheme(scheme) && raw[colon + 1..].starts_with(b"//") {
+                let after = &raw[colon + 3..];
+                let end = after
+                    .iter()
+                    .position(|&b| b == b'/' || b == b'?' || b == b'#')
+                    .unwrap_or(after.len());
+                return Form::Absolute { scheme, authority: &after[..end], rest: &after[end..] };
+            }
+            // authority-form with a port, e.g. `example.com:443`.
+            if !scheme.is_empty()
+                && raw[colon + 1..].iter().all(u8::is_ascii_digit)
+                && !raw[colon + 1..].is_empty()
+                && looks_like_host(scheme)
+            {
+                return Form::Authority;
+            }
+        }
+        if looks_like_host(raw) && !raw.is_empty() {
+            return Form::Authority;
+        }
+        Form::Invalid
     }
 }
 
@@ -310,7 +353,9 @@ impl std::error::Error for HostError {}
 /// assert_eq!(interpret_host(b"h1.com@h2.com", &rfc).unwrap(), b"h2.com");
 /// ```
 pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, HostError> {
-    let mut value = ascii::trim_ows(raw).to_vec();
+    // Every policy step narrows the value, so it stays a slice of `raw`
+    // until the one owned copy at the end.
+    let mut value = ascii::trim_ows(raw);
     if value.is_empty() {
         return if opts.allow_empty {
             Ok(Vec::new())
@@ -324,15 +369,15 @@ pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, Ho
             CommaPolicy::Reject => return Err(HostError { reason: "comma in host value" }),
             CommaPolicy::TakeFirst => {
                 let i = value.iter().position(|&b| b == b',').expect("checked");
-                value.truncate(i);
+                value = &value[..i];
             }
             CommaPolicy::TakeLast => {
                 let i = value.iter().rposition(|&b| b == b',').expect("checked");
-                value = value[i + 1..].to_vec();
+                value = &value[i + 1..];
             }
             CommaPolicy::Whole => {}
         }
-        value = ascii::trim_ows(&value).to_vec();
+        value = ascii::trim_ows(value);
     }
 
     if value.contains(&b'@') {
@@ -340,11 +385,11 @@ pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, Ho
             AtSignPolicy::Reject => return Err(HostError { reason: "at sign in host value" }),
             AtSignPolicy::UseAfter => {
                 let i = value.iter().rposition(|&b| b == b'@').expect("checked");
-                value = value[i + 1..].to_vec();
+                value = &value[i + 1..];
             }
             AtSignPolicy::UseBefore => {
                 let i = value.iter().position(|&b| b == b'@').expect("checked");
-                value.truncate(i);
+                value = &value[..i];
             }
             AtSignPolicy::Whole => {}
         }
@@ -355,7 +400,7 @@ pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, Ho
             SlashPolicy::Reject => return Err(HostError { reason: "slash in host value" }),
             SlashPolicy::Truncate => {
                 let i = value.iter().position(|&b| b == b'/').expect("checked");
-                value.truncate(i);
+                value = &value[..i];
             }
             SlashPolicy::Whole => {}
         }
@@ -363,10 +408,8 @@ pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, Ho
 
     // Strip the port for identity comparison. Userinfo handling already
     // happened above per policy, so only the port is split here.
-    let (host, _port) = split_port(&value);
-    let mut host = host.to_vec();
-    host.make_ascii_lowercase();
-    Ok(host)
+    let (host, _port) = split_port(value);
+    Ok(host.to_ascii_lowercase())
 }
 
 /// Whether `s` is a strictly valid RFC 3986 `uri-host` (reg-name, IPv4, or

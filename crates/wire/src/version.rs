@@ -60,13 +60,26 @@ impl Version {
 
     /// The wire bytes for this version.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.push_to(&mut out);
+        out
+    }
+
+    /// Appends the wire bytes for this version to `out`: what
+    /// [`Version::to_bytes`] returns, without the temporary vector.
+    pub fn push_to(&self, out: &mut Vec<u8>) {
         match self {
-            Version::Http09 => b"HTTP/0.9".to_vec(),
-            Version::Http10 => b"HTTP/1.0".to_vec(),
-            Version::Http11 => b"HTTP/1.1".to_vec(),
-            Version::Http20 => b"HTTP/2.0".to_vec(),
-            Version::Other(maj, min) => format!("HTTP/{maj}.{min}").into_bytes(),
-            Version::Invalid(raw) => raw.clone(),
+            Version::Http09 => out.extend_from_slice(b"HTTP/0.9"),
+            Version::Http10 => out.extend_from_slice(b"HTTP/1.0"),
+            Version::Http11 => out.extend_from_slice(b"HTTP/1.1"),
+            Version::Http20 => out.extend_from_slice(b"HTTP/2.0"),
+            Version::Other(maj, min) => {
+                out.extend_from_slice(b"HTTP/");
+                ascii::push_dec(out, u64::from(*maj));
+                out.push(b'.');
+                ascii::push_dec(out, u64::from(*min));
+            }
+            Version::Invalid(raw) => out.extend_from_slice(raw),
         }
     }
 
