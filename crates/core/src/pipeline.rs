@@ -233,6 +233,8 @@ impl HDiff {
     /// construction are byte-identical across processes and a shard is
     /// fully described by a contiguous index range into `cases`.
     pub fn prepare(&self) -> PreparedCampaign {
+        // The calling thread's switch: generation records under it, and
+        // the engine captures it for its workers when a run starts.
         hdiff_obs::set_enabled(self.config.telemetry);
         // Start the generation phase from a clean thread-local slate so a
         // previous run on this thread cannot leak into this summary.

@@ -32,6 +32,7 @@ use std::io;
 use std::path::Path;
 
 use hdiff_gen::AttackClass;
+use hdiff_obs::CaseTelemetry;
 use hdiff_servers::fault::FaultKind;
 
 use crate::detect::DegradationFinding;
@@ -122,10 +123,11 @@ fn write_record(out: &mut String, r: &CaseRecord) {
     }
     out.push(']');
     // Telemetry is optional on disk (absent when recording was off), so
-    // telemetry-free checkpoints keep their pre-telemetry byte shape.
+    // telemetry-free checkpoints keep their pre-telemetry byte shape. On
+    // disk it is keyed by name: metric ids never leave the process.
     if !r.telemetry.is_empty() {
         out.push_str(",\"telemetry\":");
-        crate::telemetry_codec::write_telemetry(out, &r.telemetry);
+        crate::telemetry_codec::write_telemetry(out, &r.telemetry.to_telemetry());
     }
     out.push('}');
 }
@@ -268,6 +270,7 @@ fn read_record(v: &Json) -> io::Result<CaseRecord> {
             .get("telemetry")
             .map(crate::telemetry_codec::read_telemetry)
             .transpose()?
+            .map(|t| CaseTelemetry::from_telemetry(&t))
             .unwrap_or_default(),
     })
 }
@@ -400,7 +403,7 @@ mod tests {
                         t.record_span("case", 1234);
                         t.record_count("fault.events", 2);
                         t.record_hist("transport.rtt.sim", 987);
-                        t
+                        CaseTelemetry::from_telemetry(&t)
                     },
                 },
             ),
@@ -415,12 +418,32 @@ mod tests {
                     error: Some(CaseError::Panic("injected parser panic".into())),
                     findings: Vec::new(),
                     degradations: Vec::new(),
-                    telemetry: hdiff_obs::Telemetry::default(),
+                    telemetry: CaseTelemetry::default(),
                 },
             ),
         ]
         .into_iter()
         .collect()
+    }
+
+    /// The sample record that carries telemetry, as earlier builds
+    /// encoded it: checkpoints they wrote must keep decoding, and the
+    /// encoding must not drift.
+    const PINNED_TELEMETRY_RECORD: &str = r#"{"uuid":3,"replayed":true,"retries":2,"backoff_units":6,"quarantined":false,"error":{"kind":"io","detail":"reset persisted"},"findings":[{"class":"HRS","uuid":3,"origin":"catalog:bad-te","front":"squid","back":null,"culprits":["iis","squid"],"evidence":"quote \" backslash \\ newline \n tab \t control \u0001 end"}],"degradations":[{"uuid":3,"fault":"truncate-response","front_a":"apache","front_b":"squid","evidence":"apache replaces with own 502; squid relays 200"}],"telemetry":{"spans":[{"name":"case","count":1,"total_ns":1234,"min_ns":1234,"max_ns":1234}],"counters":[["fault.events",2]],"hists":[{"name":"transport.rtt.sim","count":1,"total_ns":987,"buckets":[[9,1]]}]}}"#;
+
+    #[test]
+    fn the_pinned_telemetry_record_decodes_and_encodes_byte_for_byte() {
+        let sample = sample_records().remove(&3).unwrap();
+        let parsed = Parser::new(PINNED_TELEMETRY_RECORD.as_bytes()).value().unwrap();
+        let decoded = read_record(&parsed).unwrap();
+        assert_eq!(decoded, sample);
+        let named = decoded.telemetry.to_telemetry();
+        let span = &named.spans["case"];
+        assert_eq!((span.total_ns, span.min_ns, span.max_ns), (1234, 1234, 1234));
+        assert_eq!(named.hists["transport.rtt.sim"].total_ns, 987);
+        let mut out = String::new();
+        write_record(&mut out, &sample);
+        assert_eq!(out, PINNED_TELEMETRY_RECORD);
     }
 
     #[test]

@@ -882,7 +882,7 @@ pub struct DowngradeSummary {
 /// Runs the seed-vector corpus through the downgrade matrix. The result
 /// is invariant in `threads` (results merge in corpus order) and in the
 /// transport (TCP fronts must reproduce the sim translation byte for
-/// byte).
+/// byte). Workers record under the calling thread's telemetry switches.
 pub fn run_downgrade_campaign(opts: &DowngradeCampaignOptions) -> io::Result<DowngradeSummary> {
     // The in-process path is the generic protocol campaign over the
     // DowngradeProtocol instance — same fan-out, same corpus-order
@@ -911,13 +911,16 @@ pub fn run_downgrade_campaign(opts: &DowngradeCampaignOptions) -> io::Result<Dow
     let cases: Vec<(u64, SeedVector)> =
         vectors.into_iter().enumerate().map(|(i, v)| (H2_UUID_BASE + i as u64, v)).collect();
 
+    let recorder = hdiff_obs::Recorder::capture();
     let results: Vec<io::Result<(DowngradeCaseOutcome, Vec<Finding>)>> =
         schedule::run_stealing(&cases, opts.threads.max(1), |(uuid, vector)| {
-            let bytes = encode_client_connection(&vector.requests, &EncodeOptions::default());
-            let origin = format!("h2:{}", vector.id);
-            let outcome = run_downgrade_case_tcp(&workflow, *uuid, &origin, &bytes)?;
-            let findings = detect_downgrade(&outcome);
-            Ok((outcome, findings))
+            recorder.apply(|| {
+                let bytes = encode_client_connection(&vector.requests, &EncodeOptions::default());
+                let origin = format!("h2:{}", vector.id);
+                let outcome = run_downgrade_case_tcp(&workflow, *uuid, &origin, &bytes)?;
+                let findings = detect_downgrade(&outcome);
+                Ok((outcome, findings))
+            })
         });
 
     let mut findings = Vec::new();

@@ -26,6 +26,7 @@
 use std::collections::BTreeSet;
 use std::io;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 use crate::findings::Finding;
 use crate::replay::{ReplayBundle, ReplayReport};
@@ -186,11 +187,26 @@ pub struct ProtocolSummary {
     pub promoted: Vec<PathBuf>,
 }
 
+/// The `<protocol>.campaign.cases` counter name, interned once per
+/// protocol so later campaigns build no string.
+fn campaign_cases_counter(protocol: &'static str) -> &'static str {
+    static INTERNED: Mutex<Vec<(&'static str, &'static str)>> = Mutex::new(Vec::new());
+    // Entries are pushed whole, so a poisoned list is still valid.
+    let mut interned = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, name)) = interned.iter().find(|(p, _)| *p == protocol) {
+        return name;
+    }
+    let name = hdiff_obs::MetricId::counter(&format!("{protocol}.campaign.cases")).name();
+    interned.push((protocol, name));
+    name
+}
+
 /// Runs a workload's seed corpus through its differential matrix: the
 /// shared campaign driver. Deterministic and invariant in `threads`
 /// (cases fan out via [`schedule::run_stealing`], findings merge in
 /// corpus order); when promoting, the first finding of each class tag is
-/// minimized and frozen as `<protocol>-<tag>.json`.
+/// minimized and frozen as `<protocol>-<tag>.json`. Workers record
+/// under the calling thread's telemetry switches.
 pub fn run_protocol_campaign(
     p: &dyn Protocol,
     opts: &ProtocolCampaignOptions,
@@ -199,10 +215,11 @@ pub fn run_protocol_campaign(
     let cases: Vec<(u64, ProtoCase)> =
         seeds.into_iter().enumerate().map(|(i, c)| (p.uuid_base() + i as u64, c)).collect();
 
+    let recorder = hdiff_obs::Recorder::capture();
     let per_case: Vec<Vec<Finding>> =
         schedule::run_stealing(&cases, opts.threads.max(1), |(uuid, case)| {
             let origin = format!("{}:{}", p.name(), case.id);
-            p.execute(*uuid, &origin, &case.bytes).findings
+            recorder.apply(|| p.execute(*uuid, &origin, &case.bytes).findings)
         });
 
     let mut findings = Vec::new();
@@ -239,7 +256,7 @@ pub fn run_protocol_campaign(
         }
     }
 
-    hdiff_obs::count(&format!("{}.campaign.cases", p.name()), cases.len() as u64);
+    hdiff_obs::count(campaign_cases_counter(p.name()), cases.len() as u64);
     Ok(ProtocolSummary {
         protocol: p.name().to_string(),
         cases: cases.len(),

@@ -88,11 +88,11 @@ pub struct CaseRecord {
     /// Degradation divergences from the final attempt.
     pub degradations: Vec<DegradationFinding>,
     /// Everything the case recorded through `hdiff_obs` while it ran
-    /// (spans, counters, histograms — and trace events when tracing).
-    /// Travels with the record through checkpoints, so a resumed
-    /// campaign merges partial telemetry without double-counting.
-    /// Equality is `Telemetry`'s shape-only equality.
-    pub telemetry: hdiff_obs::Telemetry,
+    /// (spans, counters, histograms — and trace events when tracing),
+    /// holding only the metrics the case touched. Travels with the record
+    /// through checkpoints, so a resumed campaign merges partial
+    /// telemetry without double-counting. Equality is shape-only.
+    pub telemetry: hdiff_obs::CaseTelemetry,
 }
 
 /// Summary of one differential-testing run.
@@ -312,11 +312,14 @@ impl DiffEngine {
     }
 
     /// Runs the full analysis over a batch of test cases.
+    ///
+    /// Like every campaign entry point, it records under the calling
+    /// thread's telemetry switches ([`hdiff_obs::Recorder::capture`]).
     pub fn run(&self, cases: &[TestCase]) -> RunSummary {
         let mut completed = BTreeMap::new();
         self.execute(cases, &mut completed, None, 0)
             .expect("no I/O happens without a checkpoint path");
-        self.summarize(cases, &completed)
+        self.summarize(cases, completed)
     }
 
     /// Like [`DiffEngine::run`], but checkpoints progress to `path` every
@@ -331,7 +334,7 @@ impl DiffEngine {
             (BTreeMap::new(), 0)
         };
         self.execute(cases, &mut completed, Some(path), generation)?;
-        Ok(self.summarize(cases, &completed))
+        Ok(self.summarize(cases, completed))
     }
 
     /// The shard-worker entry point: like
@@ -353,7 +356,7 @@ impl DiffEngine {
         if let Some(hook) = &self.progress {
             hook.report(ChunkProgress { completed: completed.len(), generation: generation + 1 });
         }
-        Ok(self.summarize(cases, &completed))
+        Ok(self.summarize(cases, completed))
     }
 
     /// Assembles a [`RunSummary`] from records produced elsewhere (the
@@ -363,7 +366,7 @@ impl DiffEngine {
     pub fn summarize_records(
         &self,
         cases: &[TestCase],
-        completed: &BTreeMap<u64, CaseRecord>,
+        completed: BTreeMap<u64, CaseRecord>,
     ) -> RunSummary {
         self.summarize(cases, completed)
     }
@@ -371,7 +374,8 @@ impl DiffEngine {
     /// Executes every not-yet-completed case, chunk by chunk, saving a
     /// checkpoint (when a path is given) at each chunk boundary with a
     /// generation counter continuing from `generation`. Returns the last
-    /// generation written.
+    /// generation written. Cases record under the switches of the thread
+    /// that calls this.
     fn execute(
         &self,
         cases: &[TestCase],
@@ -384,11 +388,12 @@ impl DiffEngine {
         // Resolve the thread count once per run; `available_parallelism`
         // is a syscall and the answer cannot change between chunks.
         let threads = self.effective_threads();
+        let recorder = hdiff_obs::Recorder::capture();
         for (i, chunk) in pending.chunks(self.checkpoint_every.max(1)).enumerate() {
             if self.stop_after_chunks.is_some_and(|n| i >= n) {
                 break;
             }
-            for record in self.run_chunk(chunk, threads) {
+            for record in self.run_chunk(chunk, threads, recorder) {
                 completed.insert(record.uuid, record);
             }
             if let Some(path) = ckpt {
@@ -407,8 +412,13 @@ impl DiffEngine {
     /// stalled-read straggler occupies one thread while the rest drain
     /// the chunk, and a chunk smaller than the thread count spawns only
     /// as many workers as it has cases.
-    fn run_chunk(&self, chunk: &[&TestCase], threads: usize) -> Vec<CaseRecord> {
-        schedule::run_stealing(chunk, threads, |case| self.run_case_resilient(case))
+    fn run_chunk(
+        &self,
+        chunk: &[&TestCase],
+        threads: usize,
+        recorder: hdiff_obs::Recorder,
+    ) -> Vec<CaseRecord> {
+        schedule::run_stealing(chunk, threads, |case| self.run_case_resilient(case, recorder))
     }
 
     /// Runs one case under `catch_unwind` with a fresh fault session per
@@ -417,8 +427,8 @@ impl DiffEngine {
     /// fatal); a transient fault that survives every retry maps to its
     /// [`CaseError`]; truncation/garbling faults are behavioral (no error)
     /// and surface through degradation findings instead.
-    fn run_case_resilient(&self, case: &TestCase) -> CaseRecord {
-        let (mut record, telemetry) = hdiff_obs::with_case(case.uuid, || {
+    fn run_case_resilient(&self, case: &TestCase, recorder: hdiff_obs::Recorder) -> CaseRecord {
+        let (mut record, telemetry) = recorder.case(case.uuid, || {
             let _case = hdiff_obs::span("case");
             self.run_case_attempts(case)
         });
@@ -481,7 +491,7 @@ impl DiffEngine {
                         error: Some(CaseError::Panic(panic_message(&payload))),
                         findings: Vec::new(),
                         degradations: Vec::new(),
-                        telemetry: hdiff_obs::Telemetry::default(),
+                        telemetry: hdiff_obs::CaseTelemetry::default(),
                     };
                 }
                 // The loopback testbed itself failed (bind/accept/spawn):
@@ -498,7 +508,7 @@ impl DiffEngine {
                         error: Some(CaseError::Io(net.to_string())),
                         findings: Vec::new(),
                         degradations: Vec::new(),
-                        telemetry: hdiff_obs::Telemetry::default(),
+                        telemetry: hdiff_obs::CaseTelemetry::default(),
                     };
                 }
                 Ok(Ok(r)) => r,
@@ -533,7 +543,7 @@ impl DiffEngine {
                     error: Some(error),
                     findings,
                     degradations,
-                    telemetry: hdiff_obs::Telemetry::default(),
+                    telemetry: hdiff_obs::CaseTelemetry::default(),
                 };
             }
 
@@ -548,15 +558,20 @@ impl DiffEngine {
                 error,
                 findings,
                 degradations,
-                telemetry: hdiff_obs::Telemetry::default(),
+                telemetry: hdiff_obs::CaseTelemetry::default(),
             };
         }
     }
 
     /// Assembles the summary from completed records, iterating the input
     /// corpus in order so the result is identical however (and across how
-    /// many interruptions) the records were produced.
-    fn summarize(&self, cases: &[TestCase], completed: &BTreeMap<u64, CaseRecord>) -> RunSummary {
+    /// many interruptions) the records were produced. Consumes the
+    /// records: their findings move into the summary.
+    fn summarize(
+        &self,
+        cases: &[TestCase],
+        mut completed: BTreeMap<u64, CaseRecord>,
+    ) -> RunSummary {
         let mut findings = Vec::new();
         let mut degradations = Vec::new();
         let mut replayed_cases = 0usize;
@@ -565,17 +580,19 @@ impl DiffEngine {
         let mut backoff_units = 0u64;
         let mut quarantined = Vec::new();
         let mut executed = 0usize;
-        // Same reassembly discipline as case results: merge per-case
-        // telemetry in input-corpus order, so the merged view is
-        // identical however many threads (or interruptions) produced the
-        // records.
-        let mut merged = self.base_telemetry.clone();
+        // Same reassembly discipline as case results: fold per-case
+        // telemetry by metric id in input-corpus order, so the merged
+        // view is identical however many threads (or interruptions)
+        // produced the records.
+        let mut tally = hdiff_obs::Tally::default();
+        tally.add_telemetry(&self.base_telemetry);
+        let case_span = hdiff_obs::MetricId::span("case");
         let mut slowest: Vec<(u64, u64)> = Vec::new();
         for case in cases {
-            let Some(r) = completed.get(&case.uuid) else { continue };
+            let Some(r) = completed.remove(&case.uuid) else { continue };
             executed += 1;
-            findings.extend(r.findings.iter().cloned());
-            degradations.extend(r.degradations.iter().cloned());
+            findings.extend(r.findings);
+            degradations.extend(r.degradations);
             replayed_cases += usize::from(r.replayed);
             errors += usize::from(r.error.is_some());
             retries += r.retries as usize;
@@ -583,8 +600,8 @@ impl DiffEngine {
             if r.quarantined {
                 quarantined.push(r.uuid);
             }
-            merged.merge(&r.telemetry);
-            if let Some(span) = r.telemetry.spans.get("case") {
+            tally.add(&r.telemetry);
+            if let Some(span) = r.telemetry.span(case_span) {
                 slowest.push((r.uuid, span.total_ns));
             }
         }
@@ -614,7 +631,7 @@ impl DiffEngine {
             quarantined,
             coverage: self.grammar_coverage,
             transport: self.transport,
-            telemetry: RunTelemetry { merged, slowest },
+            telemetry: RunTelemetry { merged: tally.into_telemetry(), slowest },
             shard_errors: Vec::new(),
             topology: ShardTopology::in_process(),
         }
@@ -668,6 +685,21 @@ mod tests {
         assert_eq!(summary.retries, 0);
         assert!(summary.quarantined.is_empty());
         assert!(summary.degradations.is_empty());
+    }
+
+    #[test]
+    fn the_summary_folds_base_telemetry_with_every_case_bucket() {
+        let cases = catalog_cases();
+        let mut engine = DiffEngine::standard();
+        engine.threads = 2;
+        engine.base_telemetry.record_span("stage.generate", 5_000);
+        engine.base_telemetry.record_count("gen.cases.catalog", cases.len() as u64);
+        let summary = engine.run(&cases);
+        let merged = &summary.telemetry.merged;
+        assert_eq!(merged.spans["stage.generate"].total_ns, 5_000);
+        assert_eq!(merged.counters["gen.cases.catalog"], cases.len() as u64);
+        assert_eq!(merged.spans["case"].count, cases.len() as u64);
+        assert_eq!(summary.telemetry.slowest.len(), RunTelemetry::SLOWEST_KEPT);
     }
 
     #[test]

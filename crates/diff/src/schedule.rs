@@ -8,12 +8,15 @@
 //! strand unrelated work behind them.
 //!
 //! Telemetry note: workers never touch shared telemetry state. Each case
-//! runs under [`hdiff_obs::with_case`], which collects that case's spans,
-//! counters and histograms into a private bucket travelling inside the
-//! [`crate::CaseRecord`]. The runner merges buckets in corpus order during
-//! `summarize`, so the merged totals are identical whichever worker — or
-//! how many workers — executed each case, and resuming from a checkpoint
-//! re-merges persisted buckets without double-counting.
+//! runs in [`hdiff_obs::Recorder::case`] under the switches the campaign
+//! captured from the thread that started it, so a worker records exactly
+//! as that thread would. The scope collects the case's spans, counters
+//! and histograms into the worker's own arrays and packs the touched
+//! slots into a compact bucket travelling inside the
+//! [`crate::CaseRecord`]. The runner folds buckets by metric id in corpus
+//! order during `summarize`, so the merged totals are identical whichever
+//! worker — or how many workers — executed each case, and resuming from
+//! a checkpoint re-folds persisted buckets without double-counting.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

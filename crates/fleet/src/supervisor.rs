@@ -286,7 +286,7 @@ fn supervise(
         shard_errors.extend(s.error);
         stats.push(s.stat);
     }
-    let mut summary = prepared.engine.summarize_records(&prepared.cases, &completed);
+    let mut summary = prepared.engine.summarize_records(&prepared.cases, completed);
     summary.shard_errors = shard_errors;
     summary.topology = ShardTopology { shards: fleet.shards, stats };
     Ok(summary)

@@ -298,7 +298,7 @@ struct ExecResult {
     findings: Vec<Finding>,
     quarantined: bool,
     net_error: bool,
-    telemetry: hdiff_obs::Telemetry,
+    telemetry: hdiff_obs::CaseTelemetry,
 }
 
 /// A candidate awaiting execution: the stream, its parent (if any), and
@@ -355,7 +355,8 @@ impl FuzzEngine {
             .map_err(Clone::clone)
     }
 
-    /// Runs the session to its budget and reports.
+    /// Runs the session to its budget and reports. The session records
+    /// under the calling thread's telemetry switches.
     pub fn run(&self) -> FuzzReport {
         let started = Instant::now();
         let opts = &self.opts;
@@ -367,12 +368,15 @@ impl FuzzEngine {
         let mut rng = StdRng::seed_from_u64(opts.seed);
         let cg = self.grammar.compiled();
         let mut global_cov = CoverageMap::new(&cg);
-        let mut tele = hdiff_obs::Telemetry::default();
+        // Every stage scope below folds into the session's arrays by
+        // metric id; names are built once, for the report.
+        let recorder = hdiff_obs::Recorder::capture();
+        let mut tele = hdiff_obs::Tally::default();
 
         // Pool + generator: built inside a case scope so their
         // generation counters land in the session telemetry, not the
         // ambient thread-local.
-        let ((pool, mut gen), build_tel) = hdiff_obs::with_case(FUZZ_UUID_BASE, || {
+        let ((pool, mut gen), build_tel) = recorder.case(FUZZ_UUID_BASE, || {
             let pool = IngredientPool::build(&self.grammar, opts.seed);
             let gen = AbnfGenerator::new(
                 self.grammar.clone(),
@@ -384,7 +388,7 @@ impl FuzzEngine {
             );
             (pool, gen)
         });
-        tele.merge(&build_tel);
+        tele.add(&build_tel);
         let mut mutator = StreamMutator::new(opts.seed ^ 0x5_7e4a, pool);
         let mut corpus = Corpus::new(opts.corpus_cap);
 
@@ -414,12 +418,12 @@ impl FuzzEngine {
         // stream, plus one pipelined two-request stream.
         let mut pending_seeds: Vec<Stream> = Vec::new();
         if let Some(dir) = &opts.seed_corpus {
-            let (loaded, load_tel) = hdiff_obs::with_case(FUZZ_UUID_BASE, || {
+            let (loaded, load_tel) = recorder.case(FUZZ_UUID_BASE, || {
                 let loaded = load_seed_corpus(dir);
                 hdiff_obs::count("fuzz.seed-corpus.loaded", loaded.len() as u64);
                 loaded
             });
-            tele.merge(&load_tel);
+            tele.add(&load_tel);
             pending_seeds.extend(loaded);
         }
         pending_seeds.extend(mutator.pool().requests.iter().map(|r| Stream::single(r.clone())));
@@ -487,8 +491,8 @@ impl FuzzEngine {
                 let parent_stream = parent.stream.clone();
                 let other = corpus.pick(&mut rng).stream.clone();
                 let ((mut stream, op), mut_tel) =
-                    hdiff_obs::with_case(uuid, || mutator.mutate(&parent_stream, &other));
-                tele.merge(&mut_tel);
+                    recorder.case(uuid, || mutator.mutate(&parent_stream, &other));
+                tele.add(&mut_tel);
                 // Fresh-material operator: a quarter of candidates get a
                 // grammar-generated header value spliced in; the
                 // alternation arms that generation touched are the
@@ -499,8 +503,8 @@ impl FuzzEngine {
                 let mut gen_gain = 0usize;
                 if rng.gen_bool(0.25) {
                     let (rule, header) = FRESH_RULES[rng.gen_range(0..FRESH_RULES.len())];
-                    let (value, gen_tel) = hdiff_obs::with_case(uuid, || gen.generate(rule));
-                    tele.merge(&gen_tel);
+                    let (value, gen_tel) = recorder.case(uuid, || gen.generate(rule));
+                    tele.add(&gen_tel);
                     if let Some(value) = value {
                         let req = rng.gen_range(0..stream.requests.len());
                         let line = [header, &value, b"\r\n"].concat();
@@ -529,22 +533,24 @@ impl FuzzEngine {
             // Execute the batch across workers; results come back in
             // batch order regardless of scheduling.
             let results: Vec<ExecResult> =
-                schedule::run_stealing(&batch, threads.min(batch.len()), |c| self.execute(c));
+                schedule::run_stealing(&batch, threads.min(batch.len()), |c| {
+                    self.execute(c, recorder)
+                });
 
             // Score serially, in batch order.
             for (cand, result) in batch.iter().zip(results.iter()) {
                 execs += 1;
-                tele.record_count("fuzz.execs", 1);
-                tele.record_count(&format!("fuzz.op.{}", cand.op), 1);
-                tele.merge(&result.telemetry);
+                tele.count("fuzz.execs", 1);
+                tele.count(&format!("fuzz.op.{}", cand.op), 1);
+                tele.add(&result.telemetry);
                 if result.quarantined {
                     quarantined += 1;
-                    tele.record_count("fuzz.quarantined", 1);
+                    tele.count("fuzz.quarantined", 1);
                     continue;
                 }
                 if result.net_error {
                     net_errors += 1;
-                    tele.record_count("fuzz.net-error", 1);
+                    tele.count("fuzz.net-error", 1);
                     continue;
                 }
 
@@ -568,7 +574,7 @@ impl FuzzEngine {
                 }
                 novel_views += new_views;
                 if new_views > 0 {
-                    tele.record_count("fuzz.digest.novel", new_views);
+                    tele.count("fuzz.digest.novel", new_views);
                 }
 
                 let mut fresh_classes: Vec<(String, Finding)> = Vec::new();
@@ -579,13 +585,13 @@ impl FuzzEngine {
                     }
                 }
                 if !fresh_classes.is_empty() {
-                    tele.record_count("fuzz.class.novel", fresh_classes.len() as u64);
+                    tele.count("fuzz.class.novel", fresh_classes.len() as u64);
                 }
 
                 if cov_gain > 0 || new_views > 0 || !fresh_classes.is_empty() {
                     let energy = 1 + 2 * (cov_gain as u64).min(8) + 2 * new_views.min(8);
                     corpus.add(cand.stream.clone(), energy, cand.parent);
-                    tele.record_count("fuzz.corpus.add", 1);
+                    tele.count("fuzz.corpus.add", 1);
                     if let Some(parent) = cand.parent {
                         corpus.reward(parent, 2);
                     }
@@ -593,13 +599,13 @@ impl FuzzEngine {
 
                 for (key, finding) in fresh_classes {
                     if promoted.len() >= opts.max_promotions {
-                        tele.record_count("fuzz.promote.skipped", 1);
+                        tele.count("fuzz.promote.skipped", 1);
                         continue;
                     }
                     let ((stream, bundle, shrink), promote_tel) =
-                        hdiff_obs::with_case(cand.uuid, || self.promote(cand, &finding, &key));
-                    tele.merge(&promote_tel);
-                    tele.record_count("fuzz.promoted", 1);
+                        recorder.case(cand.uuid, || self.promote(cand, &finding, &key));
+                    tele.add(&promote_tel);
+                    tele.count("fuzz.promoted", 1);
                     let name = bundle_name(&key);
                     if let Some(dir) = &opts.promote_dir {
                         let _ = std::fs::create_dir_all(dir);
@@ -625,14 +631,15 @@ impl FuzzEngine {
             novel_digest_views: novel_views,
             divergence_classes: seen_classes.into_iter().collect(),
             promoted,
-            telemetry: tele,
+            telemetry: tele.into_telemetry(),
         }
     }
 
     /// Executes one candidate stream's effective bytes through the
-    /// workflow on the configured transport, under `catch_unwind`.
-    fn execute(&self, cand: &Candidate) -> ExecResult {
-        let (outcome, telemetry) = hdiff_obs::with_case(cand.uuid, || {
+    /// workflow on the configured transport, under `catch_unwind`, in a
+    /// case scope under the session's switches.
+    fn execute(&self, cand: &Candidate, recorder: hdiff_obs::Recorder) -> ExecResult {
+        let (outcome, telemetry) = recorder.case(cand.uuid, || {
             let _span = hdiff_obs::span("stage.fuzz-exec");
             panic::catch_unwind(AssertUnwindSafe(|| {
                 let bytes = cand.stream.effective_bytes();

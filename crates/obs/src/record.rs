@@ -1,85 +1,108 @@
-//! The recording side: thread-local collection, scoped spans, and the
-//! per-case drain the campaign runner uses.
+//! The recording side: per-thread switches and arrays, scoped spans,
+//! and the case scopes a campaign runs its cases in.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::mem;
 use std::time::Instant;
 
-use crate::telemetry::{EventKind, Telemetry, TraceEvent};
+use crate::metric::{MetricId, NameCache};
+use crate::tally::{CaseTelemetry, Event, Tally};
+use crate::telemetry::{EventKind, Telemetry};
 
-/// Process-wide recording gate. On by default; `--no-telemetry` (and the
-/// overhead benchmark's control arm) turn it off. Checked with one
-/// relaxed load per recording call.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Process-wide event-tracing gate (the `--trace-out` JSONL log). Off by
-/// default: traces keep every observation and are meant for profiling
-/// runs, not steady state.
-static TRACE: AtomicBool = AtomicBool::new(false);
-
-/// Whether recording is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// The recording switches a campaign runs under: whether to record at
+/// all, and whether to keep every observation as a trace event (the
+/// `--trace-out` JSONL log).
+///
+/// Every thread has its own switches ([`set_enabled`], [`set_trace`]);
+/// a new thread records with tracing off. A campaign captures the
+/// switches of the thread that starts it ([`Recorder::capture`]) and
+/// applies them inside every case scope ([`Recorder::case`]), on
+/// whichever worker thread runs the case. So the starting thread's
+/// switches govern the whole campaign, and two campaigns in one process
+/// never see each other's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Recorder {
+    enabled: bool,
+    trace: bool,
 }
 
-/// Globally enables or disables recording.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+impl Default for Recorder {
+    fn default() -> Recorder {
+        Recorder { enabled: true, trace: false }
+    }
 }
 
-/// Whether event tracing is currently enabled.
-pub fn trace_enabled() -> bool {
-    TRACE.load(Ordering::Relaxed)
-}
-
-/// Globally enables or disables event tracing.
-pub fn set_trace(on: bool) {
-    TRACE.store(on, Ordering::Relaxed);
-}
-
-/// One thread's private recording state.
+/// One thread's switches and recording state.
 #[derive(Default)]
 struct Local {
-    tel: Telemetry,
-    /// Case uuid events are attributed to (0 outside [`with_case`]).
+    switches: Recorder,
+    names: NameCache,
+    tally: Tally,
+    /// Case uuid events are attributed to (0 outside a case scope).
     case: u64,
     /// Next event sequence number within the current case scope.
     seq: u64,
+}
+
+impl Local {
+    fn event(&mut self, id: MetricId, value: u64) {
+        if self.switches.trace {
+            self.tally.push_event(Event { case: self.case, seq: self.seq, id, value });
+            self.seq += 1;
+        }
+    }
 }
 
 thread_local! {
     static LOCAL: RefCell<Local> = RefCell::new(Local::default());
 }
 
-/// Runs `f` against the thread's local state. Re-entrant drops (a span
-/// guard dropping while the local is borrowed) are silently skipped —
-/// losing one observation beats panicking in a destructor.
-fn with_local(f: impl FnOnce(&mut Local)) {
-    LOCAL.with(|l| {
-        if let Ok(mut l) = l.try_borrow_mut() {
-            f(&mut l);
-        }
-    });
+/// Runs `f` against the thread's local state. Re-entrant use (a span
+/// guard dropping while the local is borrowed) is skipped and yields
+/// `None`: losing one observation beats panicking in a destructor.
+fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> Option<R> {
+    LOCAL.try_with(|l| l.try_borrow_mut().ok().map(|mut l| f(&mut l))).ok().flatten()
 }
 
-fn push_event(local: &mut Local, kind: EventKind, name: &str, value: u64) {
-    let event =
-        TraceEvent { case: local.case, seq: local.seq, kind, name: name.to_string(), value };
-    local.seq += 1;
-    local.tel.events.push(event);
+/// The id of `name` under `kind`, through this thread's cache when it
+/// is free.
+pub(crate) fn lookup(kind: EventKind, name: &str) -> MetricId {
+    with_local(|l| l.names.id(kind, name)).unwrap_or_else(|| crate::metric::register(kind, name).0)
+}
+
+/// Whether recording is enabled on this thread.
+pub fn enabled() -> bool {
+    with_local(|l| l.switches.enabled).unwrap_or(false)
+}
+
+/// Enables or disables recording on this thread, and for every campaign
+/// this thread starts afterwards.
+pub fn set_enabled(on: bool) {
+    with_local(|l| l.switches.enabled = on);
+}
+
+/// Whether event tracing is enabled on this thread.
+pub fn trace_enabled() -> bool {
+    with_local(|l| l.switches.trace).unwrap_or(false)
+}
+
+/// Enables or disables event tracing on this thread, and for every
+/// campaign this thread starts afterwards.
+pub fn set_trace(on: bool) {
+    with_local(|l| l.switches.trace = on);
 }
 
 /// Adds `delta` to the named counter on this thread.
 #[inline]
 pub fn count(name: &str, delta: u64) {
-    if !enabled() || delta == 0 {
+    if delta == 0 {
         return;
     }
-    let trace = trace_enabled();
     with_local(|l| {
-        l.tel.record_count(name, delta);
-        if trace {
-            push_event(l, EventKind::Counter, name, delta);
+        if l.switches.enabled {
+            let id = l.names.id(EventKind::Counter, name);
+            l.tally.record_count(id.index, delta);
+            l.event(id, delta);
         }
     });
 }
@@ -88,18 +111,15 @@ pub fn count(name: &str, delta: u64) {
 /// (the memo matcher) use to keep overhead to a single borrow per batch.
 #[inline]
 pub fn count_many(pairs: &[(&str, u64)]) {
-    if !enabled() || pairs.iter().all(|(_, d)| *d == 0) {
-        return;
-    }
-    let trace = trace_enabled();
     with_local(|l| {
+        if !l.switches.enabled {
+            return;
+        }
         for &(name, delta) in pairs {
-            if delta == 0 {
-                continue;
-            }
-            l.tel.record_count(name, delta);
-            if trace {
-                push_event(l, EventKind::Counter, name, delta);
+            if delta > 0 {
+                let id = l.names.id(EventKind::Counter, name);
+                l.tally.record_count(id.index, delta);
+                l.event(id, delta);
             }
         }
     });
@@ -108,14 +128,11 @@ pub fn count_many(pairs: &[(&str, u64)]) {
 /// Records one observation of `ns` into the named histogram.
 #[inline]
 pub fn observe(name: &str, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    let trace = trace_enabled();
     with_local(|l| {
-        l.tel.record_hist(name, ns);
-        if trace {
-            push_event(l, EventKind::Hist, name, ns);
+        if l.switches.enabled {
+            let id = l.names.id(EventKind::Hist, name);
+            l.tally.record_hist(id.index, ns);
+            l.event(id, ns);
         }
     });
 }
@@ -124,20 +141,17 @@ pub fn observe(name: &str, ns: u64) {
 /// the named span statistic when dropped.
 #[must_use = "a span measures the scope it lives in; drop it where the stage ends"]
 pub struct SpanGuard {
-    name: &'static str,
-    start: Option<Instant>,
+    /// The span's id and entry time; `None` when recording was off.
+    entered: Option<(MetricId, Instant)>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
+        let Some((id, start)) = self.entered else { return };
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let trace = trace_enabled();
         with_local(|l| {
-            l.tel.record_span(self.name, ns);
-            if trace {
-                push_event(l, EventKind::Span, self.name, ns);
-            }
+            l.tally.record_span(id.index, ns);
+            l.event(id, ns);
         });
     }
 }
@@ -146,47 +160,88 @@ impl Drop for SpanGuard {
 /// time (monotonic, via [`Instant`]). Inert when recording is disabled.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    SpanGuard { name, start: enabled().then(Instant::now) }
+    let id = with_local(|l| l.switches.enabled.then(|| l.names.id(EventKind::Span, name)));
+    SpanGuard { entered: id.flatten().map(|id| (id, Instant::now())) }
 }
 
 /// Takes everything this thread has recorded, leaving it empty.
 pub fn drain() -> Telemetry {
-    let mut out = Telemetry::default();
-    with_local(|l| out = std::mem::take(&mut l.tel));
-    out
+    with_local(|l| l.tally.take()).unwrap_or_default().to_telemetry()
+}
+
+/// What a case scope replaced on its thread, restored when it ends.
+struct Outer {
+    switches: Recorder,
+    case: u64,
+    seq: u64,
+    /// The thread's telemetry from before the scope, if it held any.
+    ambient: Option<CaseTelemetry>,
+}
+
+impl Recorder {
+    /// The calling thread's switches, as a campaign captures them when
+    /// it starts.
+    pub fn capture() -> Recorder {
+        with_local(|l| l.switches).unwrap_or_default()
+    }
+
+    /// Runs `f` on the calling thread as case `uuid`, under these
+    /// switches, and returns its result with everything it recorded.
+    ///
+    /// Whatever the thread had already recorded (generation-stage
+    /// telemetry on the main thread, an enclosing scope's) is set aside
+    /// before `f` runs and restored after, so a bucket never absorbs
+    /// ambient state and ambient state never loses observations. Event
+    /// sequence numbers restart at 0 for the case, which is what makes
+    /// the trace order replay-stable across thread counts.
+    pub fn case<R>(self, uuid: u64, f: impl FnOnce() -> R) -> (R, CaseTelemetry) {
+        let outer = with_local(|l| Outer {
+            switches: mem::replace(&mut l.switches, self),
+            case: mem::replace(&mut l.case, uuid),
+            seq: mem::replace(&mut l.seq, 0),
+            ambient: (!l.tally.is_empty()).then(|| l.tally.take()),
+        });
+        let result = f();
+        let bucket = with_local(|l| {
+            let bucket = l.tally.take();
+            if let Some(outer) = outer {
+                l.switches = outer.switches;
+                l.case = outer.case;
+                l.seq = outer.seq;
+                if let Some(ambient) = &outer.ambient {
+                    l.tally.add(ambient);
+                }
+            }
+            bucket
+        });
+        (result, bucket.unwrap_or_default())
+    }
+
+    /// Runs `f` on the calling thread under these switches, outside any
+    /// case scope: for campaign workers that record into their thread's
+    /// own telemetry.
+    pub fn apply<R>(self, f: impl FnOnce() -> R) -> R {
+        let outer = with_local(|l| mem::replace(&mut l.switches, self));
+        let result = f();
+        if let Some(outer) = outer {
+            with_local(|l| l.switches = outer);
+        }
+        result
+    }
 }
 
 /// Runs `f` with all telemetry it records collected into a private
-/// bucket attributed to case `uuid`, returning `(result, bucket)`.
-///
-/// Whatever the thread had already recorded (generation-stage telemetry
-/// on the main thread, a previous case's leftovers) is stashed before
-/// `f` runs and restored after, so per-case buckets never absorb ambient
-/// state and ambient state never loses observations. Event sequence
-/// numbers restart at 0 for the case, which is what makes the trace
-/// ordering replay-stable across thread counts.
+/// bucket attributed to case `uuid`, returning `(result, bucket)` — the
+/// named view of [`Recorder::case`] under this thread's switches.
 pub fn with_case<R>(uuid: u64, f: impl FnOnce() -> R) -> (R, Telemetry) {
-    let mut stash = Telemetry::default();
-    let mut prev_case = 0u64;
-    let mut prev_seq = 0u64;
-    with_local(|l| {
-        stash = std::mem::take(&mut l.tel);
-        prev_case = std::mem::replace(&mut l.case, uuid);
-        prev_seq = std::mem::replace(&mut l.seq, 0);
-    });
-    let result = f();
-    let mut bucket = Telemetry::default();
-    with_local(|l| {
-        bucket = std::mem::replace(&mut l.tel, stash);
-        l.case = prev_case;
-        l.seq = prev_seq;
-    });
-    (result, bucket)
+    let (result, bucket) = Recorder::capture().case(uuid, f);
+    (result, bucket.to_telemetry())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn with_case_isolates_and_restores_ambient_telemetry() {
@@ -241,5 +296,57 @@ mod tests {
         assert_eq!(t.counters.get("a"), Some(&2));
         assert_eq!(t.counters.get("b"), None, "zero deltas are not recorded");
         assert_eq!(t.counters.get("c"), Some(&3));
+    }
+
+    #[test]
+    fn a_case_scope_applies_the_captured_switches_and_restores_the_thread_s() {
+        let campaign = Recorder { enabled: true, trace: true };
+        set_enabled(false);
+        let ((), bucket) = campaign.case(9, || {
+            assert!(enabled() && trace_enabled(), "the scope runs under the campaign's switches");
+            count("scoped", 1);
+        });
+        assert!(!enabled() && !trace_enabled(), "the thread's own switches come back");
+        set_enabled(true);
+        let named = bucket.to_telemetry();
+        assert_eq!(named.counters.get("scoped"), Some(&1));
+        assert_eq!(named.events.len(), 1);
+        let inert = Recorder { enabled: false, trace: false };
+        let ((), bucket) = inert.case(10, || count("scoped", 1));
+        assert!(bucket.is_empty());
+        assert!(!inert.apply(enabled), "apply runs under the given switches");
+        assert!(enabled());
+    }
+
+    #[test]
+    fn threads_recording_under_opposite_switches_at_once_keep_their_own() {
+        // Both threads flip their switch, then record while the other
+        // thread holds the opposite setting: with one process-wide switch
+        // the later flip would govern both buckets.
+        let both_set = Arc::new(Barrier::new(2));
+        let both_recorded = Arc::new(Barrier::new(2));
+        let run = |on: bool| {
+            let (both_set, both_recorded) = (Arc::clone(&both_set), Arc::clone(&both_recorded));
+            std::thread::spawn(move || {
+                set_enabled(on);
+                set_trace(on);
+                both_set.wait();
+                let ((), bucket) = Recorder::capture().case(1, || {
+                    count("switch.test", 1);
+                    observe("switch.test.rtt", 100);
+                    let _s = span("switch.test.span");
+                });
+                both_recorded.wait();
+                bucket.to_telemetry()
+            })
+        };
+        let (on, off) = (run(true), run(false));
+        let on = on.join().expect("the recording thread does not panic");
+        let off = off.join().expect("the inert thread does not panic");
+        assert_eq!(on.counters.get("switch.test"), Some(&1));
+        assert_eq!(on.hists["switch.test.rtt"].count, 1);
+        assert_eq!(on.spans["switch.test.span"].count, 1);
+        assert_eq!(on.events.len(), 3, "the tracing thread kept its events");
+        assert!(off.is_empty(), "the disabled thread recorded nothing: {off:?}");
     }
 }

@@ -34,7 +34,7 @@ impl SpanStat {
         self.total_ns += ns;
     }
 
-    fn absorb(&mut self, other: &SpanStat) {
+    pub(crate) fn absorb(&mut self, other: &SpanStat) {
         if other.count == 0 {
             return;
         }
@@ -83,7 +83,7 @@ impl Histogram {
         self.total_ns += ns;
     }
 
-    fn absorb(&mut self, other: &Histogram) {
+    pub(crate) fn absorb(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }
@@ -115,8 +115,8 @@ impl Histogram {
     }
 }
 
-/// What one [`TraceEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one [`TraceEvent`] records — and the kind of a metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// A span exit; the value is the span's duration in ns.
     Span,
@@ -167,7 +167,9 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
-/// One thread's (or one case's, or one campaign's) collected telemetry.
+/// A campaign's merged telemetry, keyed and sorted by name — the view
+/// summaries, reports and checkpoints use. Recording itself goes by
+/// metric id into a [`crate::Tally`].
 ///
 /// # Equality
 ///
@@ -225,13 +227,28 @@ impl Telemetry {
     /// an equal result.
     pub fn merge(&mut self, other: &Telemetry) {
         for (name, stat) in &other.spans {
-            self.spans.entry(name.clone()).or_default().absorb(stat);
+            match self.spans.get_mut(name) {
+                Some(s) => s.absorb(stat),
+                None => {
+                    self.spans.insert(name.clone(), stat.clone());
+                }
+            }
         }
-        for (name, delta) in &other.counters {
-            *self.counters.entry(name.clone()).or_default() += delta;
+        for (name, &delta) in &other.counters {
+            match self.counters.get_mut(name) {
+                Some(c) => *c += delta,
+                None => {
+                    self.counters.insert(name.clone(), delta);
+                }
+            }
         }
         for (name, hist) in &other.hists {
-            self.hists.entry(name.clone()).or_default().absorb(hist);
+            match self.hists.get_mut(name) {
+                Some(h) => h.absorb(hist),
+                None => {
+                    self.hists.insert(name.clone(), hist.clone());
+                }
+            }
         }
         self.events.extend(other.events.iter().cloned());
     }

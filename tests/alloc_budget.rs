@@ -1,53 +1,76 @@
-//! Allocation budget of the in-process Fig. 6 chain.
+//! Allocation and heap budgets of the in-process Fig. 6 chain.
 //!
 //! Counts heap allocations per case while the Table II catalog runs
 //! through `Workflow::run_case` and through a one-thread
-//! `DiffEngine::run` (detection, telemetry and summary included). The
-//! counter is thread-local, so allocations the test harness makes on
-//! its other threads never reach it. Each bound sits just above the
-//! count the current code makes (DESIGN.md "How the sim chain
-//! allocates" lists what the chain builds once per workflow, once per
-//! case and once per message); a change that brings back per-case
-//! rebuilds or per-message temporaries fails here.
+//! `DiffEngine::run` (detection, telemetry and summary included), and
+//! how far a campaign's live heap grows per case. The counters are
+//! thread-local, so allocations the test harness makes on its other
+//! threads never reach them. Each bound sits just above what the current
+//! code makes (DESIGN.md "How the sim chain allocates" lists what the
+//! chain builds once per workflow, once per case and once per message;
+//! DESIGN.md §13 what a case's telemetry keeps); a change that brings
+//! back per-case rebuilds, per-message temporaries or per-case telemetry
+//! maps fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hdiff::diff::{DiffEngine, Workflow};
 use hdiff::gen::{catalog, Origin, TestCase};
+use hdiff::obs::{count, observe, span, Recorder};
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` reached since the last [`heap_growth_in`].
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Records one allocation that changes this thread's live bytes by
+/// `delta`.
+fn bump(delta: i64) {
     // `try_with` keeps the allocator usable while a thread's locals are
     // being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    grow(delta);
+}
+
+fn grow(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// A layout size as a byte delta (sizes never exceed `isize::MAX`).
+fn bytes(size: usize) -> i64 {
+    size as i64
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments;
-// the counter is a const-initialized thread-local `Cell`, which never
-// allocates.
+// the counters are const-initialized thread-local `Cell`s, which never
+// allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(bytes(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(bytes(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(bytes(new_size) - bytes(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-bytes(layout.size()));
         System.dealloc(ptr, layout);
     }
 }
@@ -62,20 +85,37 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-fn catalog_cases() -> Vec<TestCase> {
+/// How far this thread's live heap rose above its level at the start
+/// while `f` ran (allocations `f` frees again before it returns count
+/// only while they were live).
+fn heap_growth_in<R>(f: impl FnOnce() -> R) -> (i64, R) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let out = f();
+    (PEAK.with(Cell::get) - start, out)
+}
+
+/// The Table II catalog, `rounds` times over, with distinct uuids.
+fn catalog_rounds(rounds: usize) -> Vec<TestCase> {
     let mut cases = Vec::new();
-    for entry in catalog::catalog() {
-        for (request, note) in entry.requests {
-            cases.push(TestCase {
-                uuid: cases.len() as u64 + 1,
-                request,
-                assertions: Vec::new(),
-                origin: Origin::Catalog(entry.id.to_string()),
-                note,
-            });
+    for _ in 0..rounds {
+        for entry in catalog::catalog() {
+            for (request, note) in entry.requests {
+                cases.push(TestCase {
+                    uuid: cases.len() as u64 + 1,
+                    request,
+                    assertions: Vec::new(),
+                    origin: Origin::Catalog(entry.id.to_string()),
+                    note,
+                });
+            }
         }
     }
     cases
+}
+
+fn catalog_cases() -> Vec<TestCase> {
+    catalog_rounds(1)
 }
 
 /// Allocations per case of `Workflow::run_case` over the catalog. The
@@ -83,9 +123,17 @@ fn catalog_cases() -> Vec<TestCase> {
 const RUN_CASE_BUDGET: f64 = 400.0;
 
 /// Allocations per case of a one-thread `DiffEngine::run` over the
-/// catalog. The code this budget was set on makes 541.4 (19,489 over 36
+/// catalog. The code this budget was set on makes 489.8 (17,634 over 36
 /// cases).
-const ENGINE_RUN_BUDGET: f64 = 550.0;
+const ENGINE_RUN_BUDGET: f64 = 492.0;
+
+/// Bytes per case a one-thread `DiffEngine::run` over the catalog, 20
+/// times over, may grow the heap by: its records, their telemetry
+/// buckets and the summary. The code this budget was set on grows it by
+/// 5,144 bytes per case (3,703,812 over 720 cases); with a named
+/// telemetry map per case and findings cloned into the summary it grew
+/// by 14,537.
+const ENGINE_HEAP_BUDGET: f64 = 5_200.0;
 
 #[test]
 fn run_case_stays_within_its_allocation_budget() {
@@ -120,4 +168,46 @@ fn engine_run_stays_within_its_allocation_budget() {
         per_case <= ENGINE_RUN_BUDGET,
         "DiffEngine::run made {per_case:.1} allocations per case, budget {ENGINE_RUN_BUDGET}"
     );
+}
+
+#[test]
+fn engine_run_stays_within_its_heap_budget() {
+    let cases = catalog_rounds(20);
+    let mut engine = DiffEngine::standard();
+    engine.threads = 1;
+    engine.run(&cases[..1]);
+    let (growth, summary) = heap_growth_in(|| engine.run(&cases));
+    assert_eq!(summary.cases, cases.len());
+    let per_case = growth as f64 / cases.len() as f64;
+    println!("DiffEngine::run: heap grew by {growth} bytes over {} cases", cases.len());
+    assert!(
+        per_case <= ENGINE_HEAP_BUDGET,
+        "DiffEngine::run grew the heap by {per_case:.0} bytes per case, budget {ENGINE_HEAP_BUDGET}"
+    );
+}
+
+#[test]
+fn a_case_scope_makes_at_most_one_allocation() {
+    // What an h1 sim case records: three spans, one RTT observation and
+    // one matcher counter.
+    let recorder = Recorder::capture();
+    let h1_case = |uuid: u64| {
+        let ((), bucket) = recorder.case(uuid, || {
+            let _case = span("case");
+            {
+                let _execute = span("stage.chain-execute");
+                observe("transport.rtt.sim", 35_000);
+            }
+            let _detect = span("stage.detect");
+            count("abnf.memo.miss", 2);
+        });
+        bucket
+    };
+    // The first scope registers the names and sizes the thread's arrays.
+    assert!(!h1_case(0).is_empty());
+    let mut buckets = Vec::with_capacity(1000);
+    let (allocations, ()) = allocations_in(|| buckets.extend((1..=1000).map(h1_case)));
+    assert_eq!(buckets.len(), 1000);
+    println!("1000 case scopes: {allocations} allocations");
+    assert!(allocations <= 1000, "{allocations} allocations for 1000 case scopes");
 }
