@@ -190,8 +190,7 @@ impl HdiffConfig {
         }
         if let Some(v) = root.get("transport") {
             let s = v.as_str().ok_or_else(|| bad("config transport must be a string"))?;
-            config.transport = Transport::parse(s)
-                .ok_or_else(|| bad(&format!("unknown config transport {s:?}")))?;
+            config.transport = Transport::parse(s).map_err(|e| bad(&format!("config: {e}")))?;
         }
         if let Some(v) = root.get("frontend") {
             let s = v.as_str().ok_or_else(|| bad("config frontend must be a string"))?;
@@ -235,7 +234,7 @@ mod tests {
         config.seed = 0xdead_beef;
         config.fault_rate = 13;
         config.coverage_guided = true;
-        config.transport = Transport::Tcp;
+        config.transport = Transport::TcpAsync;
         config.frontend = Frontend::H2;
         config.telemetry = false;
         config.shards = 4;

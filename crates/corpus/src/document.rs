@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// One numbered section of an RFC.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Section {
     /// Section number as written (`"3.2.4"`).
     pub number: String,
@@ -14,7 +14,7 @@ pub struct Section {
 }
 
 /// An RFC document assembled from embedded text.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RfcDocument {
     /// Lowercase tag (`"rfc7230"`).
     pub tag: String,

@@ -47,6 +47,7 @@ use std::path::{Path, PathBuf};
 
 use hdiff_gen::AttackClass;
 use hdiff_h2::{encode_client_connection, parse_client_connection, EncodeOptions, H2Request};
+use hdiff_net::FrontTestbed;
 use hdiff_servers::engine::FramingChoice;
 use hdiff_servers::{
     fronts, DowngradeOutcome, DowngradeProfile, ParserProfile, Server, ServerReply,
@@ -207,36 +208,25 @@ fn run_backends(h1: &[u8], backends: &[ParserProfile]) -> Vec<(String, Vec<Serve
 }
 
 /// Runs one h2 case with the front ends served over real loopback
-/// sockets ([`hdiff_net::H2FrontServer`]): the client connection bytes
-/// travel a TCP stream, the front parses and downgrades them on its own
-/// thread, and the h1 bytes it *logged having forwarded* feed the back
-/// ends. `downgrade_digests` of this outcome must equal the sim
-/// execution's — that is the byte-stability gate.
+/// sockets ([`hdiff_net::FrontTestbed`], whose fronts must be
+/// `workflow.fronts` in order): the client connection bytes travel a TCP
+/// stream to every front at once, each front parses and downgrades them
+/// inside the event loop, and the h1 bytes it *logged having forwarded*
+/// feed the back ends. `downgrade_digests` of this outcome must equal
+/// the sim execution's — that is the byte-stability gate.
 pub fn run_downgrade_case_tcp(
     workflow: &DowngradeWorkflow,
+    testbed: &FrontTestbed,
     uuid: u64,
     origin: &str,
     bytes: &[u8],
 ) -> io::Result<DowngradeCaseOutcome> {
-    use std::io::{Read, Write};
-
     let mut parse_error = None;
     let mut requests: Vec<H2Request> = Vec::new();
     let mut chains = Vec::new();
-    for front in &workflow.fronts {
-        let server = hdiff_net::H2FrontServer::spawn(front.clone(), hdiff_net::DEFAULT_IO_TIMEOUT)
-            .map_err(io::Error::other)?;
-        let mut stream = std::net::TcpStream::connect(server.addr())?;
-        stream.set_read_timeout(Some(hdiff_net::DEFAULT_IO_TIMEOUT))?;
-        stream.write_all(bytes)?;
-        stream.shutdown(std::net::Shutdown::Write)?;
-        let mut response = Vec::new();
-        stream.read_to_end(&mut response)?;
-        let log = server
-            .take_logs()
-            .into_iter()
-            .next()
-            .ok_or_else(|| io::Error::other(format!("{}: no connection log", front.name)))?;
+    for (front, log) in workflow.fronts.iter().zip(testbed.run(bytes)) {
+        let log =
+            log.ok_or_else(|| io::Error::other(format!("{}: no connection log", front.name)))?;
         parse_error = log.parse_error;
         requests = log.requests;
         let forwarded_count = log.outcomes.iter().filter(|o| o.is_forwarded()).count();
@@ -859,7 +849,8 @@ impl Protocol for DowngradeProtocol {
 pub struct DowngradeCampaignOptions {
     /// Worker threads for the case fan-out (`0`/`1` runs inline).
     pub threads: usize,
-    /// Serve the front ends over loopback TCP instead of in-process.
+    /// Serve the front ends over loopback TCP (the reactor) instead of
+    /// in-process.
     pub tcp: bool,
     /// When set, the first finding of each downgrade class is minimized
     /// and promoted to a replay bundle in this directory.
@@ -907,6 +898,9 @@ pub fn run_downgrade_campaign(opts: &DowngradeCampaignOptions) -> io::Result<Dow
     }
 
     let workflow = DowngradeWorkflow::standard();
+    // One event loop serves every worker, as the h1 campaign shares its
+    // testbed.
+    let testbed = FrontTestbed::new(&workflow.fronts).map_err(io::Error::from)?;
     let vectors = seed_vectors();
     let cases: Vec<(u64, SeedVector)> =
         vectors.into_iter().enumerate().map(|(i, v)| (H2_UUID_BASE + i as u64, v)).collect();
@@ -917,7 +911,7 @@ pub fn run_downgrade_campaign(opts: &DowngradeCampaignOptions) -> io::Result<Dow
             recorder.apply(|| {
                 let bytes = encode_client_connection(&vector.requests, &EncodeOptions::default());
                 let origin = format!("h2:{}", vector.id);
-                let outcome = run_downgrade_case_tcp(&workflow, *uuid, &origin, &bytes)?;
+                let outcome = run_downgrade_case_tcp(&workflow, &testbed, *uuid, &origin, &bytes)?;
                 let findings = detect_downgrade(&outcome);
                 Ok((outcome, findings))
             })

@@ -6,7 +6,7 @@ use std::fmt;
 use hdiff_gen::AttackClass;
 
 /// One detected semantic-gap candidate.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Attack class.
     pub class: AttackClass,

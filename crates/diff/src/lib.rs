@@ -82,9 +82,8 @@ pub use telemetry_codec::{
     load_report, summary_to_json, trace_to_jsonl, write_summary, write_trace,
 };
 pub use transport::{
-    consistency_findings, consistency_findings_async, pipelined_desync_findings, run_bytes_tcp,
-    run_bytes_tcp_async, run_case_tcp, run_case_tcp_async, segmented_probe, try_run_bytes_tcp,
-    try_run_bytes_tcp_async, try_run_case_tcp, try_run_case_tcp_async, Transport,
+    consistency_findings, pipelined_desync_findings, run_bytes_tcp_async, run_case_tcp_async,
+    segmented_probe, try_run_bytes_tcp_async, try_run_case_tcp_async, Transport,
 };
 pub use verdict::{PairMatrix, Verdicts};
 pub use verify::{verify_all, verify_finding, VerifiedFinding};

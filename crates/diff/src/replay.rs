@@ -29,7 +29,7 @@ use crate::hmetrics::HMetrics;
 use crate::json::{push_json_str, Json, Parser};
 use crate::minimize::{FindingContext, MinimizeOptions};
 use crate::syntax::SyntaxOracle;
-use crate::transport::{run_bytes_tcp, Transport};
+use crate::transport::Transport;
 use crate::workflow::{CaseOutcome, Workflow};
 
 /// On-disk bundle format version; bumped on incompatible changes.
@@ -64,7 +64,7 @@ pub struct ReplayBundle {
     /// Transport the bundle replays under. Bundles recorded before the
     /// wire transport existed carry no key and default to [`Transport::Sim`],
     /// so the checked-in golden corpus keeps working unchanged; `hdiff
-    /// replay --transport tcp` overrides it at replay time.
+    /// replay --transport tcp-async` overrides it at replay time.
     pub transport: Transport,
     /// Which protocol the recorded client bytes speak. `H1` bundles
     /// (the default; key absent on disk, so the existing corpus is
@@ -215,13 +215,19 @@ impl ReplayBundle {
                 let outcome = if self.transport == Transport::Sim {
                     wf.run_bytes(self.uuid, &self.origin, &self.request)
                 } else {
-                    crate::downgrade::run_downgrade_case_tcp(
-                        &wf,
-                        self.uuid,
-                        &self.origin,
-                        &self.request,
-                    )
-                    .unwrap_or_else(|e| panic!("h2 front testbed unavailable: {e}"))
+                    // One-shot, like the h1 replay's ephemeral testbed.
+                    hdiff_net::FrontTestbed::new(&wf.fronts)
+                        .map_err(std::io::Error::from)
+                        .and_then(|testbed| {
+                            crate::downgrade::run_downgrade_case_tcp(
+                                &wf,
+                                &testbed,
+                                self.uuid,
+                                &self.origin,
+                                &self.request,
+                            )
+                        })
+                        .unwrap_or_else(|e| panic!("h2 front testbed unavailable: {e}"))
                 };
                 (detect_downgrade(&outcome), downgrade_digests(&outcome))
             }
@@ -330,7 +336,8 @@ impl ReplayBundle {
         let transport = match root.get("transport") {
             None | Some(Json::Null) => Transport::Sim,
             Some(v) => {
-                v.as_str().and_then(Transport::parse).ok_or_else(|| data_err("bundle transport"))?
+                let raw = v.as_str().ok_or_else(|| data_err("bundle transport"))?;
+                Transport::parse(raw).map_err(|e| data_err(format!("bundle: {e}")))?
             }
         };
         let frontend = match root.get("frontend") {
@@ -498,7 +505,6 @@ fn execute(
     let session = FaultSession::new(&injector, uuid, 0, STEP_BUDGET);
     let outcome = match transport {
         Transport::Sim => workflow.run_bytes_faulted(uuid, origin, bytes, Some(&session)),
-        Transport::Tcp => run_bytes_tcp(workflow, uuid, origin, bytes, Some(&session)),
         Transport::TcpAsync => {
             // Replays are one-shot: an ephemeral testbed per execution
             // still exercises the multiplexed code path end to end.

@@ -27,7 +27,7 @@ use crate::schedule;
 use crate::shard::{ShardError, ShardTopology};
 use crate::srcheck::{check_all, check_host_conformance, SrViolation};
 use crate::syntax::SyntaxOracle;
-use crate::transport::{try_run_case_tcp, try_run_case_tcp_async, Transport};
+use crate::transport::{try_run_case_tcp_async, Transport};
 use crate::verdict::{PairMatrix, Verdicts};
 use crate::workflow::Workflow;
 
@@ -450,7 +450,6 @@ impl DiffEngine {
                     let started = std::time::Instant::now();
                     let outcome = match self.transport {
                         Transport::Sim => Ok(self.workflow.run_case_faulted(case, Some(&session))),
-                        Transport::Tcp => try_run_case_tcp(&self.workflow, case, Some(&session)),
                         Transport::TcpAsync => self.async_testbed().and_then(|testbed| {
                             try_run_case_tcp_async(&self.workflow, case, Some(&session), testbed)
                         }),
@@ -458,7 +457,6 @@ impl DiffEngine {
                     let rtt = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     match self.transport {
                         Transport::Sim => hdiff_obs::observe("transport.rtt.sim", rtt),
-                        Transport::Tcp => hdiff_obs::observe("transport.rtt.tcp", rtt),
                         Transport::TcpAsync => hdiff_obs::observe("transport.rtt.tcp-async", rtt),
                     }
                     match outcome {

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use hdiff_abnf::Grammar;
 use hdiff_diff::minimize::{ddmin_items, minimize, MinimizeOptions, MinimizeStats};
 use hdiff_diff::replay::behavior_digests;
-use hdiff_diff::transport::{try_run_bytes_tcp, try_run_bytes_tcp_async};
+use hdiff_diff::transport::try_run_bytes_tcp_async;
 use hdiff_diff::{detect_case, schedule, Finding, ReplayBundle, Transport, Workflow};
 use hdiff_gen::{AbnfGenerator, CoverageMap, GenOptions, GrammarCoverage};
 use hdiff_servers::fault::{FaultInjector, FaultPlan, FaultSession};
@@ -652,13 +652,6 @@ impl FuzzEngine {
                         &bytes,
                         Some(&session),
                     )),
-                    Transport::Tcp => try_run_bytes_tcp(
-                        &self.workflow,
-                        cand.uuid,
-                        &cand.origin,
-                        &bytes,
-                        Some(&session),
-                    ),
                     Transport::TcpAsync => self.async_testbed().and_then(|testbed| {
                         try_run_bytes_tcp_async(
                             &self.workflow,

@@ -18,7 +18,7 @@
 //!   composed with grammar-aware byte mutators over an
 //!   [`IngredientPool`] distilled from the analyzed RFC grammar.
 //! * [`corpus`] — the bounded energy-weighted scheduler.
-//! * [`engine`] — the loop: mutate → execute on sim/tcp/tcp-async →
+//! * [`engine`] — the loop: mutate → execute on sim/tcp-async →
 //!   score by grammar-coverage delta and behavior-digest novelty →
 //!   ddmin-minimize and promote each never-seen divergence class to a
 //!   candidate golden [`hdiff_diff::ReplayBundle`].

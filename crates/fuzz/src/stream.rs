@@ -15,9 +15,9 @@
 //! [`Stream::effective_bytes`]: the concatenation of every request's
 //! delivered bytes, in order. That is what one keep-alive connection
 //! carries on the wire, what `Workflow::run_bytes_faulted` parses
-//! message-by-message in the sim, and what the wire transports send —
-//! so a promoted stream replays identically over `sim`, `tcp`, and
-//! `tcp-async` (segment boundaries shape delivery timing, never bytes).
+//! message-by-message in the sim, and what the wire transport sends —
+//! so a promoted stream replays identically over `sim` and `tcp-async`
+//! (segment boundaries shape delivery timing, never bytes).
 
 use std::fmt;
 use std::io;

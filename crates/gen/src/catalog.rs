@@ -10,9 +10,7 @@ use std::fmt;
 use hdiff_wire::{encode_chunked, Method, Request, Version};
 
 /// The three semantic gap attacks HDiff detects.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AttackClass {
     /// HTTP Request Smuggling.
     Hrs,

@@ -1,29 +1,21 @@
 //! HTTP/2 downgrade front ends served over real sockets.
 //!
-//! An [`H2FrontServer`] is one [`hdiff_servers::DowngradeProfile`]
-//! behind a loopback listener speaking cleartext h2 (prior knowledge):
-//! it reads a whole client connection to EOF, parses it with
-//! [`hdiff_h2::parse_client_connection`], translates every request
-//! through the profile, and answers each stream with an h2 response
-//! that *echoes the reconstructed HTTP/1.1 bytes* (or the front's
-//! rejection) — so both the wire peer and the connection log observe
-//! exactly what the front would have forwarded upstream.
+//! A front is one [`hdiff_servers::DowngradeProfile`] behind a reactor
+//! listener speaking cleartext h2 (prior knowledge; see
+//! [`crate::reactor::Reactor::add_h2_front`]): it reads a whole client
+//! connection to EOF, parses it with [`hdiff_h2::parse_client_connection`],
+//! translates every request through the profile, and answers each stream
+//! with an h2 response that *echoes the reconstructed HTTP/1.1 bytes*
+//! (or the front's rejection) — so both the wire peer and the
+//! connection log observe exactly what the front would have forwarded
+//! upstream.
 //!
-//! Synchronization follows the crate convention: the handler pushes its
-//! [`H2FrontLog`] before closing the stream, so a client that read to
-//! EOF is guaranteed to find the complete log — no sleeps, no polling.
-
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
+//! The front delivers its [`H2FrontLog`] to the paired exchange before
+//! it closes the connection, so a client that read to EOF finds the
+//! complete log in its output — no sleeps, no polling.
 
 use hdiff_h2::{encode_server_connection, parse_client_connection, H2Request, H2Response};
 use hdiff_servers::{DowngradeOutcome, DowngradeProfile};
-
-use crate::error::NetError;
 
 /// One client connection's worth of downgrade work, as the front saw it.
 #[derive(Debug, Clone)]
@@ -39,98 +31,10 @@ pub struct H2FrontLog {
     pub h1: Vec<u8>,
 }
 
-fn lock_logs(logs: &Mutex<Vec<H2FrontLog>>) -> MutexGuard<'_, Vec<H2FrontLog>> {
-    logs.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A downgrade front end on an ephemeral loopback port.
-#[derive(Debug)]
-pub struct H2FrontServer {
-    addr: SocketAddr,
-    logs: Arc<Mutex<Vec<H2FrontLog>>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl H2FrontServer {
-    /// Binds `127.0.0.1:0` and serves `front` until shutdown.
-    pub fn spawn(
-        front: DowngradeProfile,
-        read_timeout: Duration,
-    ) -> Result<H2FrontServer, NetError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
-        let addr = listener.local_addr().map_err(NetError::bind)?;
-        let logs: Arc<Mutex<Vec<H2FrontLog>>> = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let logs = Arc::clone(&logs);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("h2-front-{}", front.name))
-                .spawn(move || {
-                    let mut accept_errors = 0u32;
-                    while !stop.load(Ordering::SeqCst) {
-                        let mut stream = match listener.accept() {
-                            Ok((stream, _)) => stream,
-                            Err(_) => {
-                                hdiff_obs::count("net.accept.error", 1);
-                                accept_errors += 1;
-                                if accept_errors >= crate::server::MAX_ACCEPT_ERRORS {
-                                    break;
-                                }
-                                continue;
-                            }
-                        };
-                        accept_errors = 0;
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let _ = stream.set_read_timeout(Some(read_timeout));
-                        handle_connection(&front, &logs, &mut stream);
-                    }
-                })
-                .map_err(NetError::spawn)?
-        };
-        Ok(H2FrontServer { addr, logs, stop, thread: Some(thread) })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Drains the connection logs, in arrival order.
-    pub fn take_logs(&self) -> Vec<H2FrontLog> {
-        std::mem::take(&mut *lock_logs(&self.logs))
-    }
-
-    /// Stops the accept loop and joins the listener thread.
-    pub fn shutdown(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.addr);
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for H2FrontServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Reads one client connection to EOF, downgrades it, logs, responds.
-fn handle_connection(
-    front: &DowngradeProfile,
-    logs: &Mutex<Vec<H2FrontLog>>,
-    stream: &mut TcpStream,
-) {
-    let mut bytes = Vec::new();
-    let _ = stream.read_to_end(&mut bytes);
-    hdiff_obs::count("h2.front.connections", 1);
-
-    let (requests, stream_ids, parse_error) = match parse_client_connection(&bytes) {
+/// Downgrades one whole client connection: the h2 server connection
+/// bytes to answer with, and the log of what the front did.
+pub(crate) fn serve(front: &DowngradeProfile, bytes: &[u8]) -> (Vec<u8>, H2FrontLog) {
+    let (requests, stream_ids, parse_error) = match parse_client_connection(bytes) {
         Ok(conn) => {
             let ids: Vec<u32> = conn.requests.iter().map(|p| p.stream_id).collect();
             let reqs: Vec<H2Request> = conn.requests.into_iter().map(|p| p.request).collect();
@@ -160,70 +64,60 @@ fn handle_connection(
         })
         .collect();
 
-    // Log before the peer can observe EOF (see module docs).
-    lock_logs(logs).push(H2FrontLog { parse_error, requests, outcomes, h1 });
-    let _ = stream.write_all(&encode_server_connection(&responses));
-    let _ = stream.shutdown(Shutdown::Both);
+    (encode_server_connection(&responses), H2FrontLog { parse_error, requests, outcomes, h1 })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{ExchangeOutput, ExchangeSpec, Job, Reactor, SendMode};
     use hdiff_h2::{encode_client_connection, parse_server_connection, EncodeOptions};
+    use std::time::Duration;
 
-    fn exchange(server: &H2FrontServer, bytes: &[u8]) -> Vec<u8> {
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        s.write_all(bytes).unwrap();
-        s.shutdown(Shutdown::Write).unwrap();
-        let mut raw = Vec::new();
-        s.read_to_end(&mut raw).unwrap();
-        raw
+    fn exchange(front: DowngradeProfile, bytes: &[u8]) -> ExchangeOutput {
+        let reactor = Reactor::spawn().unwrap();
+        let l = reactor.add_h2_front(front, Duration::from_secs(2)).unwrap();
+        let spec = ExchangeSpec::paired(&l, bytes, SendMode::Whole);
+        let mut outs = reactor.run(vec![Job::Exchange(spec)]);
+        outs.pop().and_then(|o| o.as_exchange().cloned()).expect("exchange output")
     }
 
     #[test]
     fn front_downgrades_over_the_wire_and_logs_the_h1_bytes() {
         let front = DowngradeProfile::edge();
-        let server = H2FrontServer::spawn(front.clone(), Duration::from_secs(2)).unwrap();
         let req = H2Request::get("/index.html", "example.com");
         let bytes = encode_client_connection(std::slice::from_ref(&req), &EncodeOptions::default());
-        let raw = exchange(&server, &bytes);
+        let ex = exchange(front.clone(), &bytes);
 
-        let responses = parse_server_connection(&raw).unwrap();
+        let responses = parse_server_connection(&ex.response).unwrap();
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].1.status, 200);
         let expected = front.downgrade(&req).h1.unwrap();
         assert_eq!(responses[0].1.body, expected, "response echoes the forwarded h1");
 
-        let logs = server.take_logs();
-        assert_eq!(logs.len(), 1);
-        assert!(logs[0].parse_error.is_none());
-        assert_eq!(logs[0].h1, expected);
-        assert!(server.take_logs().is_empty(), "logs drain");
+        let log = ex.front_log.expect("paired front log");
+        assert!(log.parse_error.is_none());
+        assert_eq!(log.h1, expected);
     }
 
     #[test]
     fn front_rejection_travels_back_as_a_status() {
-        let server =
-            H2FrontServer::spawn(DowngradeProfile::edge(), Duration::from_secs(2)).unwrap();
         let req = H2Request::post("/x", "example.com", b"b".to_vec())
             .with_header("transfer-encoding", "chunked");
         let bytes = encode_client_connection(std::slice::from_ref(&req), &EncodeOptions::default());
-        let responses = parse_server_connection(&exchange(&server, &bytes)).unwrap();
+        let ex = exchange(DowngradeProfile::edge(), &bytes);
+        let responses = parse_server_connection(&ex.response).unwrap();
         assert_eq!(responses[0].1.status, 400);
-        let logs = server.take_logs();
-        assert!(logs[0].h1.is_empty());
-        assert!(logs[0].outcomes[0].reject.is_some());
+        let log = ex.front_log.expect("paired front log");
+        assert!(log.h1.is_empty());
+        assert!(log.outcomes[0].reject.is_some());
     }
 
     #[test]
     fn garbage_bytes_are_logged_as_a_parse_error() {
-        let server =
-            H2FrontServer::spawn(DowngradeProfile::relay(), Duration::from_secs(2)).unwrap();
-        let _ = exchange(&server, b"GET / HTTP/1.1\r\nHost: h\r\n\r\n");
-        let logs = server.take_logs();
-        assert_eq!(logs.len(), 1);
-        assert!(logs[0].parse_error.as_deref().unwrap().contains("preface"));
-        assert!(logs[0].requests.is_empty());
+        let ex = exchange(DowngradeProfile::relay(), b"GET / HTTP/1.1\r\nHost: h\r\n\r\n");
+        let log = ex.front_log.expect("paired front log");
+        assert!(log.parse_error.as_deref().unwrap().contains("preface"));
+        assert!(log.requests.is_empty());
     }
 }

@@ -8,43 +8,46 @@
 //! partial-read handling — can be observed as *byte streams* instead of
 //! function calls.
 //!
-//! * [`server`] — [`server::NetServer`]: an ephemeral-port origin server
-//!   running the `servers::engine` over a buffered connection loop with
-//!   keep-alive, pipelined request accounting, read/write timeouts, and
-//!   per-connection teardown records (graceful FIN vs. abort).
-//! * [`echo`] — [`echo::NetEcho`]: the recording echo origin of Fig. 6,
-//!   as a socket: one upstream connection per forwarded message, read to
-//!   EOF, echoed back.
-//! * [`proxy`] — [`proxy::NetProxy`]: a forwarding proxy hop that parses
-//!   the client stream with a [`hdiff_servers::Proxy`] and relays each
-//!   forwarded message over a fresh upstream connection.
-//! * [`h2front`] — [`h2front::H2FrontServer`]: an HTTP/2 (h2c, prior
-//!   knowledge) downgrade front end: parses whole client connections,
-//!   translates them through a [`hdiff_servers::DowngradeProfile`], and
-//!   logs the exact HTTP/1.1 bytes it would forward upstream.
-//! * [`client`] — [`client::WireClient`]: the campaign's client driver:
-//!   whole/segmented/truncated sends, framed keep-alive requests with
-//!   connection reuse, and pipelined batches with per-request response
-//!   attribution.
+//! One socket implementation serves everything: the epoll event loop in
+//! [`reactor`], with one state machine per connection role.
+//!
+//! * [`reactor`] — [`reactor::Reactor`]: origin servers (the
+//!   `servers::engine` over a buffered connection with keep-alive,
+//!   pipelined request accounting and per-connection teardown records),
+//!   proxy hops relaying each forwarded message over a fresh upstream
+//!   connection, responders (the Fig. 6 echo and the h2 fronts), and the
+//!   client side of every exchange (whole, segmented or truncated sends).
+//! * [`testbed`] — [`testbed::AsyncTestbed`]: a campaign's profiles on
+//!   one reactor, and [`testbed::FrontTestbed`]: the h2 downgrade fronts.
+//! * [`server`], [`proxy`] — the origin and proxy roles' logs, listener
+//!   configuration and fault effects.
+//! * [`h2front`] — [`h2front::H2FrontLog`]: what an HTTP/2 (h2c, prior
+//!   knowledge) downgrade front did with one client connection.
+//! * [`pool`] — [`pool::ConnPool`]: the keep-alive client `hdiff probe`
+//!   points at a live server.
 //! * [`desync`] — splitting a response stream back into per-request
 //!   responses and comparing two implementations' attributions; a
 //!   disagreement is the wire-level desync signal.
 //!
 //! # Synchronization model
 //!
-//! The campaign drivers write the entire request stream, then
-//! `shutdown(Write)` (FIN), then read to EOF. Every server handler pushes
-//! its connection log *before* closing the stream, so a client that
-//! observed EOF is guaranteed to observe the complete log — no sleeps, no
-//! polling. Incremental parsing only finalizes a message early when the
-//! parse cannot change with more bytes (see
+//! A campaign exchange writes the entire request stream, then
+//! `shutdown(Write)` (FIN), then reads to EOF. Every server-side
+//! connection delivers its log to the paired exchange *before* closing,
+//! so an exchange that observed EOF carries the complete log — no
+//! sleeps, no polling. An origin that rejects a message keeps reading to
+//! the client's FIN before it closes, so its log counts every byte the
+//! client sent. Incremental parsing only finalizes a message early when
+//! the parse cannot change with more bytes (see
 //! [`server::incomplete_reason`]), which keeps the wire outcome equal to
 //! the in-process [`hdiff_servers::Server::handle_stream`] outcome for
 //! identical byte streams.
+//!
+//! Targets without the epoll backend (anything but Linux on x86_64 or
+//! aarch64) fail [`reactor::Reactor::spawn`] with a typed error and keep
+//! only the in-process transport.
 
-pub mod client;
 pub mod desync;
-pub mod echo;
 pub mod error;
 pub mod h2front;
 pub mod pool;
@@ -54,17 +57,15 @@ pub mod server;
 pub mod testbed;
 pub mod timeout;
 
-pub use client::{Exchange, NetClientConfig, PipelinedExchange, SendMode, WireClient};
 pub use desync::{attribute_responses, compare_attribution, DesyncSignal, ResponseAttribution};
-pub use echo::NetEcho;
 pub use error::{NetError, NetErrorKind};
-pub use h2front::{H2FrontLog, H2FrontServer};
-pub use pool::{ConnPool, PoolStats};
-pub use proxy::{NetProxy, NetProxyConfig, ProxyConnLog};
+pub use h2front::H2FrontLog;
+pub use pool::{ConnPool, NetClientConfig, PoolStats};
+pub use proxy::{NetProxyConfig, ProxyConnLog};
 pub use reactor::{
-    AsyncListener, DriveOutput, DriveSpec, ExchangeOutput, ExchangeSpec, Job, JobOutput,
-    ListenerId, Reactor, ReactorStats,
+    AsyncListener, DriveOutput, DriveSpec, ExchangeOutput, ExchangeSpec, FaultEffect, Job,
+    JobOutput, ListenerId, Reactor, ReactorStats, SendMode,
 };
-pub use server::{ConnectionLog, NetServer, NetServerConfig, ServerFault, Teardown};
-pub use testbed::AsyncTestbed;
+pub use server::{ConnectionLog, NetServerConfig, ServerFault, Teardown};
+pub use testbed::{AsyncTestbed, FrontTestbed};
 pub use timeout::{io_timeout, stall_observe_timeout, DEFAULT_IO_TIMEOUT, IO_TIMEOUT_ENV};

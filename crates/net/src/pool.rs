@@ -1,10 +1,11 @@
-//! A blocking keep-alive connection pool.
+//! A blocking keep-alive client pool for live servers.
 //!
-//! The async reactor keeps its own warm pool inside the event loop; this
-//! type is the *blocking* counterpart for callers that drive framed
-//! request/response traffic from their own thread — `hdiff probe`'s
-//! catalog sweep reuses one pooled connection across every vector
-//! instead of paying connect setup per probe.
+//! The testbed's own traffic runs on the reactor (which keeps its own
+//! warm pool inside the event loop); this type is the client `hdiff
+//! probe <host:port>` points at a server the user names, driving framed
+//! request/response traffic from the calling thread. The catalog sweep
+//! reuses one pooled connection across every vector instead of paying
+//! connect setup per probe.
 //!
 //! Semantics:
 //!
@@ -23,10 +24,26 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::Duration;
 
 use hdiff_wire::{parse_response, ParsedResponse};
 
-use crate::client::NetClientConfig;
+use crate::timeout::io_timeout;
+
+/// Timeout configuration for a [`ConnPool`]'s connections.
+#[derive(Debug, Clone)]
+pub struct NetClientConfig {
+    /// Read timeout for every connection the pool opens.
+    pub read_timeout: Duration,
+    /// Write timeout for every connection the pool opens.
+    pub write_timeout: Duration,
+}
+
+impl Default for NetClientConfig {
+    fn default() -> NetClientConfig {
+        NetClientConfig { read_timeout: io_timeout(), write_timeout: io_timeout() }
+    }
+}
 
 /// Pool counters. `hits + misses` equals the number of connection
 /// claims: one per request plus one per stale-connection retry —
@@ -196,14 +213,17 @@ impl Drop for ConnPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{NetServer, NetServerConfig};
+    use crate::reactor::Reactor;
+    use crate::server::NetServerConfig;
     use hdiff_servers::ParserProfile;
 
     #[test]
     fn reuses_one_connection_across_requests() {
-        let server =
-            NetServer::spawn(ParserProfile::strict("wire"), NetServerConfig::default()).unwrap();
-        let mut pool = ConnPool::new(server.addr(), 2);
+        let reactor = Reactor::spawn().unwrap();
+        let server = reactor
+            .add_origin(ParserProfile::strict("wire"), NetServerConfig::default(), true)
+            .unwrap();
+        let mut pool = ConnPool::new(server.addr, 2);
         for _ in 0..3 {
             let r = pool.request(b"GET / HTTP/1.1\r\nHost: h\r\n\r\n").unwrap();
             assert_eq!(r.status.as_u16(), 200);
@@ -212,7 +232,7 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.misses, 1, "{stats:?}");
         assert_eq!(stats.hits, 2, "{stats:?}");
-        let logs = server.take_logs();
+        let logs = reactor.take_server_logs(server.id);
         assert_eq!(logs.len(), 1, "all three requests rode one connection");
         assert_eq!(logs[0].replies.len(), 3);
     }

@@ -1,49 +1,33 @@
-//! A forwarding proxy hop over real sockets.
+//! The proxy role's shared types.
 //!
-//! [`NetProxy`] accepts downstream (client) connections, parses the byte
-//! stream with the product's [`hdiff_servers::Proxy`] wrapper, and relays
-//! each forwarded message over a *fresh* upstream connection — so the
-//! upstream (normally a [`crate::NetEcho`]) learns exact message
-//! boundaries from connection boundaries, without parsing. Upstream
-//! responses are relayed back downstream verbatim.
+//! The proxy state machine lives in [`crate::reactor`]. It parses the
+//! client stream with the product's [`hdiff_servers::Proxy`] wrapper and
+//! relays each forwarded message over a *fresh* upstream connection —
+//! so the upstream (normally the echo) learns exact message boundaries
+//! from connection boundaries, without parsing. Upstream responses are
+//! relayed back downstream verbatim.
 //!
-//! Forward-stage fault effects are passed in as a pre-decided
-//! [`FaultDecision`] (the campaign thread owns the fault session); the
-//! byte-level effects — prefix cut, garbled octet, stalled (empty)
+//! A forward-stage fault arrives as a pre-decided
+//! [`hdiff_servers::fault::FaultDecision`] carried by the exchange job;
+//! its byte-level effects — prefix cut, garbled octet, stalled (empty)
 //! forward — are applied with the same `FaultDecision` methods the
 //! in-process path uses, so both transports forward identical damage.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
 use std::time::Duration;
 
-use hdiff_servers::fault::{FaultDecision, FaultKind};
-use hdiff_servers::{ForwardAction, ParserProfile, Proxy, ProxyResult};
+use hdiff_servers::ProxyResult;
 
-use crate::error::NetError;
-use crate::server::{incomplete_reason, Teardown, MAX_ACCEPT_ERRORS, MAX_MESSAGES};
+use crate::server::{Teardown, MAX_MESSAGES};
 use crate::timeout::io_timeout;
-
-/// Poison-tolerant lock over the append-only connection log (same
-/// rationale as the origin server's log lock).
-fn lock_logs(logs: &Mutex<Vec<ProxyConnLog>>) -> MutexGuard<'_, Vec<ProxyConnLog>> {
-    logs.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Configuration for one proxy listener.
 #[derive(Debug, Clone)]
 pub struct NetProxyConfig {
     /// Upstream address each forwarded message is relayed to.
     pub upstream: SocketAddr,
-    /// Per-read timeout on both the downstream and upstream side.
+    /// Read timeout on both the downstream and upstream side.
     pub read_timeout: Duration,
-    /// Per-write timeout.
-    pub write_timeout: Duration,
-    /// Pre-decided forward-stage fault for this hop, if any.
-    pub fault: Option<FaultDecision>,
     /// Pipelined-message cap per connection.
     pub max_messages: usize,
 }
@@ -52,13 +36,7 @@ impl NetProxyConfig {
     /// A default configuration forwarding to `upstream`, using the
     /// shared testbed timeout ([`crate::timeout::io_timeout`]).
     pub fn new(upstream: SocketAddr) -> NetProxyConfig {
-        NetProxyConfig {
-            upstream,
-            read_timeout: io_timeout(),
-            write_timeout: io_timeout(),
-            fault: None,
-            max_messages: MAX_MESSAGES,
-        }
+        NetProxyConfig { upstream, read_timeout: io_timeout(), max_messages: MAX_MESSAGES }
     }
 }
 
@@ -71,291 +49,4 @@ pub struct ProxyConnLog {
     pub results: Vec<ProxyResult>,
     /// How the downstream connection ended.
     pub teardown: Teardown,
-}
-
-/// A proxy profile listening on an ephemeral loopback port.
-#[derive(Debug)]
-pub struct NetProxy {
-    addr: SocketAddr,
-    logs: Arc<Mutex<Vec<ProxyConnLog>>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-    /// The product name served.
-    pub name: String,
-}
-
-impl NetProxy {
-    /// Binds `127.0.0.1:0` and starts proxying. Bind/spawn failures are
-    /// typed [`NetError`]s; transient accept failures are counted and
-    /// tolerated up to [`MAX_ACCEPT_ERRORS`] in a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profile` has no proxy behavior configured (same
-    /// contract as [`Proxy::new`]).
-    pub fn spawn(profile: ParserProfile, config: NetProxyConfig) -> Result<NetProxy, NetError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
-        let addr = listener.local_addr().map_err(NetError::bind)?;
-        let logs = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let name = profile.name.clone();
-        let proxy = Proxy::new(profile);
-        let thread = {
-            let logs = Arc::clone(&logs);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("net-proxy-{name}"))
-                .spawn(move || {
-                    let mut accept_errors = 0u32;
-                    while !stop.load(Ordering::SeqCst) {
-                        let stream = match listener.accept() {
-                            Ok((stream, _)) => stream,
-                            Err(_) => {
-                                hdiff_obs::count("net.accept.error", 1);
-                                accept_errors += 1;
-                                if accept_errors >= MAX_ACCEPT_ERRORS {
-                                    break;
-                                }
-                                continue;
-                            }
-                        };
-                        accept_errors = 0;
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        handle_connection(&proxy, &config, stream, &logs);
-                    }
-                })
-                .map_err(NetError::spawn)?
-        };
-        Ok(NetProxy { addr, logs, stop, thread: Some(thread), name })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Drains the accumulated connection logs.
-    pub fn take_logs(&self) -> Vec<ProxyConnLog> {
-        std::mem::take(&mut *lock_logs(&self.logs))
-    }
-
-    /// Stops the accept loop and joins the listener thread.
-    pub fn shutdown(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.addr);
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for NetProxy {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Relays one forwarded message over a fresh upstream connection and
-/// returns the upstream's raw response bytes.
-fn relay_upstream(config: &NetProxyConfig, bytes: &[u8]) -> std::io::Result<Vec<u8>> {
-    let mut up = TcpStream::connect(config.upstream)?;
-    up.set_read_timeout(Some(config.read_timeout))?;
-    up.set_write_timeout(Some(config.write_timeout))?;
-    up.write_all(bytes)?;
-    up.shutdown(Shutdown::Write)?;
-    let mut response = Vec::new();
-    up.read_to_end(&mut response)?;
-    Ok(response)
-}
-
-/// Runs one downstream connection. The log is pushed *before* the stream
-/// is closed, so a client that observed EOF observes the complete log.
-fn handle_connection(
-    proxy: &Proxy,
-    config: &NetProxyConfig,
-    mut stream: TcpStream,
-    logs: &Mutex<Vec<ProxyConnLog>>,
-) {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let _ = stream.set_nodelay(true);
-
-    let mut buf: Vec<u8> = Vec::new();
-    let mut pos = 0usize;
-    let mut results: Vec<ProxyResult> = Vec::new();
-    let mut eof = false;
-    let mut teardown = Teardown::Fin;
-
-    'conn: loop {
-        while results.len() < config.max_messages && pos < buf.len() {
-            let mut r = proxy.forward(&buf[pos..]);
-            let i = &r.interpretation;
-            let finalizable = eof
-                || if i.outcome.is_accept() {
-                    !(i.repaired_chunked && i.consumed >= buf.len() - pos)
-                } else {
-                    !incomplete_reason(i)
-                };
-            if !finalizable {
-                break; // wait for more bytes (or EOF)
-            }
-            let consumed = r.interpretation.consumed;
-            let rejected = matches!(r.action, ForwardAction::Rejected(_));
-            let mut drop_rest = false;
-
-            // Apply the pre-decided forward-stage fault to forwarded
-            // messages — byte-identically to the in-process path.
-            if let (Some(decision), ForwardAction::Forwarded(bytes)) = (config.fault, &r.action) {
-                match decision.kind {
-                    FaultKind::ConnReset => {
-                        let cut = decision.reset_point(bytes.len());
-                        r.action = ForwardAction::Forwarded(bytes[..cut].to_vec());
-                        drop_rest = true;
-                    }
-                    FaultKind::GarbleForward => {
-                        r.action = ForwardAction::Forwarded(decision.garble(bytes));
-                    }
-                    FaultKind::StallRead => {
-                        r.action = ForwardAction::Forwarded(Vec::new());
-                        drop_rest = true;
-                    }
-                    _ => {}
-                }
-            }
-
-            match &r.action {
-                ForwardAction::Forwarded(bytes) => {
-                    // A stalled forward sends nothing upstream and answers
-                    // nothing downstream; everything else is relayed.
-                    if !bytes.is_empty() {
-                        match relay_upstream(config, bytes) {
-                            Ok(response) => {
-                                if stream.write_all(&response).is_err() {
-                                    teardown = Teardown::Abort;
-                                    results.push(r);
-                                    break 'conn;
-                                }
-                            }
-                            Err(_) => {
-                                teardown = Teardown::Abort;
-                                results.push(r);
-                                break 'conn;
-                            }
-                        }
-                    }
-                }
-                ForwardAction::Rejected(response) => {
-                    let _ = stream.write_all(&response.to_bytes());
-                }
-            }
-
-            results.push(r);
-            if rejected || consumed == 0 || drop_rest {
-                if drop_rest {
-                    teardown = Teardown::Abort;
-                }
-                break 'conn;
-            }
-            pos += consumed;
-        }
-
-        if eof || results.len() >= config.max_messages {
-            break;
-        }
-
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => eof = true,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                teardown = Teardown::TimedOut;
-                break;
-            }
-            Err(_) => {
-                teardown = Teardown::Abort;
-                break;
-            }
-        }
-    }
-
-    lock_logs(logs).push(ProxyConnLog { results, teardown });
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::echo::NetEcho;
-    use hdiff_servers::profile::ProxyBehavior;
-
-    fn strict_proxy_profile() -> ParserProfile {
-        let mut p = ParserProfile::strict("strictproxy");
-        p.proxy = Some(ProxyBehavior::strict());
-        p
-    }
-
-    fn exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        s.write_all(bytes).unwrap();
-        s.shutdown(Shutdown::Write).unwrap();
-        let mut out = Vec::new();
-        let _ = s.read_to_end(&mut out);
-        out
-    }
-
-    #[test]
-    fn forwards_through_the_echo_and_matches_the_in_process_proxy() {
-        let echo = NetEcho::spawn(Duration::from_secs(1)).unwrap();
-        let proxy =
-            NetProxy::spawn(strict_proxy_profile(), NetProxyConfig::new(echo.addr())).unwrap();
-        let bytes = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n";
-        let raw = exchange(proxy.addr(), bytes);
-        assert!(String::from_utf8_lossy(&raw).starts_with("HTTP/1.1 200"), "{raw:?}");
-
-        let in_process = Proxy::new(strict_proxy_profile()).forward_stream(bytes);
-        let logs = proxy.take_logs();
-        assert_eq!(logs.len(), 1);
-        assert_eq!(logs[0].results, in_process);
-        assert_eq!(logs[0].teardown, Teardown::Fin);
-
-        // The echo received each forwarded message on its own connection.
-        let records = echo.take_records();
-        let expected: Vec<Vec<u8>> =
-            in_process.iter().filter_map(|r| r.action.forwarded().map(<[u8]>::to_vec)).collect();
-        assert_eq!(records, expected);
-    }
-
-    #[test]
-    fn rejection_answers_downstream_without_touching_upstream() {
-        let echo = NetEcho::spawn(Duration::from_secs(1)).unwrap();
-        let proxy =
-            NetProxy::spawn(strict_proxy_profile(), NetProxyConfig::new(echo.addr())).unwrap();
-        let raw = exchange(proxy.addr(), b"GET / HTTP/1.1\r\nHost : bad\r\n\r\n");
-        assert!(String::from_utf8_lossy(&raw).starts_with("HTTP/1.1 400"), "{raw:?}");
-        assert!(echo.take_records().is_empty());
-    }
-
-    #[test]
-    fn conn_reset_fault_forwards_a_prefix_and_aborts() {
-        let echo = NetEcho::spawn(Duration::from_secs(1)).unwrap();
-        let decision = FaultDecision { kind: FaultKind::ConnReset, salt: 99 };
-        let config = NetProxyConfig { fault: Some(decision), ..NetProxyConfig::new(echo.addr()) };
-        let proxy = NetProxy::spawn(strict_proxy_profile(), config).unwrap();
-        let bytes = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n";
-        exchange(proxy.addr(), bytes);
-        let logs = proxy.take_logs();
-        assert_eq!(logs[0].results.len(), 1, "drop-rest stops the stream");
-        assert_eq!(logs[0].teardown, Teardown::Abort);
-        let forwarded = logs[0].results[0].action.forwarded().unwrap();
-        let clean = Proxy::new(strict_proxy_profile()).forward(bytes);
-        let clean_bytes = clean.action.forwarded().unwrap();
-        assert_eq!(forwarded, &clean_bytes[..decision.reset_point(clean_bytes.len())]);
-        assert_eq!(echo.take_records(), vec![forwarded.to_vec()]);
-    }
 }

@@ -1,14 +1,13 @@
-//! The readiness-driven event loop behind the async transport.
+//! The readiness-driven event loop: the testbed's one socket
+//! implementation.
 //!
 //! One [`Reactor`] owns one epoll instance and one loop thread that
-//! multiplexes every socket the async testbed touches: origin/proxy/echo
-//! listeners, their accepted connections, upstream relay connections,
-//! and the client side of every in-flight exchange. Each connection is a
-//! small state machine ported line-for-line from the blocking handlers
-//! in [`crate::server`], [`crate::proxy`], [`crate::echo`], and
-//! [`crate::client`] — the parity the cross-transport consistency gate
-//! asserts comes from running the *same* parse/finalize/fault logic,
-//! just cooperatively instead of a thread per socket.
+//! multiplexes every socket the testbed touches: origin, proxy and
+//! responder listeners, their accepted connections, upstream relay
+//! connections, and the client side of every in-flight exchange. Each
+//! connection role is one small state machine, and the parity the
+//! cross-transport gates assert comes from running the sim's own
+//! parse/finalize/fault logic (`hdiff_servers`) inside them.
 //!
 //! Design points:
 //!
@@ -17,20 +16,38 @@
 //!   index and a generation counter so a recycled slot can never receive
 //!   a stale event. Handlers read/write until `WouldBlock`.
 //! * **Deadline wheel, not per-socket timeouts.** Sockets are
-//!   nonblocking; the per-read 500 ms budget of the blocking layer
-//!   becomes a [`wheel::Wheel`] entry re-armed on every read with
-//!   progress. Cancellation is a sequence-number bump: a superseded
-//!   entry stays armed until its instant and then fires as a no-op, so
-//!   the wheel holds at most one read timeout plus one tick of arms.
-//!   Every entry fires within one 16 ms tick after its instant, and the
-//!   `epoll_pwait` timeout is the time until the first occupied tick
-//!   ends (see the [`wheel`] module docs).
-//! * **Log-before-EOF ordering for free.** The blocking layer's
-//!   synchronization contract (a server pushes its connection log before
-//!   closing, a client that saw EOF sees the complete log) holds here
-//!   because server finalize and client EOF run on the same loop thread:
-//!   the close that produces the client's EOF readiness happens strictly
-//!   after the log was delivered.
+//!   nonblocking; the shared per-read timeout becomes a [`wheel::Wheel`]
+//!   entry re-armed on every read with progress. Cancellation is a
+//!   sequence-number bump: a superseded entry stays armed until its
+//!   instant and then fires as a no-op, so the wheel holds at most one
+//!   read timeout plus one tick of arms. Every entry fires within one
+//!   16 ms tick after its instant, and the `epoll_pwait` timeout is the
+//!   time until the first occupied tick ends (see the [`wheel`] module
+//!   docs).
+//! * **Log before EOF.** A server-side connection delivers its log to
+//!   the paired exchange *before* it closes, and server finalize and
+//!   client EOF run on the same loop thread, so a client that saw EOF
+//!   sees the complete log — no sleeps, no polling.
+//! * **Fault effects travel with the job.** An [`ExchangeSpec`] carries
+//!   an optional [`FaultEffect`]. Assigning the exchange registers a
+//!   pairing ticket (listener, client address) → (job, effect) before the
+//!   client writes a byte, so the accepted connection — fresh or warm —
+//!   reads the effect from the ticket when its first bytes arrive.
+//! * **Lingering close after a reject.** An origin that rejects a message
+//!   (the engine closes on error) flushes the response, stops parsing,
+//!   and keeps reading to the client's FIN, bounded by the read timeout,
+//!   before it delivers its log and closes. `bytes_in` therefore counts
+//!   every byte the client sent, whatever the TCP segmentation, and the
+//!   close never resets a connection with unread bytes. The
+//!   `max_messages` cap still closes at once: it is how a server hangs up
+//!   on a keep-alive client.
+//! * **Segmented sends stay separate writes.** An exchange in
+//!   [`SendMode::Segmented`] issues one `write` per segment, so partial
+//!   reads on the server side stay exercised.
+//! * **Responders.** One connection kind reads a whole connection to EOF
+//!   (or its read deadline), answers with a function of the bytes, and
+//!   closes: the Fig. 6 echo (no log) and the h2 downgrade fronts (an
+//!   [`H2FrontLog`] per connection).
 //! * **Warm connection pool.** `warm()` pre-opens idle connections per
 //!   listener address; an exchange submitted with `warm: true` claims
 //!   one (pool hit) instead of connecting (miss). A server-side close of
@@ -56,18 +73,18 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hdiff_servers::fault::FaultKind;
+use hdiff_servers::fault::{FaultDecision, FaultKind};
 use hdiff_servers::{
-    EchoServer, ForwardAction, ParserProfile, Proxy, ProxyResult, Server, ServerReply,
+    DowngradeProfile, EchoServer, ForwardAction, ParserProfile, Proxy, ProxyResult, Server,
+    ServerReply,
 };
 use hdiff_wire::parse_response;
 
-use crate::client::SendMode;
 use crate::error::NetError;
+use crate::h2front::{self, H2FrontLog};
 use crate::proxy::{NetProxyConfig, ProxyConnLog};
 use crate::server::{
-    apply_reply_fault, incomplete_reason, is_final, ConnectionLog, NetServerConfig, ServerFault,
-    Teardown,
+    apply_reply_fault, is_final, ConnectionLog, NetServerConfig, ServerFault, Teardown,
 };
 
 use sys::{Epoll, EpollEvent, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -80,7 +97,7 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// docs: must stay below the listen backlog).
 const CONNECT_BURST: usize = 64;
 
-/// Read chunk size, matching the blocking handlers.
+/// Read chunk size.
 const CHUNK: usize = 4096;
 
 /// Idle epoll wait cap when no deadline is armed.
@@ -101,6 +118,30 @@ pub struct AsyncListener {
     pub id: ListenerId,
 }
 
+/// How an exchange puts its request bytes on the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SendMode {
+    /// One write of the whole stream.
+    Whole,
+    /// Split the stream at the given byte offsets (ascending), one
+    /// `write` per segment — exercises partial-read paths.
+    Segmented(Vec<usize>),
+    /// Send only the first `n` bytes, then FIN — models a client (or a
+    /// mid-stream reset) that never delivers the rest.
+    TruncateAt(usize),
+}
+
+/// A fault effect an exchange job carries to the connection it pairs
+/// with. The campaign decides faults on its own thread; the job carries
+/// only the effect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultEffect {
+    /// Applied by a paired origin connection.
+    Origin(ServerFault),
+    /// Applied by a paired proxy connection to every message it forwards.
+    Forward(FaultDecision),
+}
+
 /// One unit of client work submitted to the loop.
 #[derive(Debug, Clone)]
 pub enum Job {
@@ -119,13 +160,30 @@ pub struct ExchangeSpec {
     pub bytes: Vec<u8>,
     /// How the bytes go on the wire.
     pub mode: SendMode,
-    /// Read deadline (re-armed on progress), mirroring the blocking
-    /// client's per-read timeout.
+    /// Read deadline, re-armed on progress.
     pub read_timeout: Duration,
     /// Listener whose connection log this exchange collects, if any.
     pub pair: Option<ListenerId>,
+    /// Fault effect the paired connection applies (needs `pair`).
+    pub fault: Option<FaultEffect>,
     /// Claim a pre-warmed pool connection when one is available.
     pub warm: bool,
+}
+
+impl ExchangeSpec {
+    /// A fault-free exchange of `bytes` against `listener`, paired with
+    /// it, on a fresh connection, under the shared read timeout.
+    pub fn paired(listener: &AsyncListener, bytes: &[u8], mode: SendMode) -> ExchangeSpec {
+        ExchangeSpec {
+            addr: listener.addr,
+            bytes: bytes.to_vec(),
+            mode,
+            read_timeout: crate::timeout::io_timeout(),
+            pair: Some(listener.id),
+            fault: None,
+            warm: false,
+        }
+    }
 }
 
 /// Parameters of one throughput drive.
@@ -156,6 +214,8 @@ pub struct ExchangeOutput {
     pub server_log: Option<ConnectionLog>,
     /// The paired proxy listener's connection log, when requested.
     pub proxy_log: Option<ProxyConnLog>,
+    /// The paired h2 front's connection log, when requested.
+    pub front_log: Option<H2FrontLog>,
     /// Wall time from job assignment to completion.
     pub rtt_ns: u64,
     /// Whether a warm pooled connection was claimed.
@@ -236,47 +296,41 @@ pub struct ReactorStats {
 // ---------------------------------------------------------------------------
 
 enum Cmd {
-    AddOrigin {
-        listener: TcpListener,
-        server: Server,
-        config: NetServerConfig,
-        record: bool,
-        name: String,
-        ack: Sender<ListenerId>,
-    },
-    AddProxy {
-        listener: TcpListener,
-        proxy: Proxy,
-        config: NetProxyConfig,
-        name: String,
-        ack: Sender<ListenerId>,
-    },
-    AddEcho {
-        listener: TcpListener,
-        read_timeout: Duration,
-        ack: Sender<ListenerId>,
-    },
-    Warm {
-        addr: SocketAddr,
-        depth: usize,
-        ack: Sender<()>,
-    },
-    Submit {
-        jobs: Vec<Job>,
-        done: Sender<Vec<JobOutput>>,
-    },
-    TakeServerLogs {
-        id: ListenerId,
-        ack: Sender<Vec<ConnectionLog>>,
-    },
-    TakeProxyLogs {
-        id: ListenerId,
-        ack: Sender<Vec<ProxyConnLog>>,
-    },
-    Stats {
-        ack: Sender<ReactorStats>,
-    },
+    Listen { listener: TcpListener, role: Role, ack: Sender<ListenerId> },
+    Warm { addr: SocketAddr, depth: usize, ack: Sender<()> },
+    Submit { jobs: Vec<Job>, done: Sender<Vec<JobOutput>> },
+    TakeServerLogs { id: ListenerId, ack: Sender<Vec<ConnectionLog>> },
+    Stats { ack: Sender<ReactorStats> },
     Shutdown,
+}
+
+/// What a new listener serves.
+enum Role {
+    Origin { server: Server, config: NetServerConfig, record: bool },
+    Proxy { proxy: Proxy, config: NetProxyConfig },
+    Responder { respond: Respond, read_timeout: Duration },
+}
+
+/// What a responder connection answers once it has read its whole
+/// connection.
+enum Respond {
+    /// The Fig. 6 echo: a 200 carrying the bytes back; keeps no log.
+    Echo,
+    /// An h2 downgrade front: h2 responses echoing each request's h1
+    /// translation, plus an [`H2FrontLog`] for the paired exchange.
+    H2Front(DowngradeProfile),
+}
+
+impl Respond {
+    fn answer(&self, bytes: &[u8]) -> (Vec<u8>, Option<H2FrontLog>) {
+        match self {
+            Respond::Echo => (EchoServer::echo(bytes).to_bytes(), None),
+            Respond::H2Front(front) => {
+                let (out, log) = h2front::serve(front, bytes);
+                (out, Some(log))
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -288,33 +342,36 @@ struct OriginListener {
     server: Rc<Server>,
     config: Rc<NetServerConfig>,
     record: bool,
+    /// Logs of connections no exchange paired with.
     logs: Vec<ConnectionLog>,
-    #[allow(dead_code)]
-    name: String,
 }
 
 struct ProxyListener {
     listener: TcpListener,
     proxy: Rc<Proxy>,
     config: Rc<NetProxyConfig>,
-    logs: Vec<ProxyConnLog>,
-    #[allow(dead_code)]
-    name: String,
 }
 
-struct EchoListener {
+struct ResponderListener {
     listener: TcpListener,
+    respond: Rc<Respond>,
     read_timeout: Duration,
 }
 
-/// Origin-side fault phase for the two whole-connection faults.
+/// Where an origin connection is in its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OriginFaultPhase {
-    /// No whole-connection fault; run the normal parse loop.
-    None,
-    /// `CloseNoReply`: waiting for the first bytes, then abort.
-    AwaitAbort,
-    /// `Stall`: log already pushed, draining quietly until EOF.
+enum OriginPhase {
+    /// Accepted, nothing read yet: the paired job's fault effect is read
+    /// when the first bytes (or EOF) arrive.
+    Awaiting,
+    /// Parsing and answering messages.
+    Serving,
+    /// Rejected a message: flushing the response and reading, without
+    /// parsing, until the client's FIN.
+    Lingering,
+    /// Flushing the last responses, then closing.
+    Closing,
+    /// Stall fault: log delivered, draining quietly until EOF.
     Stalling,
 }
 
@@ -333,9 +390,8 @@ struct OriginConn {
     teardown: Teardown,
     out: Vec<u8>,
     out_pos: usize,
-    closing: bool,
+    phase: OriginPhase,
     finalized: bool,
-    fault_phase: OriginFaultPhase,
     seq: u64,
 }
 
@@ -375,8 +431,11 @@ struct UpstreamConn {
     seq: u64,
 }
 
-struct EchoConn {
+struct ResponderConn {
     stream: TcpStream,
+    respond: Rc<Respond>,
+    owner: usize,
+    peer: SocketAddr,
     buf: Vec<u8>,
     out: Vec<u8>,
     out_pos: usize,
@@ -388,6 +447,8 @@ struct ExchangeState {
     batch: usize,
     job: usize,
     out: Vec<u8>,
+    /// Offsets that end each write but the last (see [`SendMode`]).
+    cuts: Vec<usize>,
     out_pos: usize,
     fin_sent: bool,
     resp: Vec<u8>,
@@ -395,7 +456,8 @@ struct ExchangeState {
     started: Instant,
     reused: bool,
     retried: bool,
-    pair: Option<usize>,
+    /// The pairing ticket's key, when the exchange is paired.
+    ticket: Option<(usize, SocketAddr)>,
     /// Original spec kept for the stale-connection retry.
     spec: ExchangeSpec,
 }
@@ -435,11 +497,11 @@ struct ClientConn {
 enum Entry {
     OriginListener(OriginListener),
     ProxyListener(ProxyListener),
-    EchoListener(EchoListener),
+    ResponderListener(ResponderListener),
     Origin(OriginConn),
     ProxyDown(Box<ProxyConn>),
     Upstream(UpstreamConn),
-    EchoConn(EchoConn),
+    Responder(ResponderConn),
     Client(ClientConn),
 }
 
@@ -448,12 +510,27 @@ struct Slot {
     entry: Option<Entry>,
 }
 
+/// A paired exchange's claim on the server-side connection its client
+/// opened: where that connection's log goes, and the fault effect it
+/// applies.
+struct Ticket {
+    batch: usize,
+    job: usize,
+    fault: Option<FaultEffect>,
+}
+
+/// A server-side connection log on its way to a paired exchange.
+enum PairedLog {
+    Server(ConnectionLog),
+    Proxy(ProxyConnLog),
+    Front(H2FrontLog),
+}
+
 struct BatchState {
     outputs: Vec<Option<JobOutput>>,
     remaining: usize,
     done: Sender<Vec<JobOutput>>,
-    pending_server_logs: HashMap<usize, ConnectionLog>,
-    pending_proxy_logs: HashMap<usize, ProxyConnLog>,
+    pending_logs: HashMap<usize, PairedLog>,
 }
 
 enum ConnectIntent {
@@ -517,16 +594,36 @@ fn drain_write(stream: &mut TcpStream, out: &[u8], pos: &mut usize) -> WriteOutc
     WriteOutcome::Flushed
 }
 
-/// Flattens a [`SendMode`] into the exact bytes an exchange puts on the
-/// wire. Segment boundaries are not reproduced as separate writes: the
-/// blocking client emits its segments back-to-back with no pauses, so
-/// coalescing is already possible there, and the servers' finalization
-/// rule (`is_final`) makes outcomes depend only on the total stream.
-fn mode_bytes(bytes: &[u8], mode: &SendMode) -> Vec<u8> {
+/// The exact bytes an exchange puts on the wire, and the offsets that
+/// end each of its writes but the last.
+fn mode_bytes(bytes: &[u8], mode: &SendMode) -> (Vec<u8>, Vec<usize>) {
     match mode {
-        SendMode::Whole | SendMode::Segmented(_) => bytes.to_vec(),
-        SendMode::TruncateAt(n) => bytes[..(*n).min(bytes.len())].to_vec(),
+        SendMode::Whole => (bytes.to_vec(), Vec::new()),
+        SendMode::Segmented(offsets) => {
+            let mut cuts: Vec<usize> = Vec::new();
+            for &off in offsets {
+                let off = off.min(bytes.len());
+                if off > cuts.last().copied().unwrap_or(0) {
+                    cuts.push(off);
+                }
+            }
+            (bytes.to_vec(), cuts)
+        }
+        SendMode::TruncateAt(n) => (bytes[..(*n).min(bytes.len())].to_vec(), Vec::new()),
     }
+}
+
+/// Writes an exchange's pending bytes, one `write` run per segment.
+fn write_segments(stream: &mut TcpStream, state: &mut ExchangeState) -> WriteOutcome {
+    while state.out_pos < state.out.len() {
+        let end =
+            state.cuts.iter().copied().find(|&cut| cut > state.out_pos).unwrap_or(state.out.len());
+        match drain_write(stream, &state.out[..end], &mut state.out_pos) {
+            WriteOutcome::Flushed => {}
+            other => return other,
+        }
+    }
+    WriteOutcome::Flushed
 }
 
 struct EventLoop {
@@ -539,7 +636,8 @@ struct EventLoop {
     next_seq: u64,
     batches: Vec<Option<BatchState>>,
     free_batches: Vec<usize>,
-    tickets: HashMap<(usize, SocketAddr), (usize, usize)>,
+    /// Pairing tickets by (listener slab idx, client local address).
+    tickets: HashMap<(usize, SocketAddr), Ticket>,
     /// Idle pooled connections per address, as (slab idx, generation).
     warm: HashMap<SocketAddr, VecDeque<(usize, u32)>>,
     /// Registered pool depth per address.
@@ -667,37 +765,33 @@ impl EventLoop {
 
     fn handle_cmd(&mut self, cmd: Cmd) {
         match cmd {
-            Cmd::AddOrigin { listener, server, config, record, name, ack } => {
+            Cmd::Listen { listener, role, ack } => {
                 let _ = listener.set_nonblocking(true);
                 let fd = listener.as_raw_fd();
-                let idx = self.insert(Entry::OriginListener(OriginListener {
-                    listener,
-                    server: Rc::new(server),
-                    config: Rc::new(config),
-                    record,
-                    logs: Vec::new(),
-                    name,
-                }));
-                let _ = self.register(fd, idx);
-                let _ = ack.send(ListenerId(self.token(idx)));
-            }
-            Cmd::AddProxy { listener, proxy, config, name, ack } => {
-                let _ = listener.set_nonblocking(true);
-                let fd = listener.as_raw_fd();
-                let idx = self.insert(Entry::ProxyListener(ProxyListener {
-                    listener,
-                    proxy: Rc::new(proxy),
-                    config: Rc::new(config),
-                    logs: Vec::new(),
-                    name,
-                }));
-                let _ = self.register(fd, idx);
-                let _ = ack.send(ListenerId(self.token(idx)));
-            }
-            Cmd::AddEcho { listener, read_timeout, ack } => {
-                let _ = listener.set_nonblocking(true);
-                let fd = listener.as_raw_fd();
-                let idx = self.insert(Entry::EchoListener(EchoListener { listener, read_timeout }));
+                let entry = match role {
+                    Role::Origin { server, config, record } => {
+                        Entry::OriginListener(OriginListener {
+                            listener,
+                            server: Rc::new(server),
+                            config: Rc::new(config),
+                            record,
+                            logs: Vec::new(),
+                        })
+                    }
+                    Role::Proxy { proxy, config } => Entry::ProxyListener(ProxyListener {
+                        listener,
+                        proxy: Rc::new(proxy),
+                        config: Rc::new(config),
+                    }),
+                    Role::Responder { respond, read_timeout } => {
+                        Entry::ResponderListener(ResponderListener {
+                            listener,
+                            respond: Rc::new(respond),
+                            read_timeout,
+                        })
+                    }
+                };
+                let idx = self.insert(entry);
                 let _ = self.register(fd, idx);
                 let _ = ack.send(ListenerId(self.token(idx)));
             }
@@ -711,22 +805,9 @@ impl EventLoop {
             }
             Cmd::Submit { jobs, done } => self.handle_submit(jobs, done),
             Cmd::TakeServerLogs { id, ack } => {
-                let logs = match self.resolve(id) {
-                    Some(idx) => match self.slab[idx].entry.as_mut() {
-                        Some(Entry::OriginListener(l)) => std::mem::take(&mut l.logs),
-                        _ => Vec::new(),
-                    },
-                    None => Vec::new(),
-                };
-                let _ = ack.send(logs);
-            }
-            Cmd::TakeProxyLogs { id, ack } => {
-                let logs = match self.resolve(id) {
-                    Some(idx) => match self.slab[idx].entry.as_mut() {
-                        Some(Entry::ProxyListener(l)) => std::mem::take(&mut l.logs),
-                        _ => Vec::new(),
-                    },
-                    None => Vec::new(),
+                let logs = match self.resolve(id).and_then(|idx| self.slab[idx].entry.as_mut()) {
+                    Some(Entry::OriginListener(l)) => std::mem::take(&mut l.logs),
+                    _ => Vec::new(),
                 };
                 let _ = ack.send(logs);
             }
@@ -761,8 +842,7 @@ impl EventLoop {
             outputs: vec![None; jobs.len()],
             remaining: jobs.len(),
             done,
-            pending_server_logs: HashMap::new(),
-            pending_proxy_logs: HashMap::new(),
+            pending_logs: HashMap::new(),
         });
         if jobs.is_empty() {
             self.finish_batch_if_done(batch);
@@ -817,7 +897,9 @@ impl EventLoop {
         }
     }
 
-    /// Converts a connected client slot into a running exchange.
+    /// Converts a connected client slot into a running exchange. The
+    /// pairing ticket is registered here, before the client writes, so
+    /// the server side finds it with the first bytes.
     fn assign_exchange(
         &mut self,
         idx: usize,
@@ -827,13 +909,20 @@ impl EventLoop {
         reused: bool,
         retried: bool,
     ) {
-        let pair = spec.pair.and_then(|id| self.resolve(id));
+        let Some(Entry::Client(c)) = self.slab[idx].entry.as_ref() else { return };
+        let owner = spec.pair.and_then(|id| self.resolve(id));
+        let ticket = owner.zip(c.stream.local_addr().ok());
+        if let Some(key) = ticket {
+            self.tickets.insert(key, Ticket { batch, job, fault: spec.fault });
+        }
         let seq = self.next_seq();
         let read_timeout = spec.read_timeout;
+        let (out, cuts) = mode_bytes(&spec.bytes, &spec.mode);
         let state = ExchangeState {
             batch,
             job,
-            out: mode_bytes(&spec.bytes, &spec.mode),
+            out,
+            cuts,
             out_pos: 0,
             fin_sent: false,
             resp: Vec::new(),
@@ -841,15 +930,12 @@ impl EventLoop {
             started: Instant::now(),
             reused,
             retried,
-            pair,
+            ticket,
             spec,
         };
         if let Some(Entry::Client(c)) = self.slab[idx].entry.as_mut() {
             c.kind = ClientKind::Exchange(Box::new(state));
             c.seq = seq;
-            if let (Some(owner), Ok(local)) = (pair, c.stream.local_addr()) {
-                self.tickets.insert((owner, local), (batch, job));
-            }
         }
         self.arm(idx, seq, read_timeout);
         self.agenda.push_back(Wake::Resume(idx));
@@ -909,9 +995,6 @@ impl EventLoop {
                     return; // pool refilled by a competing intent
                 }
                 if let Ok(idx) = self.open(addr) {
-                    if let Some(Entry::Client(c)) = self.slab[idx].entry.as_mut() {
-                        c.kind = ClientKind::Idle { addr };
-                    }
                     let gen = self.slab[idx].gen;
                     self.warm.entry(addr).or_default().push_back((idx, gen));
                     if self.warm_filled.get(&addr).copied().unwrap_or(false) {
@@ -985,30 +1068,31 @@ impl EventLoop {
         let Some(entry) = self.slab.get_mut(idx).and_then(|s| s.entry.take()) else {
             return;
         };
+        // A deadline entry superseded by a later re-arm fires as a no-op.
+        let live_deadline = |seq: u64| deadline_seq == Some(seq);
+        let stale_deadline = |seq: u64| deadline_seq.is_some_and(|s| s != seq);
         let keep = match entry {
-            Entry::OriginListener(mut l) => {
-                self.accept_origin(idx, &mut l);
+            Entry::OriginListener(l) => {
+                self.accept_origin(idx, &l);
                 self.slab[idx].entry = Some(Entry::OriginListener(l));
                 return;
             }
-            Entry::ProxyListener(mut l) => {
-                self.accept_proxy(idx, &mut l);
+            Entry::ProxyListener(l) => {
+                self.accept_proxy(idx, &l);
                 self.slab[idx].entry = Some(Entry::ProxyListener(l));
                 return;
             }
-            Entry::EchoListener(mut l) => {
-                self.accept_echo(&mut l);
-                self.slab[idx].entry = Some(Entry::EchoListener(l));
+            Entry::ResponderListener(l) => {
+                self.accept_responder(idx, &l);
+                self.slab[idx].entry = Some(Entry::ResponderListener(l));
                 return;
             }
             Entry::Origin(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
-                        self.stats.deadline_fires += 1;
-                        self.origin_deadline(&mut c)
-                    }
+                let keep = if stale_deadline(c.seq) {
+                    true
+                } else if live_deadline(c.seq) {
+                    self.stats.deadline_fires += 1;
+                    self.origin_deadline(&mut c)
                 } else {
                     self.origin_step(idx, &mut c)
                 };
@@ -1018,13 +1102,11 @@ impl EventLoop {
                 keep
             }
             Entry::ProxyDown(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
-                        self.stats.deadline_fires += 1;
-                        self.proxy_deadline(&mut c)
-                    }
+                let keep = if stale_deadline(c.seq) {
+                    true
+                } else if live_deadline(c.seq) {
+                    self.stats.deadline_fires += 1;
+                    self.proxy_deadline(&mut c)
                 } else if let Some(result) = relay {
                     self.proxy_relay_done(idx, &mut c, result)
                 } else {
@@ -1036,14 +1118,12 @@ impl EventLoop {
                 keep
             }
             Entry::Upstream(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
-                        self.stats.deadline_fires += 1;
-                        self.agenda.push_back(Wake::RelayDone(c.owner, Err(())));
-                        false
-                    }
+                let keep = if stale_deadline(c.seq) {
+                    true
+                } else if live_deadline(c.seq) {
+                    self.stats.deadline_fires += 1;
+                    self.agenda.push_back(Wake::RelayDone(c.owner, Err(())));
+                    false
                 } else {
                     self.upstream_step(&mut c)
                 };
@@ -1052,30 +1132,26 @@ impl EventLoop {
                 }
                 keep
             }
-            Entry::EchoConn(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
-                        self.stats.deadline_fires += 1;
-                        self.echo_deadline(&mut c)
-                    }
+            Entry::Responder(mut c) => {
+                let keep = if stale_deadline(c.seq) {
+                    true
+                } else if live_deadline(c.seq) {
+                    self.stats.deadline_fires += 1;
+                    self.responder_deadline(&mut c)
                 } else {
-                    self.echo_step(&mut c)
+                    self.responder_step(&mut c)
                 };
                 if keep {
-                    self.slab[idx].entry = Some(Entry::EchoConn(c));
+                    self.slab[idx].entry = Some(Entry::Responder(c));
                 }
                 keep
             }
             Entry::Client(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
-                        self.stats.deadline_fires += 1;
-                        self.client_deadline(&mut c)
-                    }
+                let keep = if stale_deadline(c.seq) {
+                    true
+                } else if live_deadline(c.seq) {
+                    self.stats.deadline_fires += 1;
+                    self.client_deadline(&mut c)
                 } else {
                     self.client_step(idx, &mut c)
                 };
@@ -1093,148 +1169,118 @@ impl EventLoop {
 
     // -- accept ----------------------------------------------------------
 
-    fn accept_origin(&mut self, owner: usize, l: &mut OriginListener) {
-        loop {
-            match l.listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    self.stats.conns_opened += 1;
-                    let fd = stream.as_raw_fd();
-                    let seq = self.next_seq();
-                    // Both whole-connection faults start by waiting for
-                    // the first bytes; which one applies is re-checked
-                    // when the wait ends.
-                    let fault_phase = match l.config.fault {
-                        Some(ServerFault::CloseNoReply) | Some(ServerFault::Stall) => {
-                            OriginFaultPhase::AwaitAbort
-                        }
-                        _ => OriginFaultPhase::None,
-                    };
-                    let read_timeout = l.config.read_timeout;
-                    let idx = self.insert(Entry::Origin(OriginConn {
-                        stream,
-                        server: Rc::clone(&l.server),
-                        config: Rc::clone(&l.config),
-                        record: l.record,
-                        owner,
-                        peer,
-                        buf: Vec::new(),
-                        pos: 0,
-                        replies: Vec::new(),
-                        bytes_out: 0,
-                        eof: false,
-                        teardown: Teardown::Fin,
-                        out: Vec::new(),
-                        out_pos: 0,
-                        closing: false,
-                        finalized: false,
-                        fault_phase,
-                        seq,
-                    }));
-                    let _ = self.register(fd, idx);
-                    self.arm(idx, seq, read_timeout);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+    /// Accepts every pending connection on `listener`; `entry` builds
+    /// each connection's slab entry (given the stream, its peer address
+    /// and its deadline sequence) and names its read timeout.
+    fn accept_each(
+        &mut self,
+        listener: &TcpListener,
+        mut entry: impl FnMut(TcpStream, SocketAddr, u64) -> (Entry, Duration),
+    ) {
+        while let Ok((stream, peer)) = listener.accept() {
+            let _ = stream.set_nonblocking(true);
+            let _ = stream.set_nodelay(true);
+            self.stats.conns_opened += 1;
+            let fd = stream.as_raw_fd();
+            let seq = self.next_seq();
+            let (e, read_timeout) = entry(stream, peer, seq);
+            let idx = self.insert(e);
+            let _ = self.register(fd, idx);
+            self.arm(idx, seq, read_timeout);
         }
     }
 
-    fn accept_proxy(&mut self, owner: usize, l: &mut ProxyListener) {
-        loop {
-            match l.listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    self.stats.conns_opened += 1;
-                    let fd = stream.as_raw_fd();
-                    let seq = self.next_seq();
-                    let read_timeout = l.config.read_timeout;
-                    let idx = self.insert(Entry::ProxyDown(Box::new(ProxyConn {
-                        stream,
-                        proxy: Rc::clone(&l.proxy),
-                        config: Rc::clone(&l.config),
-                        owner,
-                        peer,
-                        buf: Vec::new(),
-                        pos: 0,
-                        results: Vec::new(),
-                        eof: false,
-                        teardown: Teardown::Fin,
-                        out: Vec::new(),
-                        out_pos: 0,
-                        closing: false,
-                        relay: None,
-                        seq,
-                    })));
-                    let _ = self.register(fd, idx);
-                    self.arm(idx, seq, read_timeout);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
+    fn accept_origin(&mut self, owner: usize, l: &OriginListener) {
+        self.accept_each(&l.listener, |stream, peer, seq| {
+            let conn = OriginConn {
+                stream,
+                server: Rc::clone(&l.server),
+                config: Rc::clone(&l.config),
+                record: l.record,
+                owner,
+                peer,
+                buf: Vec::new(),
+                pos: 0,
+                replies: Vec::new(),
+                bytes_out: 0,
+                eof: false,
+                teardown: Teardown::Fin,
+                out: Vec::new(),
+                out_pos: 0,
+                phase: OriginPhase::Awaiting,
+                finalized: false,
+                seq,
+            };
+            (Entry::Origin(conn), l.config.read_timeout)
+        });
     }
 
-    fn accept_echo(&mut self, l: &mut EchoListener) {
-        loop {
-            match l.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    self.stats.conns_opened += 1;
-                    let fd = stream.as_raw_fd();
-                    let seq = self.next_seq();
-                    let read_timeout = l.read_timeout;
-                    let idx = self.insert(Entry::EchoConn(EchoConn {
-                        stream,
-                        buf: Vec::new(),
-                        out: Vec::new(),
-                        out_pos: 0,
-                        responded: false,
-                        seq,
-                    }));
-                    let _ = self.register(fd, idx);
-                    self.arm(idx, seq, read_timeout);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+    fn accept_proxy(&mut self, owner: usize, l: &ProxyListener) {
+        self.accept_each(&l.listener, |stream, peer, seq| {
+            let conn = ProxyConn {
+                stream,
+                proxy: Rc::clone(&l.proxy),
+                config: Rc::clone(&l.config),
+                owner,
+                peer,
+                buf: Vec::new(),
+                pos: 0,
+                results: Vec::new(),
+                eof: false,
+                teardown: Teardown::Fin,
+                out: Vec::new(),
+                out_pos: 0,
+                closing: false,
+                relay: None,
+                seq,
+            };
+            (Entry::ProxyDown(Box::new(conn)), l.config.read_timeout)
+        });
+    }
+
+    fn accept_responder(&mut self, owner: usize, l: &ResponderListener) {
+        self.accept_each(&l.listener, |stream, peer, seq| {
+            let conn = ResponderConn {
+                stream,
+                respond: Rc::clone(&l.respond),
+                owner,
+                peer,
+                buf: Vec::new(),
+                out: Vec::new(),
+                out_pos: 0,
+                responded: false,
+                seq,
+            };
+            (Entry::Responder(conn), l.read_timeout)
+        });
+    }
+
+    // -- pairing ---------------------------------------------------------
+
+    /// The fault effect the exchange paired with a server-side
+    /// connection carries, if any.
+    fn ticket_fault(&self, owner: usize, peer: SocketAddr) -> Option<FaultEffect> {
+        self.tickets.get(&(owner, peer)).and_then(|t| t.fault)
+    }
+
+    /// Delivers a connection log to its paired exchange. An origin log no
+    /// exchange paired with accumulates on its listener (see
+    /// [`Reactor::take_server_logs`]); other unpaired logs are dropped.
+    fn deliver_log(&mut self, owner: usize, peer: SocketAddr, log: PairedLog) {
+        if let Some(t) = self.tickets.remove(&(owner, peer)) {
+            if let Some(Some(b)) = self.batches.get_mut(t.batch) {
+                b.pending_logs.insert(t.job, log);
+                return;
             }
+        }
+        if let (Some(Entry::OriginListener(l)), PairedLog::Server(log)) =
+            (self.slab.get_mut(owner).and_then(|s| s.entry.as_mut()), log)
+        {
+            l.logs.push(log);
         }
     }
 
     // -- origin connection state machine ---------------------------------
-
-    /// Delivers an origin connection log to its paired exchange, or to
-    /// the listener's accumulated logs.
-    fn deliver_server_log(&mut self, owner: usize, peer: SocketAddr, log: ConnectionLog) {
-        if let Some((batch, job)) = self.tickets.remove(&(owner, peer)) {
-            if let Some(Some(b)) = self.batches.get_mut(batch) {
-                b.pending_server_logs.insert(job, log);
-                return;
-            }
-        }
-        if let Some(Entry::OriginListener(l)) =
-            self.slab.get_mut(owner).and_then(|s| s.entry.as_mut())
-        {
-            l.logs.push(log);
-        }
-    }
-
-    fn deliver_proxy_log(&mut self, owner: usize, peer: SocketAddr, log: ProxyConnLog) {
-        if let Some((batch, job)) = self.tickets.remove(&(owner, peer)) {
-            if let Some(Some(b)) = self.batches.get_mut(batch) {
-                b.pending_proxy_logs.insert(job, log);
-                return;
-            }
-        }
-        if let Some(Entry::ProxyListener(l)) =
-            self.slab.get_mut(owner).and_then(|s| s.entry.as_mut())
-        {
-            l.logs.push(log);
-        }
-    }
 
     fn origin_finalize(&mut self, c: &mut OriginConn) {
         if c.finalized {
@@ -1248,23 +1294,26 @@ impl EventLoop {
             bytes_out: c.bytes_out,
             teardown: c.teardown,
         };
-        self.deliver_server_log(c.owner, c.peer, log);
+        self.deliver_log(c.owner, c.peer, PairedLog::Server(log));
+    }
+
+    fn origin_fault(&self, c: &OriginConn) -> Option<ServerFault> {
+        match self.ticket_fault(c.owner, c.peer)? {
+            FaultEffect::Origin(fault) => Some(fault),
+            FaultEffect::Forward(_) => None,
+        }
     }
 
     /// Returns `true` to keep the connection alive.
     fn origin_step(&mut self, idx: usize, c: &mut OriginConn) -> bool {
-        match c.fault_phase {
-            OriginFaultPhase::AwaitAbort => return self.origin_fault_await(c),
-            OriginFaultPhase::Stalling => {
+        match c.phase {
+            OriginPhase::Stalling => {
                 // Drain quietly; close silently on EOF or error.
                 let mut sink = Vec::new();
                 return matches!(drain_read(&mut c.stream, &mut sink), ReadOutcome::More(_));
             }
-            OriginFaultPhase::None => {}
-        }
-
-        if c.closing {
-            return self.origin_flush_close(c);
+            OriginPhase::Closing => return self.origin_flush_close(c),
+            _ => {}
         }
 
         let mut progressed = false;
@@ -1273,81 +1322,82 @@ impl EventLoop {
             ReadOutcome::Eof => c.eof = true,
             ReadOutcome::Error => {
                 c.teardown = Teardown::Abort;
-                c.closing = true;
+                c.phase = OriginPhase::Closing;
             }
         }
 
-        if !c.closing {
+        if c.phase == OriginPhase::Awaiting && (!c.buf.is_empty() || c.eof) {
+            // The first bytes: a whole-connection fault starts now.
+            match self.origin_fault(c) {
+                Some(ServerFault::CloseNoReply) => {
+                    // Abort without a byte.
+                    c.teardown = Teardown::Abort;
+                    self.origin_finalize(c);
+                    return false;
+                }
+                Some(ServerFault::Stall) => {
+                    // Never reply: the log goes out before the stall, and
+                    // the socket stays open until the client gives up.
+                    c.teardown = Teardown::Stalled;
+                    self.origin_finalize(c);
+                    c.phase = OriginPhase::Stalling;
+                    return !c.eof;
+                }
+                _ => c.phase = OriginPhase::Serving,
+            }
+        }
+        if c.phase == OriginPhase::Serving {
             self.origin_parse(c);
-            if !c.closing && (c.eof || c.replies.len() >= c.config.max_messages) {
-                c.closing = true;
+            if c.phase == OriginPhase::Serving
+                && (c.eof || c.replies.len() >= c.config.max_messages)
+            {
+                c.phase = OriginPhase::Closing;
             }
         }
-
-        if c.closing {
+        if c.phase == OriginPhase::Lingering && c.eof {
+            c.phase = OriginPhase::Closing;
+        }
+        if c.phase == OriginPhase::Closing {
             return self.origin_flush_close(c);
         }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
+
+        match drain_write(&mut c.stream, &c.out, &mut c.out_pos) {
             WriteOutcome::Error => {
                 c.teardown = Teardown::Abort;
                 self.origin_finalize(c);
                 return false;
             }
-            WriteOutcome::Partial => c.out = out,
+            WriteOutcome::Partial => {}
             WriteOutcome::Flushed => {
-                c.out = Vec::new();
+                c.out.clear();
                 c.out_pos = 0;
             }
         }
         if progressed {
             c.seq = self.next_seq();
-            let t = c.config.read_timeout;
-            self.wheel.arm(Instant::now(), idx, c.seq, t);
+            self.arm(idx, c.seq, c.config.read_timeout);
         }
         true
     }
 
-    /// First-bytes wait shared by the two whole-connection faults.
-    fn origin_fault_await(&mut self, c: &mut OriginConn) -> bool {
-        let outcome = drain_read(&mut c.stream, &mut c.buf);
-        let got = !c.buf.is_empty() || matches!(outcome, ReadOutcome::Eof | ReadOutcome::Error);
-        if !got {
-            return true; // keep waiting for the first bytes
-        }
-        match c.config.fault {
-            Some(ServerFault::Stall) => {
-                c.teardown = Teardown::Stalled;
-                self.origin_finalize(c);
-                c.fault_phase = OriginFaultPhase::Stalling;
-                // Hold the socket open; the client's read deadline is the
-                // observation. EOF/error later closes silently.
-                !matches!(outcome, ReadOutcome::Eof | ReadOutcome::Error)
-            }
-            _ => {
-                // CloseNoReply: abort without a byte.
-                c.teardown = Teardown::Abort;
-                self.origin_finalize(c);
-                false
-            }
-        }
-    }
-
     fn origin_parse(&mut self, c: &mut OriginConn) {
+        let fault = self.origin_fault(c);
         while c.replies.len() < c.config.max_messages && c.pos < c.buf.len() {
             let reply = c.server.handle(&c.buf[c.pos..]);
-            if !is_final(&reply, c.buf.len() - c.pos, c.eof) {
-                break;
+            if !is_final(&reply.interpretation, c.buf.len() - c.pos, c.eof) {
+                break; // wait for more bytes (or EOF)
             }
             let consumed = reply.interpretation.consumed;
             let rejected = !reply.interpretation.outcome.is_accept();
-            let reply = apply_reply_fault(&c.server, c.config.fault, reply);
+            let reply = apply_reply_fault(&c.server, fault, reply);
             let wire = reply.response.to_bytes();
             c.out.extend_from_slice(&wire);
             c.bytes_out += wire.len();
             c.replies.push(reply);
             if rejected || consumed == 0 {
-                c.closing = true;
+                // The connection closes on error, like the engine — once
+                // the client's FIN arrives (see module docs).
+                c.phase = OriginPhase::Lingering;
                 break;
             }
             c.pos += consumed;
@@ -1355,17 +1405,13 @@ impl EventLoop {
     }
 
     fn origin_flush_close(&mut self, c: &mut OriginConn) -> bool {
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
+        match drain_write(&mut c.stream, &c.out, &mut c.out_pos) {
             WriteOutcome::Flushed => {
                 self.origin_finalize(c);
                 let _ = c.stream.shutdown(Shutdown::Both);
                 false
             }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
+            WriteOutcome::Partial => true,
             WriteOutcome::Error => {
                 c.teardown = Teardown::Abort;
                 self.origin_finalize(c);
@@ -1375,29 +1421,16 @@ impl EventLoop {
     }
 
     fn origin_deadline(&mut self, c: &mut OriginConn) -> bool {
-        match c.fault_phase {
-            OriginFaultPhase::Stalling => {
-                // The blocking stall loop exits on its own read timeout.
-                return false;
-            }
-            OriginFaultPhase::AwaitAbort => {
-                c.teardown = if matches!(c.config.fault, Some(ServerFault::Stall)) {
-                    Teardown::Stalled
-                } else {
-                    Teardown::Abort
-                };
+        match c.phase {
+            // The stalled connection's log went out when the stall began.
+            OriginPhase::Stalling => {}
+            // A close whose flush stalled past the read budget; give up.
+            OriginPhase::Closing => self.origin_finalize(c),
+            _ => {
+                c.teardown = Teardown::TimedOut;
                 self.origin_finalize(c);
-                return false;
             }
-            OriginFaultPhase::None => {}
         }
-        if c.closing {
-            // Mid-close flush stalled past the read budget; give up.
-            self.origin_finalize(c);
-            return false;
-        }
-        c.teardown = Teardown::TimedOut;
-        self.origin_finalize(c);
         false
     }
 
@@ -1418,59 +1451,59 @@ impl EventLoop {
         }
         if !c.closing && c.relay.is_none() {
             self.proxy_parse(idx, c);
-            if c.relay.is_none()
-                && !c.closing
-                && (c.eof || c.results.len() >= c.config.max_messages)
-            {
-                c.closing = true;
-            }
+            self.proxy_close_if_done(c);
         }
         if c.closing {
             return self.proxy_flush_close(c);
         }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
+        match drain_write(&mut c.stream, &c.out, &mut c.out_pos) {
             WriteOutcome::Error => {
                 c.teardown = Teardown::Abort;
                 self.proxy_finalize(c);
                 return false;
             }
-            WriteOutcome::Partial => c.out = out,
+            WriteOutcome::Partial => {}
             WriteOutcome::Flushed => {
-                c.out = Vec::new();
+                c.out.clear();
                 c.out_pos = 0;
             }
         }
         if progressed && c.relay.is_none() {
             c.seq = self.next_seq();
-            let t = c.config.read_timeout;
-            self.wheel.arm(Instant::now(), idx, c.seq, t);
+            self.arm(idx, c.seq, c.config.read_timeout);
         }
         true
     }
 
+    /// Starts closing once the stream is done: EOF or the message cap,
+    /// with no relay in flight.
+    fn proxy_close_if_done(&mut self, c: &mut ProxyConn) {
+        if c.relay.is_none() && !c.closing && (c.eof || c.results.len() >= c.config.max_messages) {
+            c.closing = true;
+        }
+    }
+
     fn proxy_parse(&mut self, idx: usize, c: &mut ProxyConn) {
+        let fault = match self.ticket_fault(c.owner, c.peer) {
+            Some(FaultEffect::Forward(decision)) => Some(decision),
+            _ => None,
+        };
         while c.relay.is_none()
             && !c.closing
             && c.results.len() < c.config.max_messages
             && c.pos < c.buf.len()
         {
             let mut r = c.proxy.forward(&c.buf[c.pos..]);
-            let i = &r.interpretation;
-            let finalizable = c.eof
-                || if i.outcome.is_accept() {
-                    !(i.repaired_chunked && i.consumed >= c.buf.len() - c.pos)
-                } else {
-                    !incomplete_reason(i)
-                };
-            if !finalizable {
-                break;
+            if !is_final(&r.interpretation, c.buf.len() - c.pos, c.eof) {
+                break; // wait for more bytes (or EOF)
             }
             let consumed = r.interpretation.consumed;
             let rejected = matches!(r.action, ForwardAction::Rejected(_));
             let mut drop_rest = false;
 
-            if let (Some(decision), ForwardAction::Forwarded(bytes)) = (c.config.fault, &r.action) {
+            // Apply the pre-decided forward-stage fault to forwarded
+            // messages — byte-identically to the in-process path.
+            if let (Some(decision), ForwardAction::Forwarded(bytes)) = (fault, &r.action) {
                 match decision.kind {
                     FaultKind::ConnReset => {
                         let cut = decision.reset_point(bytes.len());
@@ -1497,14 +1530,14 @@ impl EventLoop {
                         read_timeout: c.config.read_timeout,
                     });
                     // Suspend the downstream deadline for the relay's
-                    // duration, exactly like the blocking hop (which is
-                    // blocked inside `relay_upstream` and cannot time the
-                    // downstream side out).
+                    // duration; the upstream connection has its own.
                     c.seq = self.next_seq();
                     c.relay = Some(PendingRelay { result: r, consumed, rejected, drop_rest });
                     return;
                 }
                 ForwardAction::Forwarded(_) => {
+                    // A stalled forward sends nothing upstream and
+                    // answers nothing downstream.
                     c.results.push(r);
                     if drop_rest {
                         c.teardown = Teardown::Abort;
@@ -1532,55 +1565,38 @@ impl EventLoop {
         result: Result<Vec<u8>, ()>,
     ) -> bool {
         let Some(pending) = c.relay.take() else { return true };
-        match result {
-            Ok(response) => {
-                c.out.extend_from_slice(&response);
-                let rejected = pending.rejected;
-                let consumed = pending.consumed;
-                let drop_rest = pending.drop_rest;
-                c.results.push(pending.result);
-                if drop_rest {
-                    c.teardown = Teardown::Abort;
-                }
-                if rejected || consumed == 0 || drop_rest {
-                    c.closing = true;
-                } else {
-                    c.pos += consumed;
-                    c.seq = self.next_seq();
-                    let t = c.config.read_timeout;
-                    self.wheel.arm(Instant::now(), idx, c.seq, t);
-                    self.proxy_parse(idx, c);
-                    if c.relay.is_none()
-                        && !c.closing
-                        && (c.eof || c.results.len() >= c.config.max_messages)
-                    {
-                        c.closing = true;
-                    }
-                }
-            }
-            Err(()) => {
-                c.teardown = Teardown::Abort;
-                c.results.push(pending.result);
-                self.proxy_finalize(c);
-                return false;
-            }
+        let Ok(response) = result else {
+            c.teardown = Teardown::Abort;
+            c.results.push(pending.result);
+            self.proxy_finalize(c);
+            return false;
+        };
+        c.out.extend_from_slice(&response);
+        c.results.push(pending.result);
+        if pending.drop_rest {
+            c.teardown = Teardown::Abort;
+        }
+        if pending.rejected || pending.consumed == 0 || pending.drop_rest {
+            c.closing = true;
+        } else {
+            c.pos += pending.consumed;
+            c.seq = self.next_seq();
+            self.arm(idx, c.seq, c.config.read_timeout);
+            self.proxy_parse(idx, c);
+            self.proxy_close_if_done(c);
         }
         if c.closing {
             return self.proxy_flush_close(c);
         }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
+        match drain_write(&mut c.stream, &c.out, &mut c.out_pos) {
             WriteOutcome::Error => {
                 c.teardown = Teardown::Abort;
                 self.proxy_finalize(c);
                 false
             }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
+            WriteOutcome::Partial => true,
             WriteOutcome::Flushed => {
-                c.out = Vec::new();
+                c.out.clear();
                 c.out_pos = 0;
                 true
             }
@@ -1589,21 +1605,17 @@ impl EventLoop {
 
     fn proxy_finalize(&mut self, c: &mut ProxyConn) {
         let log = ProxyConnLog { results: std::mem::take(&mut c.results), teardown: c.teardown };
-        self.deliver_proxy_log(c.owner, c.peer, log);
+        self.deliver_log(c.owner, c.peer, PairedLog::Proxy(log));
     }
 
     fn proxy_flush_close(&mut self, c: &mut ProxyConn) -> bool {
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
+        match drain_write(&mut c.stream, &c.out, &mut c.out_pos) {
             WriteOutcome::Flushed => {
                 self.proxy_finalize(c);
                 let _ = c.stream.shutdown(Shutdown::Both);
                 false
             }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
+            WriteOutcome::Partial => true,
             WriteOutcome::Error => {
                 c.teardown = Teardown::Abort;
                 self.proxy_finalize(c);
@@ -1625,13 +1637,12 @@ impl EventLoop {
 
     fn upstream_step(&mut self, c: &mut UpstreamConn) -> bool {
         if !c.fin_sent {
-            let out = std::mem::take(&mut c.out);
-            match drain_write(&mut c.stream, &out, &mut c.out_pos) {
+            match drain_write(&mut c.stream, &c.out, &mut c.out_pos) {
                 WriteOutcome::Flushed => {
                     let _ = c.stream.shutdown(Shutdown::Write);
                     c.fin_sent = true;
                 }
-                WriteOutcome::Partial => c.out = out,
+                WriteOutcome::Partial => {}
                 WriteOutcome::Error => {
                     self.agenda.push_back(Wake::RelayDone(c.owner, Err(())));
                     return false;
@@ -1651,50 +1662,34 @@ impl EventLoop {
         }
     }
 
-    // -- echo connection -------------------------------------------------
+    // -- responder connection --------------------------------------------
 
-    fn echo_step(&mut self, c: &mut EchoConn) -> bool {
+    fn responder_step(&mut self, c: &mut ResponderConn) -> bool {
         if !c.responded {
-            match drain_read(&mut c.stream, &mut c.buf) {
-                ReadOutcome::More(_) => return true,
-                ReadOutcome::Eof | ReadOutcome::Error => {
-                    c.out = EchoServer::echo(&c.buf).to_bytes();
-                    c.responded = true;
-                }
+            if let ReadOutcome::More(_) = drain_read(&mut c.stream, &mut c.buf) {
+                return true;
             }
+            self.responder_answer(c);
         }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-            WriteOutcome::Flushed => {
-                let _ = c.stream.shutdown(Shutdown::Both);
-                false
-            }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
-            WriteOutcome::Error => false,
-        }
+        responder_flush(c)
     }
 
-    fn echo_deadline(&mut self, c: &mut EchoConn) -> bool {
-        // The blocking echo responds with whatever arrived before its
-        // read timeout; mirror that.
+    /// Answers whatever arrived before the read deadline.
+    fn responder_deadline(&mut self, c: &mut ResponderConn) -> bool {
         if !c.responded {
-            c.out = EchoServer::echo(&c.buf).to_bytes();
-            c.responded = true;
+            self.responder_answer(c);
         }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-            WriteOutcome::Flushed => {
-                let _ = c.stream.shutdown(Shutdown::Both);
-                false
-            }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
-            WriteOutcome::Error => false,
+        responder_flush(c)
+    }
+
+    /// Computes the answer and delivers the log, if the role keeps one,
+    /// before a byte of the answer is written.
+    fn responder_answer(&mut self, c: &mut ResponderConn) {
+        let (out, log) = c.respond.answer(&c.buf);
+        c.out = out;
+        c.responded = true;
+        if let Some(log) = log {
+            self.deliver_log(c.owner, c.peer, PairedLog::Front(log));
         }
     }
 
@@ -1711,7 +1706,9 @@ impl EventLoop {
                     _ => {
                         self.stats.pool_evictions += 1;
                         let addr = *addr;
-                        self.drop_idle_entry(addr, idx);
+                        if let Some(q) = self.warm.get_mut(&addr) {
+                            q.retain(|(i, _)| *i != idx);
+                        }
                         false
                     }
                 }
@@ -1721,39 +1718,30 @@ impl EventLoop {
         }
     }
 
-    fn drop_idle_entry(&mut self, addr: SocketAddr, idx: usize) {
-        if let Some(q) = self.warm.get_mut(&addr) {
-            q.retain(|(i, _)| *i != idx);
-        }
-    }
-
     fn exchange_step(&mut self, idx: usize, c: &mut ClientConn) -> bool {
         let ClientKind::Exchange(state) = &mut c.kind else { return true };
         if !state.fin_sent {
-            let out = std::mem::take(&mut state.out);
-            match drain_write(&mut c.stream, &out, &mut state.out_pos) {
+            match write_segments(&mut c.stream, state) {
                 WriteOutcome::Flushed => {
                     let _ = c.stream.shutdown(Shutdown::Write);
                     state.fin_sent = true;
                 }
-                WriteOutcome::Partial => state.out = out,
-                WriteOutcome::Error => {
-                    return self.exchange_done(c, ExchangeEnd::WriteError);
-                }
+                WriteOutcome::Partial => {}
+                WriteOutcome::Error => return self.exchange_done(c, ExchangeEnd::WriteError),
             }
         }
         let ClientKind::Exchange(state) = &mut c.kind else { return true };
-        let read_timeout = state.read_timeout;
         let progressed = match drain_read(&mut c.stream, &mut state.resp) {
             ReadOutcome::More(any) => any,
-            // The blocking client treats read errors as EOF.
+            // Read errors end the exchange like EOF.
             ReadOutcome::Eof | ReadOutcome::Error => {
                 return self.exchange_done(c, ExchangeEnd::Eof);
             }
         };
         if progressed {
+            let read_timeout = state.read_timeout;
             c.seq = self.next_seq();
-            self.wheel.arm(Instant::now(), idx, c.seq, read_timeout);
+            self.arm(idx, c.seq, read_timeout);
         }
         true
     }
@@ -1763,7 +1751,7 @@ impl EventLoop {
             ClientKind::Idle { .. } => true,
             ClientKind::Exchange(_) => {
                 // Take the exchange to completion with timed_out set.
-                self.exchange_complete(c, true);
+                self.exchange_complete(c, true, None);
                 false
             }
             ClientKind::Drive(_) => {
@@ -1777,61 +1765,49 @@ impl EventLoop {
         let ClientKind::Exchange(state) = &mut c.kind else { return true };
         // Stale pooled connection: the server closed it between claim
         // and use — no bytes, no log, nothing charged. Retry once fresh.
-        let log_pending = state.pair.is_some_and(|owner| match c.stream.local_addr() {
-            Ok(local) => self.tickets.contains_key(&(owner, local)),
-            Err(_) => false,
-        });
+        let log_pending = state.ticket.is_some_and(|key| self.tickets.contains_key(&key));
         if state.reused && !state.retried && state.resp.is_empty() && log_pending {
-            if let (Some(owner), Ok(local)) = (state.pair, c.stream.local_addr()) {
-                self.tickets.remove(&(owner, local));
+            if let Some(key) = state.ticket {
+                self.tickets.remove(&key);
             }
-            let batch = state.batch;
-            let job = state.job;
-            let spec = state.spec.clone();
+            let (batch, job, spec) = (state.batch, state.job, state.spec.clone());
             self.submit_exchange(batch, job, spec, true);
             return false;
         }
-        match end {
+        let error = match end {
             ExchangeEnd::WriteError => {
-                let err = Some(NetError::io(std::io::Error::other("write failed mid-exchange")));
-                self.exchange_complete_with(c, false, err);
+                Some(NetError::io(std::io::Error::other("write failed mid-exchange")))
             }
-            ExchangeEnd::Eof => self.exchange_complete(c, false),
-        }
+            ExchangeEnd::Eof => None,
+        };
+        self.exchange_complete(c, false, error);
         false
     }
 
-    fn exchange_complete(&mut self, c: &mut ClientConn, timed_out: bool) {
-        self.exchange_complete_with(c, timed_out, None);
-    }
-
-    fn exchange_complete_with(
-        &mut self,
-        c: &mut ClientConn,
-        timed_out: bool,
-        error: Option<NetError>,
-    ) {
+    fn exchange_complete(&mut self, c: &mut ClientConn, timed_out: bool, error: Option<NetError>) {
         let ClientKind::Exchange(state) = &mut c.kind else { return };
-        let batch = state.batch;
-        let job = state.job;
-        // Unregister a still-pending ticket so a late server log lands in
-        // the listener's accumulated logs instead of a dead batch slot.
-        let mut server_log = None;
-        let mut proxy_log = None;
-        if let Some(Some(b)) = self.batches.get_mut(batch) {
-            server_log = b.pending_server_logs.remove(&job);
-            proxy_log = b.pending_proxy_logs.remove(&job);
+        let (batch, job) = (state.batch, state.job);
+        // Drop a still-pending ticket, so a late log cannot land in
+        // whatever batch reuses this slot.
+        if let Some(key) = state.ticket {
+            self.tickets.remove(&key);
         }
-        let out = ExchangeOutput {
+        let mut out = ExchangeOutput {
             response: std::mem::take(&mut state.resp),
             timed_out,
             error,
-            server_log,
-            proxy_log,
             rtt_ns: state.started.elapsed().as_nanos() as u64,
             reused: state.reused,
             retried: state.retried,
+            ..ExchangeOutput::default()
         };
+        let log = self.batches.get_mut(batch).and_then(Option::as_mut);
+        match log.and_then(|b| b.pending_logs.remove(&job)) {
+            Some(PairedLog::Server(log)) => out.server_log = Some(log),
+            Some(PairedLog::Proxy(log)) => out.proxy_log = Some(log),
+            Some(PairedLog::Front(log)) => out.front_log = Some(log),
+            None => {}
+        }
         let _ = c.stream.shutdown(Shutdown::Both);
         self.complete(batch, job, JobOutput::Exchange(out));
     }
@@ -1841,15 +1817,12 @@ impl EventLoop {
         let mut progressed = false;
         loop {
             // Flush whatever is queued.
-            let out = std::mem::take(&mut state.out);
-            match drain_write(&mut c.stream, &out, &mut state.out_pos) {
+            match drain_write(&mut c.stream, &state.out, &mut state.out_pos) {
                 WriteOutcome::Flushed => {
-                    state.out = Vec::new();
+                    state.out.clear();
                     state.out_pos = 0;
                 }
-                WriteOutcome::Partial => {
-                    state.out = out;
-                }
+                WriteOutcome::Partial => {}
                 WriteOutcome::Error => {
                     self.drive_complete(c, false);
                     return false;
@@ -1879,7 +1852,7 @@ impl EventLoop {
         if progressed {
             let t = state.read_timeout;
             c.seq = self.next_seq();
-            self.wheel.arm(Instant::now(), idx, c.seq, t);
+            self.arm(idx, c.seq, t);
         }
         true
     }
@@ -1931,6 +1904,18 @@ enum ExchangeEnd {
     WriteError,
 }
 
+/// Writes a responder's answer, then closes; `true` while bytes remain.
+fn responder_flush(c: &mut ResponderConn) -> bool {
+    match drain_write(&mut c.stream, &c.out, &mut c.out_pos) {
+        WriteOutcome::Flushed => {
+            let _ = c.stream.shutdown(Shutdown::Both);
+            false
+        }
+        WriteOutcome::Partial => true,
+        WriteOutcome::Error => false,
+    }
+}
+
 /// Queues the next pipeline window of requests on a drive.
 fn refill_drive(state: &mut DriveState) {
     let window = (state.requests - state.sent).min(state.pipeline as u64);
@@ -1958,9 +1943,9 @@ fn drive_parse(state: &mut DriveState) {
 // The handle.
 // ---------------------------------------------------------------------------
 
-/// Handle to a running event loop. Cloneable operations go through an
-/// internal command queue plus a loopback wake byte; dropping the handle
-/// shuts the loop down and joins its thread.
+/// Handle to a running event loop. Operations go through an internal
+/// command queue plus a loopback wake byte; dropping the handle shuts
+/// the loop down and joins its thread.
 #[derive(Debug)]
 pub struct Reactor {
     cmds: Arc<Mutex<VecDeque<Cmd>>>,
@@ -1982,8 +1967,8 @@ impl std::fmt::Debug for Cmd {
 
 impl Reactor {
     /// Starts the loop thread. Fails with a typed error when the target
-    /// has no epoll backend (callers fall back to the blocking
-    /// transport) or when the wake channel cannot be established.
+    /// has no epoll backend or when the wake channel cannot be
+    /// established.
     pub fn spawn() -> Result<Reactor, NetError> {
         if !sys::supported() {
             return Err(NetError::spawn(std::io::Error::other(
@@ -2019,6 +2004,18 @@ impl Reactor {
         let _ = (&self.wake_tx).write(&[1u8]);
     }
 
+    /// Binds an ephemeral loopback port and hosts `role` on it.
+    fn listen(&self, name: String, role: Role) -> Result<AsyncListener, NetError> {
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
+        let addr = listener.local_addr().map_err(NetError::bind)?;
+        let (ack, rx) = channel();
+        self.send(Cmd::Listen { listener, role, ack });
+        let id = rx.recv().map_err(|_| {
+            NetError::spawn(std::io::Error::other("reactor loop gone while adding a listener"))
+        })?;
+        Ok(AsyncListener { name, addr, id })
+    }
+
     /// Hosts an origin server (a behavioral profile) on an ephemeral
     /// loopback port inside the loop. `record: false` drops per-reply
     /// accounting (bench mode — memory stays flat over millions of
@@ -2029,16 +2026,8 @@ impl Reactor {
         config: NetServerConfig,
         record: bool,
     ) -> Result<AsyncListener, NetError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
-        let addr = listener.local_addr().map_err(NetError::bind)?;
         let name = profile.name.clone();
-        let server = Server::new(profile);
-        let (ack, rx) = channel();
-        self.send(Cmd::AddOrigin { listener, server, config, record, name: name.clone(), ack });
-        let id = rx.recv().map_err(|_| {
-            NetError::spawn(std::io::Error::other("reactor loop gone during add_origin"))
-        })?;
-        Ok(AsyncListener { name, addr, id })
+        self.listen(name, Role::Origin { server: Server::new(profile), config, record })
     }
 
     /// Hosts a proxy hop inside the loop.
@@ -2052,31 +2041,28 @@ impl Reactor {
         profile: ParserProfile,
         config: NetProxyConfig,
     ) -> Result<AsyncListener, NetError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
-        let addr = listener.local_addr().map_err(NetError::bind)?;
         let name = profile.name.clone();
-        let proxy = Proxy::new(profile);
-        let (ack, rx) = channel();
-        self.send(Cmd::AddProxy { listener, proxy, config, name: name.clone(), ack });
-        let id = rx.recv().map_err(|_| {
-            NetError::spawn(std::io::Error::other("reactor loop gone during add_proxy"))
-        })?;
-        Ok(AsyncListener { name, addr, id })
+        self.listen(name, Role::Proxy { proxy: Proxy::new(profile), config })
     }
 
-    /// Hosts an echo origin inside the loop. It answers every forwarded
-    /// message with the message itself and keeps no record of it: the
-    /// forwarded bytes a campaign replays come from the proxy logs, so a
-    /// record list would only grow for as long as the loop runs.
+    /// Hosts an echo origin inside the loop. It reads each connection to
+    /// EOF (or `read_timeout`) and answers with the bytes in a 200,
+    /// keeping no record of them: the forwarded bytes a campaign replays
+    /// come from the proxy logs.
     pub fn add_echo(&self, read_timeout: Duration) -> Result<AsyncListener, NetError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
-        let addr = listener.local_addr().map_err(NetError::bind)?;
-        let (ack, rx) = channel();
-        self.send(Cmd::AddEcho { listener, read_timeout, ack });
-        let id = rx.recv().map_err(|_| {
-            NetError::spawn(std::io::Error::other("reactor loop gone during add_echo"))
-        })?;
-        Ok(AsyncListener { name: "echo".to_string(), addr, id })
+        self.listen("echo".to_string(), Role::Responder { respond: Respond::Echo, read_timeout })
+    }
+
+    /// Hosts an HTTP/2 downgrade front inside the loop (see
+    /// [`crate::h2front`]). A paired exchange receives the connection's
+    /// [`H2FrontLog`].
+    pub fn add_h2_front(
+        &self,
+        front: DowngradeProfile,
+        read_timeout: Duration,
+    ) -> Result<AsyncListener, NetError> {
+        let name = front.name.clone();
+        self.listen(name, Role::Responder { respond: Respond::H2Front(front), read_timeout })
     }
 
     /// Registers `addr` for keep-alive pooling at `depth` pre-opened
@@ -2096,26 +2082,13 @@ impl Reactor {
         rx.recv().unwrap_or_default()
     }
 
-    /// Drains connection logs accumulated by an origin listener outside
-    /// of paired exchanges.
+    /// Drains the logs of an origin listener's connections that no
+    /// exchange paired with (for example those of an outside keep-alive
+    /// client such as [`crate::ConnPool`]).
     pub fn take_server_logs(&self, id: ListenerId) -> Vec<ConnectionLog> {
         let (ack, rx) = channel();
         self.send(Cmd::TakeServerLogs { id, ack });
         rx.recv().unwrap_or_default()
-    }
-
-    /// Drains connection logs accumulated by a proxy listener outside of
-    /// paired exchanges.
-    pub fn take_proxy_logs(&self, id: ListenerId) -> Vec<ProxyConnLog> {
-        let (ack, rx) = channel();
-        self.send(Cmd::TakeProxyLogs { id, ack });
-        rx.recv().unwrap_or_default()
-    }
-
-    /// The forwarded messages an echo listener recorded: always empty,
-    /// since the loop's echo keeps no records (see [`Reactor::add_echo`]).
-    pub fn take_echo_records(&self, _id: ListenerId) -> Vec<Vec<u8>> {
-        Vec::new()
     }
 
     /// Snapshot of the loop-side counters.
@@ -2140,29 +2113,38 @@ mod tests {
     use super::*;
     use crate::timeout::{io_timeout, stall_observe_timeout};
     use hdiff_servers::ParserProfile;
+    use hdiff_wire::StatusCode;
 
-    fn exchange(reactor: &Reactor, l: &AsyncListener, bytes: &[u8]) -> ExchangeOutput {
-        exchange_with_timeout(reactor, l, bytes, io_timeout())
+    fn job(l: &AsyncListener, bytes: &[u8], mode: SendMode, fault: Option<FaultEffect>) -> Job {
+        Job::Exchange(ExchangeSpec { fault, ..ExchangeSpec::paired(l, bytes, mode) })
     }
 
-    fn exchange_with_timeout(
-        reactor: &Reactor,
-        l: &AsyncListener,
-        bytes: &[u8],
-        read_timeout: Duration,
-    ) -> ExchangeOutput {
-        let outs = reactor.run(vec![Job::Exchange(ExchangeSpec {
-            addr: l.addr,
-            bytes: bytes.to_vec(),
-            mode: SendMode::Whole,
-            read_timeout,
-            pair: Some(l.id),
-            warm: false,
-        })]);
-        match outs.into_iter().next() {
+    fn exchange(reactor: &Reactor, job: Job) -> ExchangeOutput {
+        match reactor.run(vec![job]).into_iter().next() {
             Some(JobOutput::Exchange(e)) => e,
             other => panic!("expected exchange output, got {other:?}"),
         }
+    }
+
+    fn strict_origin(reactor: &Reactor) -> AsyncListener {
+        reactor.add_origin(ParserProfile::strict("wire"), NetServerConfig::default(), true).unwrap()
+    }
+
+    #[test]
+    fn serves_a_simple_request() {
+        let reactor = Reactor::spawn().unwrap();
+        let l = strict_origin(&reactor);
+        let ex = exchange(
+            &reactor,
+            job(&l, b"GET /x HTTP/1.1\r\nHost: h1.com\r\n\r\n", SendMode::Whole, None),
+        );
+        let text = String::from_utf8_lossy(&ex.response);
+        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+        assert!(text.contains("host=h1.com"), "{text}");
+        let log = ex.server_log.expect("paired log");
+        assert_eq!(log.replies.len(), 1);
+        assert_eq!(log.teardown, Teardown::Fin);
+        assert_eq!(log.bytes_out, ex.response.len());
     }
 
     #[test]
@@ -2187,12 +2169,12 @@ mod tests {
     #[test]
     fn close_no_reply_fault_delivers_an_abort_log() {
         let reactor = Reactor::spawn().unwrap();
-        let config = NetServerConfig {
-            fault: Some(ServerFault::CloseNoReply),
-            ..NetServerConfig::default()
-        };
-        let l = reactor.add_origin(ParserProfile::strict("wire"), config, true).unwrap();
-        let ex = exchange(&reactor, &l, b"GET / HTTP/1.1\r\nHost: h\r\n\r\n");
+        let l = strict_origin(&reactor);
+        let fault = Some(FaultEffect::Origin(ServerFault::CloseNoReply));
+        let ex = exchange(
+            &reactor,
+            job(&l, b"GET / HTTP/1.1\r\nHost: h\r\n\r\n", SendMode::Whole, fault),
+        );
         assert!(ex.response.is_empty(), "{ex:?}");
         assert!(!ex.timed_out);
         let log = ex.server_log.expect("paired log");
@@ -2203,34 +2185,85 @@ mod tests {
     #[test]
     fn stall_fault_never_replies_and_delivers_a_stalled_log() {
         let reactor = Reactor::spawn().unwrap();
-        let config =
-            NetServerConfig { fault: Some(ServerFault::Stall), ..NetServerConfig::default() };
-        let l = reactor.add_origin(ParserProfile::strict("wire"), config, true).unwrap();
+        let l = strict_origin(&reactor);
         // The exchange client FINs after writing; the stalling server's
-        // drain observes it and closes — same as the blocking stack, the
-        // client sees EOF with nothing received and the Stalled log is
-        // already delivered.
-        let ex = exchange_with_timeout(
-            &reactor,
+        // drain observes it and closes, so the client sees EOF with
+        // nothing received, and the Stalled log is already delivered.
+        let Job::Exchange(mut spec) = job(
             &l,
             b"GET / HTTP/1.1\r\nHost: h\r\n\r\n",
-            stall_observe_timeout(),
-        );
+            SendMode::Whole,
+            Some(FaultEffect::Origin(ServerFault::Stall)),
+        ) else {
+            unreachable!()
+        };
+        spec.read_timeout = stall_observe_timeout();
+        let ex = exchange(&reactor, Job::Exchange(spec));
         assert!(ex.response.is_empty(), "{ex:?}");
         let log = ex.server_log.expect("stall log is pushed before the stall begins");
         assert_eq!(log.teardown, Teardown::Stalled);
     }
 
     #[test]
+    fn substitute_and_truncate_faults_mirror_the_sim_effects() {
+        let reactor = Reactor::spawn().unwrap();
+        let l = strict_origin(&reactor);
+        let bytes = b"GET / HTTP/1.1\r\nHost: h1.com\r\n\r\n";
+        let ex = exchange(
+            &reactor,
+            job(&l, bytes, SendMode::Whole, Some(FaultEffect::Origin(ServerFault::Substitute503))),
+        );
+        assert!(String::from_utf8_lossy(&ex.response).starts_with("HTTP/1.1 503"), "{ex:?}");
+        assert_eq!(ex.server_log.expect("log").replies[0].response.status, StatusCode(503));
+
+        let ex = exchange(
+            &reactor,
+            job(&l, bytes, SendMode::Whole, Some(FaultEffect::Origin(ServerFault::TruncateBody))),
+        );
+        let full = Server::new(ParserProfile::strict("wire")).handle(bytes);
+        let log = ex.server_log.expect("log");
+        assert_eq!(log.replies[0].response.body.len(), full.response.body.len() / 2);
+        // The wire carries fewer body bytes than the Content-Length claims.
+        assert!(ex.response.len() < full.response.to_bytes().len());
+    }
+
+    #[test]
+    fn a_fault_reaches_only_its_own_exchange_even_on_a_warm_connection() {
+        let reactor = Reactor::spawn().unwrap();
+        let l = strict_origin(&reactor);
+        reactor.warm(l.addr, 2);
+        let bytes = b"GET / HTTP/1.1\r\nHost: h\r\n\r\n";
+        let warm = |fault| {
+            let Job::Exchange(mut spec) = job(&l, bytes, SendMode::Whole, fault) else {
+                unreachable!()
+            };
+            spec.warm = true;
+            Job::Exchange(spec)
+        };
+        let status =
+            |ex: &ExchangeOutput| ex.server_log.as_ref().unwrap().replies[0].response.status;
+        // The pool fills asynchronously, so the first batches may miss.
+        let mut both_reused = false;
+        for _ in 0..20 {
+            let fault = Some(FaultEffect::Origin(ServerFault::Substitute503));
+            let outs = reactor.run(vec![warm(fault), warm(None)]);
+            let faulted = outs[0].as_exchange().unwrap();
+            let clean = outs[1].as_exchange().unwrap();
+            assert_eq!(status(faulted), StatusCode(503));
+            assert_eq!(status(clean), StatusCode(200));
+            both_reused |= faulted.reused && clean.reused;
+        }
+        assert!(both_reused, "no batch claimed two warm connections");
+    }
+
+    #[test]
     fn deadline_wheel_times_out_a_drive_with_no_response() {
         let reactor = Reactor::spawn().unwrap();
-        let config =
-            NetServerConfig { fault: Some(ServerFault::Stall), ..NetServerConfig::default() };
-        let l = reactor.add_origin(ParserProfile::strict("wire"), config, true).unwrap();
-        // A drive keeps the connection open (no FIN), so a never-replying
-        // server leaves only the deadline wheel to end the job.
+        // The echo answers at EOF, and a drive never half-closes, so only
+        // the deadline wheel can end the job.
+        let echo = reactor.add_echo(io_timeout()).unwrap();
         let outs = reactor.run(vec![Job::Drive(DriveSpec {
-            addr: l.addr,
+            addr: echo.addr,
             payload: b"GET / HTTP/1.1\r\nHost: h\r\n\r\n".to_vec(),
             requests: 4,
             pipeline: 1,
@@ -2245,19 +2278,11 @@ mod tests {
     #[test]
     fn batch_outputs_keep_submission_order() {
         let reactor = Reactor::spawn().unwrap();
-        let strict = reactor
-            .add_origin(ParserProfile::strict("wire"), NetServerConfig::default(), true)
-            .unwrap();
+        let l = strict_origin(&reactor);
         let jobs: Vec<Job> = (0..16)
             .map(|i| {
-                Job::Exchange(ExchangeSpec {
-                    addr: strict.addr,
-                    bytes: format!("GET /{i} HTTP/1.1\r\nHost: h\r\n\r\n").into_bytes(),
-                    mode: SendMode::Whole,
-                    read_timeout: io_timeout(),
-                    pair: Some(strict.id),
-                    warm: false,
-                })
+                let bytes = format!("GET /{i} HTTP/1.1\r\nHost: h\r\n\r\n").into_bytes();
+                job(&l, &bytes, SendMode::Whole, None)
             })
             .collect();
         let outs = reactor.run(jobs);
@@ -2272,34 +2297,82 @@ mod tests {
     }
 
     #[test]
-    fn segmented_and_truncated_modes_match_the_blocking_client() {
+    fn segmented_and_truncated_sends_match_the_in_process_engine() {
         let reactor = Reactor::spawn().unwrap();
-        let l = reactor
-            .add_origin(ParserProfile::strict("wire"), NetServerConfig::default(), true)
-            .unwrap();
-        let bytes = b"GET /seg HTTP/1.1\r\nHost: h\r\n\r\n".to_vec();
+        let l = strict_origin(&reactor);
+        let server = Server::new(ParserProfile::strict("wire"));
+        let bytes: &[u8] = b"POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\nhello";
+        let cuts: Vec<usize> = (7..bytes.len()).step_by(7).collect();
+        let prefix = bytes.len() - 3;
         let outs = reactor.run(vec![
-            Job::Exchange(ExchangeSpec {
-                addr: l.addr,
-                bytes: bytes.clone(),
-                mode: SendMode::Segmented(vec![4, 9]),
-                read_timeout: io_timeout(),
-                pair: Some(l.id),
-                warm: false,
-            }),
-            Job::Exchange(ExchangeSpec {
-                addr: l.addr,
-                bytes: bytes.clone(),
-                mode: SendMode::TruncateAt(10),
-                read_timeout: io_timeout(),
-                pair: Some(l.id),
-                warm: false,
-            }),
+            job(&l, bytes, SendMode::Whole, None),
+            job(&l, bytes, SendMode::Segmented(cuts), None),
+            job(&l, bytes, SendMode::TruncateAt(prefix), None),
         ]);
-        let seg = outs[0].as_exchange().unwrap();
-        assert!(String::from_utf8_lossy(&seg.response).starts_with("HTTP/1.1 200"), "{seg:?}");
-        let trunc = outs[1].as_exchange().unwrap();
-        let log = trunc.server_log.as_ref().expect("log");
-        assert_eq!(log.replies.len(), 1, "truncated prefix finalizes at EOF: {log:?}");
+        let [whole, seg, cut] = [0, 1, 2].map(|i| outs[i].as_exchange().unwrap().clone());
+        assert!(!whole.timed_out && !seg.timed_out);
+        assert_eq!(whole.response, seg.response, "segmentation is invisible to the reply");
+        let seg_log = seg.server_log.expect("log");
+        assert_eq!(seg_log.replies, server.handle_stream(bytes));
+        assert!(seg_log.replies[0].interpretation.outcome.is_accept());
+
+        // The prefix finalizes at EOF as a truncated message.
+        assert!(String::from_utf8_lossy(&cut.response).starts_with("HTTP/1.1 408"), "{cut:?}");
+        assert_eq!(cut.server_log.expect("log").replies, server.handle_stream(&bytes[..prefix]));
+    }
+
+    #[test]
+    fn a_reject_reads_to_the_client_fin_before_closing() {
+        let reactor = Reactor::spawn().unwrap();
+        let l = strict_origin(&reactor);
+        let head: &[u8] = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost : h\r\n\r\n";
+        let tail: &[u8] = b"GET /c HTTP/1.1\r\nHost: h\r\n\r\n";
+        let engine = Server::new(ParserProfile::strict("wire"));
+        assert_eq!(engine.handle_stream(&[head, tail].concat()).len(), 2, "200, then the reject");
+
+        // The tail goes out only after the reject's response arrived, so
+        // the server has already parsed the reject when it comes.
+        let mut client = TcpStream::connect(l.addr).unwrap();
+        client.set_read_timeout(Some(io_timeout())).unwrap();
+        client.write_all(head).unwrap();
+        let mut seen = Vec::new();
+        let mut chunk = [0u8; CHUNK];
+        let responses = |buf: &[u8]| {
+            let mut pos = 0;
+            std::iter::from_fn(|| {
+                let r = parse_response(&buf[pos..]).ok()?;
+                pos += r.consumed;
+                Some(())
+            })
+            .count()
+        };
+        while responses(&seen) < 2 {
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "closed before answering: {seen:?}");
+            seen.extend_from_slice(&chunk[..n]);
+        }
+        client.write_all(tail).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        let mut rest = Vec::new();
+        client.read_to_end(&mut rest).expect("a clean close, not a reset");
+        assert!(rest.is_empty(), "nothing is answered after the reject: {rest:?}");
+
+        let logs = reactor.take_server_logs(l.id);
+        assert_eq!(logs.len(), 1);
+        assert_eq!(logs[0].bytes_in, head.len() + tail.len(), "every byte the client sent");
+        assert_eq!(logs[0].replies.len(), 2);
+        assert_eq!(logs[0].teardown, Teardown::Fin);
+    }
+
+    #[test]
+    fn the_message_cap_closes_at_once() {
+        let reactor = Reactor::spawn().unwrap();
+        let config = NetServerConfig { max_messages: 1, ..NetServerConfig::default() };
+        let l = reactor.add_origin(ParserProfile::strict("wire"), config, true).unwrap();
+        let two: &[u8] = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n";
+        let ex = exchange(&reactor, job(&l, two, SendMode::Whole, None));
+        let log = ex.server_log.as_ref().expect("log");
+        assert_eq!(log.replies.len(), 1, "{log:?}");
+        assert!(String::from_utf8_lossy(&ex.response).starts_with("HTTP/1.1 200"), "{ex:?}");
     }
 }

@@ -1,23 +1,24 @@
-//! A persistent, reactor-hosted loopback testbed.
+//! Persistent, reactor-hosted loopback testbeds.
 //!
-//! The blocking transport spawns fresh listeners (and threads) for every
-//! case; [`AsyncTestbed`] instead hosts every behavioral profile — all
-//! origin servers, all proxy hops, and one shared echo upstream — inside
-//! a single [`crate::reactor::Reactor`] event loop for the lifetime of a
-//! campaign. Cases fan out to every view *concurrently* as one job
-//! batch, connections come from the reactor's warm keep-alive pool, and
-//! each exchange collects its own connection log through the reactor's
-//! pairing tickets (so interleaved cases can never mix logs up).
+//! [`AsyncTestbed`] hosts every behavioral profile of a campaign — all
+//! origin servers, all proxy hops, and one shared echo upstream —
+//! inside a single [`crate::reactor::Reactor`] event loop for the
+//! lifetime of the campaign. Cases fan out to every view *concurrently*
+//! as one job batch, connections come from the reactor's warm keep-alive
+//! pool, and each exchange collects its own connection log through the
+//! reactor's pairing tickets (so interleaved cases can never mix logs
+//! up). [`FrontTestbed`] does the same for the HTTP/2 downgrade fronts.
 
 use std::time::Duration;
 
-use hdiff_servers::ParserProfile;
+use hdiff_servers::{DowngradeProfile, ParserProfile};
 
-use crate::client::SendMode;
 use crate::error::NetError;
+use crate::h2front::H2FrontLog;
 use crate::proxy::NetProxyConfig;
 use crate::reactor::{
-    AsyncListener, ExchangeOutput, ExchangeSpec, Job, JobOutput, Reactor, ReactorStats,
+    AsyncListener, ExchangeOutput, ExchangeSpec, FaultEffect, Job, JobOutput, Reactor,
+    ReactorStats, SendMode,
 };
 use crate::server::NetServerConfig;
 use crate::timeout::io_timeout;
@@ -41,7 +42,7 @@ impl AsyncTestbed {
     /// listener.
     ///
     /// Fails with a typed error on unsupported targets (no epoll
-    /// backend) — callers degrade to the blocking transport.
+    /// backend).
     ///
     /// # Panics
     ///
@@ -69,11 +70,6 @@ impl AsyncTestbed {
         Ok(AsyncTestbed { reactor, backends: backend_listeners, proxies: proxy_listeners, echo })
     }
 
-    /// The hosting reactor.
-    pub fn reactor(&self) -> &Reactor {
-        &self.reactor
-    }
-
     /// Origin listeners, in the order the backend profiles were given.
     pub fn backends(&self) -> &[AsyncListener] {
         &self.backends
@@ -93,25 +89,25 @@ impl AsyncTestbed {
     /// the connection log, claiming a warm pooled connection when one is
     /// available.
     pub fn exchange_job(&self, listener: &AsyncListener, bytes: &[u8], mode: SendMode) -> Job {
-        self.exchange_job_with_timeout(listener, bytes, mode, io_timeout())
+        self.exchange_job_with(listener, bytes, mode, None, io_timeout())
     }
 
-    /// [`AsyncTestbed::exchange_job`] with an explicit read deadline
-    /// (stall observation uses a short one).
-    pub fn exchange_job_with_timeout(
+    /// [`AsyncTestbed::exchange_job`] carrying a fault effect for the
+    /// paired connection, with an explicit read deadline (stall
+    /// observation uses a short one).
+    pub fn exchange_job_with(
         &self,
         listener: &AsyncListener,
         bytes: &[u8],
         mode: SendMode,
+        fault: Option<FaultEffect>,
         read_timeout: Duration,
     ) -> Job {
         Job::Exchange(ExchangeSpec {
-            addr: listener.addr,
-            bytes: bytes.to_vec(),
-            mode,
             read_timeout,
-            pair: Some(listener.id),
+            fault,
             warm: true,
+            ..ExchangeSpec::paired(listener, bytes, mode)
         })
     }
 
@@ -128,22 +124,13 @@ impl AsyncTestbed {
         bytes: &[u8],
         mode: SendMode,
     ) -> ExchangeOutput {
-        let out = self.run(vec![self.exchange_job(listener, bytes, mode)]);
-        out.into_iter()
-            .next()
-            .and_then(|o| match o {
-                JobOutput::Exchange(e) => Some(e),
-                JobOutput::Drive(_) => None,
-            })
-            .unwrap_or_default()
+        first_exchange(self.run(vec![self.exchange_job(listener, bytes, mode)]))
     }
 
-    /// Drops the echo's forwarded-message records. The testbed's echo
-    /// keeps none (see [`Reactor::add_echo`]), so its memory stays flat
-    /// over any campaign length without this call.
-    pub fn clear_echo_records(&self) {
-        let _ = self.reactor.take_echo_records(self.echo.id);
-    }
+    /// Does nothing: the echo keeps no records (see
+    /// [`Reactor::add_echo`]). Kept because the benchmark harness in
+    /// `perfbench/` calls it between passes.
+    pub fn clear_echo_records(&self) {}
 
     /// Reactor counter snapshot (pool hits/misses, churn, wakeups).
     pub fn stats(&self) -> ReactorStats {
@@ -151,9 +138,60 @@ impl AsyncTestbed {
     }
 }
 
+/// The HTTP/2 downgrade fronts, served by one event loop that every
+/// worker of a downgrade campaign shares.
+#[derive(Debug)]
+pub struct FrontTestbed {
+    reactor: Reactor,
+    fronts: Vec<AsyncListener>,
+}
+
+impl FrontTestbed {
+    /// Spawns the reactor and hosts every front on its own listener.
+    pub fn new(fronts: &[DowngradeProfile]) -> Result<FrontTestbed, NetError> {
+        let reactor = Reactor::spawn()?;
+        let fronts = fronts
+            .iter()
+            .map(|f| reactor.add_h2_front(f.clone(), io_timeout()))
+            .collect::<Result<_, _>>()?;
+        Ok(FrontTestbed { reactor, fronts })
+    }
+
+    /// Sends one whole h2 client connection to every front concurrently
+    /// and returns each front's log, in front order (`None` when a front
+    /// delivered none).
+    pub fn run(&self, bytes: &[u8]) -> Vec<Option<H2FrontLog>> {
+        let jobs = self
+            .fronts
+            .iter()
+            .map(|l| Job::Exchange(ExchangeSpec::paired(l, bytes, SendMode::Whole)))
+            .collect();
+        self.reactor
+            .run(jobs)
+            .into_iter()
+            .map(|o| match o {
+                JobOutput::Exchange(e) => e.front_log,
+                JobOutput::Drive(_) => None,
+            })
+            .collect()
+    }
+}
+
+fn first_exchange(outs: Vec<JobOutput>) -> ExchangeOutput {
+    outs.into_iter()
+        .next()
+        .and_then(|o| match o {
+            JobOutput::Exchange(e) => Some(e),
+            JobOutput::Drive(_) => None,
+        })
+        .unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Teardown;
+    use hdiff_servers::fault::{FaultDecision, FaultKind};
     use hdiff_servers::profile::ProxyBehavior;
     use hdiff_servers::{Proxy, Server};
 
@@ -161,6 +199,25 @@ mod tests {
         let mut p = ParserProfile::strict("strictproxy");
         p.proxy = Some(ProxyBehavior::strict());
         p
+    }
+
+    /// A reactor with one echo and one strict proxy in front of it, and
+    /// no warm pool (so connection counts are exact).
+    fn bare_proxy() -> (Reactor, AsyncListener) {
+        let reactor = Reactor::spawn().unwrap();
+        let echo = reactor.add_echo(io_timeout()).unwrap();
+        let proxy = reactor.add_proxy(strict_proxy_profile(), NetProxyConfig::new(echo.addr));
+        (reactor, proxy.unwrap())
+    }
+
+    fn proxy_exchange(
+        reactor: &Reactor,
+        proxy: &AsyncListener,
+        bytes: &[u8],
+        fault: Option<FaultEffect>,
+    ) -> ExchangeOutput {
+        let spec = ExchangeSpec { fault, ..ExchangeSpec::paired(proxy, bytes, SendMode::Whole) };
+        first_exchange(reactor.run(vec![Job::Exchange(spec)]))
     }
 
     #[test]
@@ -188,12 +245,52 @@ mod tests {
     #[test]
     fn proxy_hop_relays_through_the_shared_echo() {
         let testbed = AsyncTestbed::new(&[], &[strict_proxy_profile()]).unwrap();
-        let bytes: &[u8] = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n";
+        let bytes: &[u8] = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n";
         let ex = testbed.exchange(&testbed.proxies()[0], bytes, SendMode::Whole);
         assert!(ex.error.is_none(), "{ex:?}");
         let log = ex.proxy_log.as_ref().expect("paired proxy log");
         assert_eq!(log.results, Proxy::new(strict_proxy_profile()).forward_stream(bytes));
+        assert_eq!(log.results.len(), 2);
+        assert_eq!(log.teardown, Teardown::Fin);
         assert!(String::from_utf8_lossy(&ex.response).starts_with("HTTP/1.1 200"));
+    }
+
+    #[test]
+    fn proxy_rejection_answers_downstream_without_touching_upstream() {
+        let (reactor, proxy) = bare_proxy();
+        let before = reactor.stats().conns_opened;
+        let ex = proxy_exchange(&reactor, &proxy, b"GET / HTTP/1.1\r\nHost : bad\r\n\r\n", None);
+        assert!(String::from_utf8_lossy(&ex.response).starts_with("HTTP/1.1 400"), "{ex:?}");
+        // The client's connection and the proxy's accepted end; a relay
+        // would add an upstream connection and the echo's accepted end.
+        assert_eq!(reactor.stats().conns_opened - before, 2);
+    }
+
+    #[test]
+    fn proxy_conn_reset_fault_forwards_a_prefix_and_aborts() {
+        let (reactor, proxy) = bare_proxy();
+        let decision = FaultDecision { kind: FaultKind::ConnReset, salt: 99 };
+        let bytes = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n";
+        let ex = proxy_exchange(&reactor, &proxy, bytes, Some(FaultEffect::Forward(decision)));
+        let log = ex.proxy_log.as_ref().expect("paired proxy log");
+        assert_eq!(log.results.len(), 1, "drop-rest stops the stream");
+        assert_eq!(log.teardown, Teardown::Abort);
+        let forwarded = log.results[0].action.forwarded().unwrap();
+        let clean = Proxy::new(strict_proxy_profile()).forward(bytes);
+        let clean_bytes = clean.action.forwarded().unwrap();
+        assert_eq!(forwarded, &clean_bytes[..decision.reset_point(clean_bytes.len())]);
+        // The prefix still reached the echo, which answered it.
+        assert!(String::from_utf8_lossy(&ex.response).starts_with("HTTP/1.1 200"), "{ex:?}");
+    }
+
+    #[test]
+    fn the_echo_answers_with_the_bytes() {
+        let testbed = AsyncTestbed::new(&[], &[]).unwrap();
+        let msg = b"GET / HTTP/1.1\r\nHost: h\r\n\r\n";
+        let ex = testbed.exchange(testbed.echo(), msg, SendMode::Whole);
+        let text = String::from_utf8_lossy(&ex.response);
+        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+        assert!(ex.response.ends_with(msg), "echoed body");
     }
 
     #[test]
@@ -212,8 +309,6 @@ mod tests {
                 );
             }
         }
-        let records = testbed.reactor().take_echo_records(testbed.echo().id);
-        assert!(records.is_empty(), "the echo recorded {} messages", records.len());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use hdiff_h2::H2Request;
 /// Which source wins the h1 `Host` header when `:authority` and an h2
 /// `host` header disagree (RFC 9113 §8.3.1 makes `host` redundant; real
 /// translators differ on what to do when both arrive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuthorityPolicy {
     /// `Host` is synthesized from `:authority`; any h2 `host` header is
     /// dropped (nginx-style).
@@ -36,7 +36,7 @@ pub enum AuthorityPolicy {
 }
 
 /// How the h1 `Content-Length` is produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClPolicy {
     /// Recompute from the actual DATA-frame byte count; any client
     /// `content-length` header is dropped. The h1 header can never lie
@@ -50,7 +50,7 @@ pub enum ClPolicy {
 }
 
 /// `transfer-encoding` in an h2 request (forbidden by RFC 9113 §8.2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TePolicy {
     /// Reject the request with 400 (the MUST).
     Reject,
@@ -63,7 +63,7 @@ pub enum TePolicy {
 
 /// CR/LF/NUL in header values (and names/path) being translated onto a
 /// line-delimited h1 wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SanitizePolicy {
     /// Reject the request with 400.
     Reject,
@@ -75,7 +75,7 @@ pub enum SanitizePolicy {
 }
 
 /// `:path` handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathPolicy {
     /// Emit the pseudo-header byte-for-byte.
     Verbatim,
@@ -85,7 +85,7 @@ pub enum PathPolicy {
 }
 
 /// One downgrade front end: a named bundle of translation policies.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DowngradeProfile {
     /// Stable identifier (used in findings, replay bundles, telemetry).
     pub name: String,
@@ -103,7 +103,7 @@ pub struct DowngradeProfile {
 }
 
 /// Result of translating one h2 request.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DowngradeOutcome {
     /// The reconstructed HTTP/1.1 byte stream; `None` when the front
     /// rejected the request instead of forwarding.

@@ -12,7 +12,7 @@ use std::fmt;
 use crate::ascii;
 
 /// How a decoder treats a chunk-size that overflows 64 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowBehavior {
     /// Reject the message (RFC-conformant).
     #[default]
@@ -25,7 +25,7 @@ pub enum OverflowBehavior {
 }
 
 /// Options controlling lenient chunked decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkedDecodeOptions {
     /// Overflow handling for oversized chunk-size values.
     pub overflow: OverflowBehavior,

@@ -241,7 +241,7 @@ fn split_port(hostport: &[u8]) -> (&[u8], Option<&[u8]>) {
 }
 
 /// How an implementation resolves `user@host` spellings in a host position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AtSignPolicy {
     /// Reject the message (strict: `@` is not legal in `uri-host`).
     Reject,
@@ -256,7 +256,7 @@ pub enum AtSignPolicy {
 }
 
 /// How an implementation resolves comma-separated host lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommaPolicy {
     /// Reject the message.
     Reject,
@@ -270,7 +270,7 @@ pub enum CommaPolicy {
 
 /// How an implementation treats `/`-containing host values
 /// (`h1.com/../h2.com`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlashPolicy {
     /// Reject the message.
     Reject,
@@ -281,7 +281,7 @@ pub enum SlashPolicy {
 }
 
 /// Per-implementation `Host` interpretation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostParseOptions {
     /// `@` handling.
     pub at_sign: AtSignPolicy,

@@ -73,9 +73,9 @@ fn main() -> ExitCode {
     }
     let transport = match flag_value::<String>(&args, "--transport") {
         Ok(Some(raw)) => match hdiff::diff::Transport::parse(&raw) {
-            Some(t) => Some(t),
-            None => {
-                eprintln!("--transport: unknown transport {raw:?} (expected: sim, tcp, tcp-async)");
+            Ok(t) => Some(t),
+            Err(e) => {
+                eprintln!("--transport: {e}");
                 return ExitCode::FAILURE;
             }
         },
@@ -278,7 +278,7 @@ fn main() -> ExitCode {
                 .map(|(_, a)| a)
             else {
                 eprintln!(
-                    "usage: hdiff replay [--all] [--transport sim|tcp|tcp-async] <bundle.json | directory>"
+                    "usage: hdiff replay [--all] [--transport sim|tcp-async] <bundle.json | directory>"
                 );
                 return ExitCode::FAILURE;
             };
@@ -372,10 +372,9 @@ fn print_help() {
          \x20 --quick          small corpus for fast runs\n\
          \x20 --threads N      worker threads (0 = one per core)\n\
          \x20 --fault-rate N   inject faults into N% of hop decisions\n\
-         \x20 --transport T    run cases over `sim` (in-process, default),\n\
-         \x20                  `tcp` (blocking loopback sockets), or\n\
-         \x20                  `tcp-async` (multiplexed event-loop sockets\n\
-         \x20                  with pooled keep-alive connections)\n\
+         \x20 --transport T    run cases over `sim` (in-process, default) or\n\
+         \x20                  `tcp-async` (loopback sockets on one epoll\n\
+         \x20                  event loop, Linux x86_64/aarch64 only)\n\
          \x20 --frontend F     campaign client protocol: `h1` (default) or\n\
          \x20                  `h2` (HTTP/2 into the downgrade front ends)\n\
          \x20 --protocol P     campaign workload: `http` (default, the full\n\
@@ -545,7 +544,7 @@ fn run_fuzz_cli(args: &[String], transport: Option<hdiff::diff::Transport>) -> E
             eprintln!("{e}");
             eprintln!(
                 "usage: hdiff fuzz [--seconds N | --iters N] [--seed S] [--threads N] \
-                 [--transport sim|tcp|tcp-async] [--promote-dir D] [--seed-corpus D] \
+                 [--transport sim|tcp-async] [--promote-dir D] [--seed-corpus D] \
                  [--min-novel N]"
             );
             return ExitCode::FAILURE;
@@ -576,8 +575,8 @@ fn run_fuzz_cli(args: &[String], transport: Option<hdiff::diff::Transport>) -> E
 /// `hdiff run --frontend h2` — the downgrade-desync campaign: every h2
 /// seed vector is encoded as an h2c client connection, translated to
 /// HTTP/1.1 by the three front-end profiles, and the reconstructed
-/// bytes re-interpreted by the backend matrix. `--transport tcp` serves
-/// the fronts over loopback sockets instead of in-process (the
+/// bytes re-interpreted by the backend matrix. `--transport tcp-async`
+/// serves the fronts over loopback sockets instead of in-process (the
 /// translation must stay byte-identical). With `--min-classes N`, exits
 /// nonzero unless at least N distinct downgrade classes were detected
 /// (the CI gate).
@@ -594,17 +593,9 @@ fn run_downgrade_cli(args: &[String], config: &HdiffConfig) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let tcp = match config.transport {
-        Transport::Sim => false,
-        Transport::Tcp => true,
-        Transport::TcpAsync => {
-            eprintln!("--frontend h2 runs over --transport sim or tcp");
-            return ExitCode::FAILURE;
-        }
-    };
     let opts = DowngradeCampaignOptions {
         threads: config.threads,
-        tcp,
+        tcp: config.transport == Transport::TcpAsync,
         promote_dir: promote_dir.map(Into::into),
     };
     let summary = match run_downgrade_campaign(&opts) {
@@ -614,10 +605,7 @@ fn run_downgrade_cli(args: &[String], config: &HdiffConfig) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "== downgrade campaign (h2 front ends, {} transport) ==",
-        if tcp { "tcp" } else { "sim" }
-    );
+    println!("== downgrade campaign (h2 front ends, {} transport) ==", config.transport);
     println!("cases    : {}", summary.cases);
     println!("findings : {}", summary.findings.len());
     for f in &summary.findings {

@@ -1,7 +1,7 @@
 //! Acceptance gates for the HTTP/2 downgrade-desync subsystem: the
 //! seeded campaign detects at least three distinct downgrade classes,
 //! its output is invariant across worker threads and across the sim and
-//! TCP front-end transports (byte-stable translation), and every
+//! tcp-async front-end transports (byte-stable translation), and every
 //! promoted bundle re-verifies through the ordinary replay machinery.
 
 use hdiff::diff::{
@@ -39,8 +39,8 @@ fn campaign_is_thread_and_transport_invariant() {
     let four = campaign(4, false);
     assert_eq!(identity(&one), identity(&four), "1 vs 4 threads");
 
-    // The TCP fronts must reproduce the in-process translation byte for
-    // byte: identical findings, identical classes.
+    // The socket fronts must reproduce the in-process translation byte
+    // for byte: identical findings, identical classes.
     let wire = campaign(2, true);
     assert_eq!(identity(&one), identity(&wire), "sim vs tcp");
 }
@@ -48,12 +48,13 @@ fn campaign_is_thread_and_transport_invariant() {
 #[test]
 fn sim_and_tcp_fronts_produce_identical_digests() {
     let workflow = DowngradeWorkflow::standard();
+    let testbed = hdiff::net::FrontTestbed::new(&workflow.fronts).expect("fronts serve");
     for (i, vector) in seed_vectors().into_iter().enumerate() {
         let bytes = encode_client_connection(&vector.requests, &EncodeOptions::default());
         let uuid = hdiff::diff::H2_UUID_BASE + i as u64;
         let origin = format!("h2:{}", vector.id);
         let sim = workflow.run_bytes(uuid, &origin, &bytes);
-        let tcp = hdiff::diff::run_downgrade_case_tcp(&workflow, uuid, &origin, &bytes)
+        let tcp = hdiff::diff::run_downgrade_case_tcp(&workflow, &testbed, uuid, &origin, &bytes)
             .expect("tcp fronts serve");
         assert_eq!(
             hdiff::diff::downgrade_digests(&sim),

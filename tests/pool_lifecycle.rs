@@ -6,9 +6,14 @@
 //! (hit) or opens one (miss), a connection the server closed in the
 //! meantime is evicted and the request retried exactly once, and the
 //! counters obey `hits + misses == requests + retries` no matter how
-//! many threads run their own pools. This gate pins each clause.
+//! many threads run their own pools. This gate pins each clause. The
+//! `ConnPool` tests point it at a reactor-hosted origin
+//! ([`Reactor::add_origin`]) and read that origin's connection logs with
+//! [`Reactor::take_server_logs`].
 
-use hdiff::net::{AsyncTestbed, ConnPool, NetServer, NetServerConfig, SendMode, IO_TIMEOUT_ENV};
+use hdiff::net::{
+    AsyncListener, AsyncTestbed, ConnPool, NetServerConfig, Reactor, SendMode, IO_TIMEOUT_ENV,
+};
 use hdiff::servers::ParserProfile;
 
 const REQ: &[u8] = b"GET / HTTP/1.1\r\nHost: h\r\n\r\n";
@@ -28,12 +33,23 @@ fn pin_timeouts() {
     });
 }
 
+/// A strict origin on a fresh reactor, closing each connection after
+/// `max_messages` replies.
+fn origin(max_messages: Option<usize>) -> (Reactor, AsyncListener) {
+    let reactor = Reactor::spawn().unwrap();
+    let mut config = NetServerConfig::default();
+    if let Some(cap) = max_messages {
+        config.max_messages = cap;
+    }
+    let server = reactor.add_origin(ParserProfile::strict("wire"), config, true).unwrap();
+    (reactor, server)
+}
+
 #[test]
 fn pooled_connection_is_reused_across_cases() {
     pin_timeouts();
-    let server =
-        NetServer::spawn(ParserProfile::strict("wire"), NetServerConfig::default()).unwrap();
-    let mut pool = ConnPool::new(server.addr(), 2);
+    let (reactor, server) = origin(None);
+    let mut pool = ConnPool::new(server.addr, 2);
     for _ in 0..4 {
         let reply = pool.request(REQ).unwrap();
         assert_eq!(reply.status.as_u16(), 200);
@@ -43,7 +59,7 @@ fn pooled_connection_is_reused_across_cases() {
     assert_eq!(stats.misses, 1, "{stats:?}");
     assert_eq!(stats.hits, 3, "{stats:?}");
     assert_eq!(stats.evictions, 0, "{stats:?}");
-    let logs = server.take_logs();
+    let logs = reactor.take_server_logs(server.id);
     assert_eq!(logs.len(), 1, "all four cases rode one connection: {logs:?}");
     assert_eq!(logs[0].replies.len(), 4);
 }
@@ -53,9 +69,8 @@ fn server_initiated_close_evicts_and_retries_once() {
     pin_timeouts();
     // The server hangs up every connection after two replies, so every
     // third request lands on a stale pooled connection mid-sweep.
-    let config = NetServerConfig { max_messages: 2, ..NetServerConfig::default() };
-    let server = NetServer::spawn(ParserProfile::strict("wire"), config).unwrap();
-    let mut pool = ConnPool::new(server.addr(), 2);
+    let (_reactor, server) = origin(Some(2));
+    let mut pool = ConnPool::new(server.addr, 2);
     for _ in 0..5 {
         let reply = pool.request(REQ).unwrap();
         assert_eq!(reply.status.as_u16(), 200, "retry-once must hide the stale connection");
@@ -76,10 +91,9 @@ fn stale_retry_counters_reach_campaign_telemetry() {
     pin_timeouts();
     // A one-message server makes the reuse on request 2 deterministically
     // stale: claim (hit) → EOF with nothing → evict → fresh retry (miss).
-    let config = NetServerConfig { max_messages: 1, ..NetServerConfig::default() };
-    let server = NetServer::spawn(ParserProfile::strict("wire"), config).unwrap();
+    let (_reactor, server) = origin(Some(1));
     let ((), tel) = hdiff::obs::with_case(7, || {
-        let mut pool = ConnPool::new(server.addr(), 2);
+        let mut pool = ConnPool::new(server.addr, 2);
         for _ in 0..2 {
             let reply = pool.request(REQ).unwrap();
             assert_eq!(reply.status.as_u16(), 200);
@@ -117,9 +131,8 @@ fn pool_counters_are_thread_count_invariant() {
     const REQUESTS_PER_THREAD: u64 = 6;
     // Two-message connections force retries so the invariant is checked
     // with a nonzero eviction term, not just hits + misses == requests.
-    let config = NetServerConfig { max_messages: 2, ..NetServerConfig::default() };
-    let server = NetServer::spawn(ParserProfile::strict("wire"), config).unwrap();
-    let addr = server.addr();
+    let (_reactor, server) = origin(Some(2));
+    let addr = server.addr;
 
     let sweep = |threads: usize| -> (u64, u64) {
         let handles: Vec<_> = (0..threads)

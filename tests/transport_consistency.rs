@@ -1,20 +1,16 @@
 //! Cross-transport consistency gate.
 //!
-//! The wire transports (`crates/net`) exist to observe byte-stream
+//! The wire transport (`crates/net`) exists to observe byte-stream
 //! behaviors the in-process calls cannot show — but on a fault-free
-//! corpus every transport runs the *same* engine over the *same*
+//! corpus both transports run the *same* engine over the *same*
 //! delivered bytes, so every finding, pair verdict, and behavior digest
 //! must agree. This gate runs the full Table II catalog through the
-//! differential engine over all three transports (`sim`, blocking
-//! `tcp`, and the multiplexed `tcp-async` event loop) and fails on any
-//! drift; it also checks that segmented delivery over real sockets
-//! still splits the profiles (the HMetrics divergence the transport is
-//! for).
+//! differential engine over `sim` and the `tcp-async` event loop and
+//! fails on any drift; it also checks that segmented delivery over real
+//! sockets still splits the profiles (the HMetrics divergence the
+//! transport is for).
 
-use hdiff::diff::{
-    consistency_findings, consistency_findings_async, segmented_probe, DiffEngine, Transport,
-    Workflow,
-};
+use hdiff::diff::{consistency_findings, segmented_probe, DiffEngine, Transport, Workflow};
 use hdiff::gen::{catalog, Origin, TestCase};
 use hdiff::net::{AsyncTestbed, SendMode};
 
@@ -65,23 +61,9 @@ fn catalog_campaign_findings_match_across_transports() {
     sim.threads = 2;
     let sim_summary = sim.run(&cases);
 
-    let mut tcp = DiffEngine::standard();
-    tcp.threads = 2;
-    tcp.transport = Transport::Tcp;
-    let tcp_summary = tcp.run(&cases);
-
     assert_eq!(sim_summary.transport, Transport::Sim);
-    assert_eq!(tcp_summary.transport, Transport::Tcp);
-    assert_eq!(sim_summary.cases, tcp_summary.cases);
     assert_eq!(sim_summary.errors, 0, "sim campaign hit terminal errors");
-    assert_eq!(tcp_summary.errors, 0, "tcp campaign hit terminal errors");
-    assert_eq!(
-        sim_summary.findings, tcp_summary.findings,
-        "wire campaign found different findings than the simulation"
-    );
-    assert_eq!(sim_summary.pairs, tcp_summary.pairs);
-    assert_eq!(sim_summary.verdicts, tcp_summary.verdicts);
-    assert!(!tcp_summary.findings.is_empty(), "catalog campaign found nothing");
+    assert!(!sim_summary.findings.is_empty(), "catalog campaign found nothing");
 
     if !hdiff::net::reactor::sys::supported() {
         eprintln!("skipping tcp-async leg: no epoll backend on this target");
@@ -104,22 +86,6 @@ fn catalog_campaign_findings_match_across_transports() {
 }
 
 #[test]
-fn catalog_vectors_have_consistent_behavior_digests() {
-    widen_timeouts_for_ci();
-    let workflow = Workflow::standard();
-    let profiles = hdiff::servers::products();
-    for (idx, entry) in catalog::catalog().iter().enumerate() {
-        let uuid = 500 + idx as u64;
-        let origin = format!("catalog:{}", entry.id);
-        for (req, note) in &entry.requests {
-            let findings =
-                consistency_findings(&workflow, &profiles, uuid, &origin, &req.to_bytes());
-            assert!(findings.is_empty(), "transport divergence on {origin} ({note}): {findings:?}");
-        }
-    }
-}
-
-#[test]
 fn catalog_vectors_are_consistent_over_the_multiplexed_transport() {
     widen_timeouts_for_ci();
     if !hdiff::net::reactor::sys::supported() {
@@ -135,7 +101,7 @@ fn catalog_vectors_are_consistent_over_the_multiplexed_transport() {
         let uuid = 700 + idx as u64;
         let origin = format!("catalog:{}", entry.id);
         for (req, note) in &entry.requests {
-            let findings = consistency_findings_async(
+            let findings = consistency_findings(
                 &workflow,
                 &profiles,
                 uuid,
