@@ -439,9 +439,11 @@ fn net_gate(smoke: bool, previous: Option<&str>, points: &[f64], serial: f64) ->
 /// Writes `BENCH_h2.json`: HTTP/2 framing and HPACK layer throughput
 /// (encode + parse of the downgrade seed-vector connections, HPACK
 /// block round-trips), plus end-to-end downgrade-campaign cases/s over
-/// the in-process fronts.
+/// the in-process fronts through the generic protocol driver.
 fn h2_snapshot(smoke: bool) {
-    use hdiff_diff::{run_downgrade_campaign, seed_vectors, DowngradeCampaignOptions};
+    use hdiff_diff::{
+        run_protocol_campaign, seed_vectors, DowngradeProtocol, ProtocolCampaignOptions,
+    };
     use hdiff_h2::hpack::{Decoder, Encoder, Header};
     use hdiff_h2::{encode_client_connection, parse_client_connection, EncodeOptions};
 
@@ -487,18 +489,16 @@ fn h2_snapshot(smoke: bool) {
         std::hint::black_box(dec.decode_block(&block).expect("block decodes"));
     });
 
-    // End to end: the seeded downgrade campaign (sim fronts), cases/s.
+    // End to end: the seeded downgrade campaign (sim fronts, one inline
+    // worker), cases/s.
     let campaign_rounds = if smoke { 2 } else { 7 };
     let mut campaign_ms = f64::INFINITY;
     let mut cases = 0usize;
+    let protocol = DowngradeProtocol::standard();
+    let opts = ProtocolCampaignOptions { threads: 1, promote_dir: None };
     for _ in 0..campaign_rounds {
         let start = Instant::now();
-        let summary = run_downgrade_campaign(&DowngradeCampaignOptions {
-            threads: 0,
-            tcp: false,
-            promote_dir: None,
-        })
-        .expect("downgrade campaign runs");
+        let summary = run_protocol_campaign(&protocol, &opts).expect("downgrade campaign runs");
         campaign_ms = campaign_ms.min(start.elapsed().as_secs_f64() * 1e3);
         cases = summary.cases;
     }
@@ -533,23 +533,23 @@ fn cookie_snapshot(smoke: bool) {
     // (parse -> 8 interpretations -> pairwise detection -> digests).
     let execute_ns = median_ns(samples, reps, || {
         for (i, bytes) in cases.iter().enumerate() {
-            std::hint::black_box(protocol.execute(
-                COOKIE_UUID_BASE + i as u64,
-                "bench:cookie",
-                bytes,
-            ));
+            let uuid = COOKIE_UUID_BASE + i as u64;
+            std::hint::black_box(
+                protocol.execute(uuid, "bench:cookie", bytes).expect("in-process"),
+            );
         }
     }) / cases.len() as f64;
 
-    // End to end: the seeded cookie campaign via the generic driver.
+    // End to end: the seeded cookie campaign via the generic driver, on
+    // one inline worker.
     let campaign_rounds = if smoke { 2 } else { 7 };
     let mut campaign_ms = f64::INFINITY;
     let mut campaign_cases = 0usize;
     let mut classes = 0usize;
+    let opts = ProtocolCampaignOptions { threads: 1, promote_dir: None };
     for _ in 0..campaign_rounds {
         let start = Instant::now();
-        let summary = run_protocol_campaign(&protocol, &ProtocolCampaignOptions::default())
-            .expect("cookie campaign runs");
+        let summary = run_protocol_campaign(&protocol, &opts).expect("cookie campaign runs");
         campaign_ms = campaign_ms.min(start.elapsed().as_secs_f64() * 1e3);
         campaign_cases = summary.cases;
         classes = summary.classes.len();

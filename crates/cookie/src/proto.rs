@@ -6,7 +6,9 @@
 //! and promotes minimized protocol-keyed replay bundles that
 //! [`hdiff_diff::ReplayBundle::replay_protocol`] re-verifies.
 
-use hdiff_diff::{Finding, Fnv, ProtoCase, ProtoExecution, ProtoView, Protocol};
+use std::io;
+
+use hdiff_diff::{Finding, Fnv, ProtoCase, ProtoExecution, Protocol};
 
 use crate::cases::{seed_vectors, CookieCase};
 use crate::detect::detect_cookie_case;
@@ -14,20 +16,19 @@ use crate::parse::{interpret, CookieView};
 use crate::profile::{profiles, CookieProfile};
 
 /// Uuid base for cookie campaign cases, distinct from every HTTP
-/// corpus (h1 catalog 9000s, h2 0xd2…, fuzz 0xfa…, h1-protocol 0x48…).
+/// corpus (h1 catalog 9000s, h2 0xd2…, fuzz 0xfa…).
 pub const COOKIE_UUID_BASE: u64 = 0xc001_0000_0000_0000;
 
 /// RFC 6265 cookies as a differential workload over the profile matrix.
 #[derive(Debug)]
 pub struct CookieProtocol {
     profiles: Vec<CookieProfile>,
-    grammar: hdiff_abnf::Grammar,
 }
 
 impl CookieProtocol {
-    /// The standard eight-profile matrix with the RFC 6265 grammar.
+    /// The standard eight-profile matrix.
     pub fn standard() -> CookieProtocol {
-        CookieProtocol { profiles: profiles(), grammar: crate::grammar::rfc6265_grammar() }
+        CookieProtocol { profiles: profiles() }
     }
 
     /// The profile matrix behind this instance.
@@ -35,8 +36,16 @@ impl CookieProtocol {
         &self.profiles
     }
 
-    fn views(&self, case: &CookieCase) -> Vec<CookieView> {
-        self.profiles.iter().map(|p| interpret(p, case)).collect()
+    /// Runs one case through every profile: the in-process execution
+    /// behind [`Protocol::execute`], which never fails.
+    fn run(&self, uuid: u64, origin: &str, bytes: &[u8]) -> ProtoExecution {
+        let case = CookieCase::parse(bytes);
+        let views: Vec<CookieView> = self.profiles.iter().map(|p| interpret(p, &case)).collect();
+        let findings = detect_cookie_case(uuid, origin, &self.profiles, &views);
+        let digests =
+            views.iter().map(|v| (format!("cookie:{}", v.profile), digest_view(v))).collect();
+        hdiff_obs::count("cookie.exec.cases", 1);
+        ProtoExecution { findings, digests }
     }
 }
 
@@ -82,10 +91,6 @@ impl Protocol for CookieProtocol {
         COOKIE_UUID_BASE
     }
 
-    fn grammars(&self) -> Vec<(String, hdiff_abnf::Grammar)> {
-        vec![("rfc6265".to_string(), self.grammar.clone())]
-    }
-
     fn seed_cases(&self) -> Vec<ProtoCase> {
         seed_vectors()
             .into_iter()
@@ -97,35 +102,8 @@ impl Protocol for CookieProtocol {
             .collect()
     }
 
-    fn execute(&self, uuid: u64, origin: &str, bytes: &[u8]) -> ProtoExecution {
-        let case = CookieCase::parse(bytes);
-        let views = self.views(&case);
-        let findings = detect_cookie_case(uuid, origin, &self.profiles, &views);
-        let digests =
-            views.iter().map(|v| (format!("cookie:{}", v.profile), digest_view(v))).collect();
-        let proto_views = views
-            .iter()
-            .map(|v| ProtoView {
-                view: v.profile.to_string(),
-                accepted: v.sets.iter().all(|o| o.stored),
-                status: 0,
-                metrics: vec![
-                    ("jar".to_string(), v.header.clone()),
-                    ("stored".to_string(), v.jar.len().to_string()),
-                    (
-                        "inbound".to_string(),
-                        v.inbound
-                            .iter()
-                            .map(|(n, val)| format!("{n}={val}"))
-                            .collect::<Vec<_>>()
-                            .join("; "),
-                    ),
-                    ("meta".to_string(), v.meta.len().to_string()),
-                ],
-            })
-            .collect();
-        hdiff_obs::count("cookie.exec.cases", 1);
-        ProtoExecution { views: proto_views, findings, digests }
+    fn execute(&self, uuid: u64, origin: &str, bytes: &[u8]) -> io::Result<ProtoExecution> {
+        Ok(self.run(uuid, origin, bytes))
     }
 
     fn finding_tag(&self, f: &Finding) -> Option<String> {
@@ -135,7 +113,7 @@ impl Protocol for CookieProtocol {
     fn minimize(&self, bytes: &[u8], target: &Finding) -> Vec<u8> {
         let Some(tag) = evidence_tag(target) else { return bytes.to_vec() };
         let reproduces = |cand: &[u8]| {
-            self.execute(target.uuid, &target.origin, cand).findings.iter().any(|f| {
+            self.run(target.uuid, &target.origin, cand).findings.iter().any(|f| {
                 f.class == target.class
                     && f.front == target.front
                     && f.back == target.back
@@ -287,7 +265,7 @@ mod tests {
         let p = CookieProtocol::standard();
         let seed = seed_vectors().into_iter().find(|s| s.id == "kitchen-sink").unwrap();
         let bytes = seed.case.to_bytes();
-        let exec = p.execute(42, "cookie:kitchen-sink", &bytes);
+        let exec = p.execute(42, "cookie:kitchen-sink", &bytes).unwrap();
         let target = exec
             .findings
             .iter()
@@ -297,7 +275,7 @@ mod tests {
         let minimized = p.minimize(&bytes, &target);
         assert!(minimized.len() < bytes.len(), "{}", String::from_utf8_lossy(&minimized));
         // The target finding survives on the minimized bytes.
-        let again = p.execute(42, "cookie:kitchen-sink", &minimized);
+        let again = p.execute(42, "cookie:kitchen-sink", &minimized).unwrap();
         assert!(again.findings.iter().any(|f| f.class == target.class
             && f.front == target.front
             && f.back == target.back
@@ -306,13 +284,5 @@ mod tests {
         let text = String::from_utf8_lossy(&minimized);
         assert!(!text.contains("lang="), "{text}");
         assert!(!text.contains("$Version"), "{text}");
-    }
-
-    #[test]
-    fn grammar_rides_along() {
-        let p = CookieProtocol::standard();
-        let gs = p.grammars();
-        assert_eq!(gs.len(), 1);
-        assert_eq!(gs[0].0, "rfc6265");
     }
 }

@@ -3,7 +3,7 @@
 use std::io;
 
 use hdiff_diff::json::Parser;
-use hdiff_diff::{Frontend, Transport};
+use hdiff_diff::Transport;
 
 /// Configuration for one [`crate::HDiff`] run.
 #[derive(Debug, Clone)]
@@ -34,10 +34,6 @@ pub struct HdiffConfig {
     /// How test cases reach the behavioral profiles: in-process
     /// simulation (the default) or real TCP sockets.
     pub transport: Transport,
-    /// Which protocol the campaign client speaks to the front of the
-    /// chain: HTTP/1.1 end to end (the default), or HTTP/2 into the
-    /// downgrade front ends (`hdiff run --frontend h2`).
-    pub frontend: Frontend,
     /// Collect spans, counters and latency histograms during the run
     /// (surfaced via `RunSummary::telemetry` and `hdiff report`). On by
     /// default; disable to shave the last few percent off a campaign.
@@ -53,8 +49,8 @@ pub struct HdiffConfig {
     /// heartbeat at this granularity).
     pub checkpoint_every: usize,
     /// Which workload the campaign runs: `"http"` (the default, the
-    /// full HTTP/1.1 pipeline) or the name of a [`hdiff_diff::Protocol`]
-    /// workload such as `"cookie"`.
+    /// full HTTP/1.1 pipeline), `"h2"` (the downgrade fronts) or
+    /// `"cookie"`, the last two through [`hdiff_diff::run_protocol_campaign`].
     pub protocol: String,
 }
 
@@ -73,7 +69,6 @@ impl HdiffConfig {
             fault_rate: 0,
             coverage_guided: false,
             transport: Transport::Sim,
-            frontend: Frontend::H1,
             telemetry: true,
             shards: 0,
             fleet_chaos: 0,
@@ -96,7 +91,6 @@ impl HdiffConfig {
             fault_rate: 0,
             coverage_guided: false,
             transport: Transport::Sim,
-            frontend: Frontend::H1,
             telemetry: true,
             shards: 0,
             fleet_chaos: 0,
@@ -114,7 +108,7 @@ impl HdiffConfig {
                 "{{\"sr_variants\":{},\"abnf_seeds\":{},\"mutants_per_seed\":{},",
                 "\"mutation_rounds\":{},\"include_catalog\":{},\"seed\":{},\"threads\":{},",
                 "\"max_gen_depth\":{},\"fault_rate\":{},\"coverage_guided\":{},",
-                "\"transport\":\"{}\",\"frontend\":\"{}\",\"telemetry\":{},\"shards\":{},",
+                "\"transport\":\"{}\",\"telemetry\":{},\"shards\":{},",
                 "\"fleet_chaos\":{},\"checkpoint_every\":{},\"protocol\":\"{}\"}}"
             ),
             self.sr_variants,
@@ -128,7 +122,6 @@ impl HdiffConfig {
             self.fault_rate,
             self.coverage_guided,
             self.transport,
-            self.frontend,
             self.telemetry,
             self.shards,
             self.fleet_chaos,
@@ -192,11 +185,6 @@ impl HdiffConfig {
             let s = v.as_str().ok_or_else(|| bad("config transport must be a string"))?;
             config.transport = Transport::parse(s).map_err(|e| bad(&format!("config: {e}")))?;
         }
-        if let Some(v) = root.get("frontend") {
-            let s = v.as_str().ok_or_else(|| bad("config frontend must be a string"))?;
-            config.frontend =
-                Frontend::parse(s).ok_or_else(|| bad(&format!("unknown config frontend {s:?}")))?;
-        }
         if let Some(v) = root.get("protocol") {
             let s = v.as_str().ok_or_else(|| bad("config protocol must be a string"))?;
             if s.is_empty() {
@@ -235,7 +223,6 @@ mod tests {
         config.fault_rate = 13;
         config.coverage_guided = true;
         config.transport = Transport::TcpAsync;
-        config.frontend = Frontend::H2;
         config.telemetry = false;
         config.shards = 4;
         config.fleet_chaos = 85;
@@ -256,7 +243,8 @@ mod tests {
         assert!(HdiffConfig::from_json(b"{\"protocol\":\"\"}").is_err());
         assert!(HdiffConfig::from_json(b"{\"protocol\":7}").is_err());
         assert!(HdiffConfig::from_json(b"{\"transport\":\"carrier-pigeon\"}").is_err());
-        assert!(HdiffConfig::from_json(b"{\"frontend\":\"h3\"}").is_err());
+        // The retired `frontend` key is ignored like any unknown key.
+        assert!(HdiffConfig::from_json(b"{\"frontend\":\"h2\"}").is_ok());
         assert!(HdiffConfig::from_json(b"{\"fault_rate\":700}").is_err());
     }
 }

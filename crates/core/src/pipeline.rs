@@ -342,14 +342,6 @@ pub struct PreparedCampaign {
 }
 
 impl PreparedCampaign {
-    /// The same HTTP/1.1 surface behind the generic
-    /// [`hdiff_diff::Protocol`] trait: the standard product matrix with
-    /// this campaign's adapted grammar as the detection-time syntax
-    /// oracle (exactly what the configured engine uses).
-    pub fn http1_protocol(&self) -> hdiff_diff::Http1Protocol {
-        hdiff_diff::Http1Protocol::standard().with_grammar(self.analysis.grammar.clone())
-    }
-
     /// Packages an executed summary with this campaign's generation
     /// metadata into the [`PipelineReport`] that [`HDiff::run`] returns.
     pub fn into_report(self, summary: RunSummary) -> PipelineReport {
@@ -374,19 +366,6 @@ impl Default for HDiff {
 mod tests {
     use super::*;
     use hdiff_gen::AttackClass;
-
-    #[test]
-    fn prepared_campaign_exposes_http1_behind_the_protocol_trait() {
-        use hdiff_diff::Protocol;
-
-        let prepared = HDiff::new(HdiffConfig::quick()).prepare();
-        let p = prepared.http1_protocol();
-        assert_eq!(p.name(), "http1");
-        let grammars = p.grammars();
-        assert_eq!(grammars.len(), 1, "the adapted campaign grammar rides along");
-        assert_eq!(grammars[0].0, "rfc7230");
-        assert!(!p.seed_cases().is_empty());
-    }
 
     #[test]
     fn quick_pipeline_end_to_end() {

@@ -35,13 +35,12 @@
 //! * `authority-host` (HoT-shaped) — fronts (or front and back) resolve
 //!   the request's host identity differently.
 //!
-//! [`run_downgrade_campaign`] drives the seed-vector corpus through
-//! every front×back pair, deterministically and in parallel via
-//! [`crate::schedule::run_stealing`], minimizes the first finding of
-//! each class at the h2-request level, and promotes it to a
+//! [`DowngradeProtocol`] puts the surface behind the [`Protocol`] trait,
+//! over either transport, so [`run_protocol_campaign`] drives the
+//! seed-vector corpus through every front×back pair, minimizes the first
+//! finding of each class at the h2-request level, and promotes it to a
 //! [`ReplayBundle`] that `hdiff replay` re-verifies like any other.
 
-use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -55,18 +54,19 @@ use hdiff_servers::{
 
 use crate::findings::Finding;
 use crate::protocol::{
-    run_protocol_campaign, ProtoCase, ProtoExecution, ProtoView, Protocol, ProtocolCampaignOptions,
+    run_protocol_campaign, ProtoCase, ProtoExecution, Protocol, ProtocolCampaignOptions,
 };
 use crate::replay::{Fnv, ReplayBundle};
-use crate::schedule;
+use crate::transport::Transport;
 
 /// Uuid base for downgrade-campaign cases (distinct from the h1
 /// campaign's and the fuzzer's ranges, so merged reports stay
 /// attributable).
 pub const H2_UUID_BASE: u64 = 0xd290_0000_0000_0000;
 
-/// Which protocol the campaign client speaks to the front of the chain.
-/// `H1` is the existing pipeline; `H2` runs the downgrade workflow.
+/// Which protocol a replay bundle's client bytes speak: the bundle's
+/// `frontend` key. `H1` bundles replay through the Fig. 6 workflow, `H2`
+/// bundles through the downgrade matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Frontend {
     /// HTTP/1.1 end to end (the original Fig. 6 workflow).
@@ -77,7 +77,7 @@ pub enum Frontend {
 }
 
 impl Frontend {
-    /// Stable name used by the CLI, config, and replay bundles.
+    /// Stable name written under the bundle's `frontend` key.
     pub fn as_str(self) -> &'static str {
         match self {
             Frontend::H1 => "h1",
@@ -92,12 +92,6 @@ impl Frontend {
             "h2" => Some(Frontend::H2),
             _ => None,
         }
-    }
-}
-
-impl std::fmt::Display for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -736,21 +730,37 @@ pub fn minimize_h2_case(
 // ---------------------------------------------------------------------------
 
 /// The h2 downgrade surface as a [`Protocol`] workload: the seed vectors
-/// become the seed corpus, [`DowngradeWorkflow::run_bytes`] +
-/// [`detect_downgrade`] + [`downgrade_digests`] become the execution,
-/// and [`minimize_h2_case`] minimizes at the h2-request level behind the
-/// byte-level trait surface. The sim campaign path *is*
-/// [`run_protocol_campaign`] over this instance — downgrade-specific
-/// code keeps only the detection model, the seeds, and the TCP testbed.
-#[derive(Debug, Clone)]
+/// become the seed corpus, the downgrade matrix + [`detect_downgrade`] +
+/// [`downgrade_digests`] become the execution, and [`minimize_h2_case`]
+/// minimizes at the h2-request level behind the byte-level trait
+/// surface. Built for `sim`, cases run through
+/// [`DowngradeWorkflow::run_bytes`]; built for `tcp-async`, the instance
+/// owns one [`FrontTestbed`] that every campaign worker shares, and cases
+/// run through [`run_downgrade_case_tcp`]. Minimization and bundle
+/// recording run on the sim whatever the transport, so both transports
+/// promote the same bundles.
+#[derive(Debug)]
 pub struct DowngradeProtocol {
     workflow: DowngradeWorkflow,
+    /// The socket fronts, when built for `tcp-async`.
+    fronts: Option<FrontTestbed>,
 }
 
 impl DowngradeProtocol {
-    /// The standard front×back matrix behind the trait.
+    /// The standard front×back matrix, in-process.
     pub fn standard() -> DowngradeProtocol {
-        DowngradeProtocol { workflow: DowngradeWorkflow::standard() }
+        DowngradeProtocol { workflow: DowngradeWorkflow::standard(), fronts: None }
+    }
+
+    /// The standard matrix over `transport`. For `tcp-async` this spawns
+    /// the front testbed, so a spawn failure is an error before any case
+    /// runs.
+    pub fn new(transport: Transport) -> io::Result<DowngradeProtocol> {
+        let mut p = DowngradeProtocol::standard();
+        if transport == Transport::TcpAsync {
+            p.fronts = Some(FrontTestbed::new(&p.workflow.fronts)?);
+        }
+        Ok(p)
     }
 }
 
@@ -761,12 +771,6 @@ impl Protocol for DowngradeProtocol {
 
     fn uuid_base(&self) -> u64 {
         H2_UUID_BASE
-    }
-
-    fn grammars(&self) -> Vec<(String, hdiff_abnf::Grammar)> {
-        // Binary-framed: the downgrade surface has no ABNF grammar of
-        // its own (the h1 grammar belongs to the http1 workload).
-        Vec::new()
     }
 
     fn seed_cases(&self) -> Vec<ProtoCase> {
@@ -780,31 +784,15 @@ impl Protocol for DowngradeProtocol {
             .collect()
     }
 
-    fn execute(&self, uuid: u64, origin: &str, bytes: &[u8]) -> ProtoExecution {
-        let outcome = self.workflow.run_bytes(uuid, origin, bytes);
-        let views = outcome
-            .chains
-            .iter()
-            .map(|chain| ProtoView {
-                view: chain.front.clone(),
-                accepted: !chain.outcomes.is_empty()
-                    && chain.forwarded_count == chain.outcomes.len(),
-                status: chain
-                    .outcomes
-                    .iter()
-                    .find_map(|o| o.reject.as_ref().map(|(status, _)| *status))
-                    .unwrap_or(200),
-                metrics: vec![
-                    ("forwarded".to_string(), chain.forwarded_count.to_string()),
-                    ("h1_bytes".to_string(), chain.h1.len().to_string()),
-                ],
-            })
-            .collect();
-        ProtoExecution {
-            views,
+    fn execute(&self, uuid: u64, origin: &str, bytes: &[u8]) -> io::Result<ProtoExecution> {
+        let outcome = match &self.fronts {
+            None => self.workflow.run_bytes(uuid, origin, bytes),
+            Some(fronts) => run_downgrade_case_tcp(&self.workflow, fronts, uuid, origin, bytes)?,
+        };
+        Ok(ProtoExecution {
             findings: detect_downgrade(&outcome),
             digests: downgrade_digests(&outcome),
-        }
+        })
     }
 
     fn finding_tag(&self, f: &Finding) -> Option<String> {
@@ -833,155 +821,25 @@ impl Protocol for DowngradeProtocol {
         uuid: u64,
         origin: &str,
         bytes: &[u8],
-    ) -> ReplayBundle {
+    ) -> io::Result<ReplayBundle> {
         // Frontend-keyed h2 bundles, not protocol-keyed ones: promoted
-        // bundles stay byte-identical to the pre-trait campaign's.
-        ReplayBundle::record_h2(name, description, uuid, origin, bytes, &self.workflow)
+        // bundles stay byte-identical to the golden h2 corpus.
+        Ok(ReplayBundle::record_h2(name, description, uuid, origin, bytes, &self.workflow))
     }
-}
-
-// ---------------------------------------------------------------------------
-// Campaign
-// ---------------------------------------------------------------------------
-
-/// Options for [`run_downgrade_campaign`].
-#[derive(Debug, Clone, Default)]
-pub struct DowngradeCampaignOptions {
-    /// Worker threads for the case fan-out (`0`/`1` runs inline).
-    pub threads: usize,
-    /// Serve the front ends over loopback TCP (the reactor) instead of
-    /// in-process.
-    pub tcp: bool,
-    /// When set, the first finding of each downgrade class is minimized
-    /// and promoted to a replay bundle in this directory.
-    pub promote_dir: Option<PathBuf>,
-}
-
-/// What a downgrade campaign produced.
-#[derive(Debug, Clone)]
-pub struct DowngradeSummary {
-    /// Seed vectors executed.
-    pub cases: usize,
-    /// Every finding, in corpus order.
-    pub findings: Vec<Finding>,
-    /// Sorted distinct downgrade class tags observed.
-    pub classes: Vec<String>,
-    /// Replay bundles written (when `promote_dir` was set).
-    pub promoted: Vec<PathBuf>,
-}
-
-/// Runs the seed-vector corpus through the downgrade matrix. The result
-/// is invariant in `threads` (results merge in corpus order) and in the
-/// transport (TCP fronts must reproduce the sim translation byte for
-/// byte). Workers record under the calling thread's telemetry switches.
-pub fn run_downgrade_campaign(opts: &DowngradeCampaignOptions) -> io::Result<DowngradeSummary> {
-    // The in-process path is the generic protocol campaign over the
-    // DowngradeProtocol instance — same fan-out, same corpus-order
-    // merge, same first-per-class promotion, shared with every other
-    // workload. Only the TCP testbed keeps a bespoke body below.
-    if !opts.tcp {
-        let proto = DowngradeProtocol::standard();
-        let summary = run_protocol_campaign(
-            &proto,
-            &ProtocolCampaignOptions {
-                threads: opts.threads,
-                promote_dir: opts.promote_dir.clone(),
-            },
-        )?;
-        hdiff_obs::count("h2.campaign.findings", summary.findings.len() as u64);
-        return Ok(DowngradeSummary {
-            cases: summary.cases,
-            findings: summary.findings,
-            classes: summary.classes,
-            promoted: summary.promoted,
-        });
-    }
-
-    let workflow = DowngradeWorkflow::standard();
-    // One event loop serves every worker, as the h1 campaign shares its
-    // testbed.
-    let testbed = FrontTestbed::new(&workflow.fronts).map_err(io::Error::from)?;
-    let vectors = seed_vectors();
-    let cases: Vec<(u64, SeedVector)> =
-        vectors.into_iter().enumerate().map(|(i, v)| (H2_UUID_BASE + i as u64, v)).collect();
-
-    let recorder = hdiff_obs::Recorder::capture();
-    let results: Vec<io::Result<(DowngradeCaseOutcome, Vec<Finding>)>> =
-        schedule::run_stealing(&cases, opts.threads.max(1), |(uuid, vector)| {
-            recorder.apply(|| {
-                let bytes = encode_client_connection(&vector.requests, &EncodeOptions::default());
-                let origin = format!("h2:{}", vector.id);
-                let outcome = run_downgrade_case_tcp(&workflow, &testbed, *uuid, &origin, &bytes)?;
-                let findings = detect_downgrade(&outcome);
-                Ok((outcome, findings))
-            })
-        });
-
-    let mut findings = Vec::new();
-    let mut per_case: Vec<(usize, Vec<Finding>)> = Vec::new();
-    for (idx, result) in results.into_iter().enumerate() {
-        let (_, case_findings) = result?;
-        per_case.push((idx, case_findings.clone()));
-        findings.extend(case_findings);
-    }
-
-    let mut classes: BTreeSet<String> = BTreeSet::new();
-    for f in &findings {
-        if let Some(tag) = finding_tag(f) {
-            classes.insert(tag.to_string());
-        }
-    }
-
-    let mut promoted = Vec::new();
-    if let Some(dir) = &opts.promote_dir {
-        std::fs::create_dir_all(dir)?;
-        let mut done: BTreeSet<String> = BTreeSet::new();
-        for (idx, case_findings) in &per_case {
-            let (_, vector) = &cases[*idx];
-            for f in case_findings {
-                let Some(tag) = finding_tag(f).map(str::to_string) else { continue };
-                if !done.insert(tag.clone()) {
-                    continue;
-                }
-                let minimized = minimize_h2_case(&workflow, &vector.requests, f);
-                let bytes =
-                    encode_client_connection(&minimized.requests, &EncodeOptions::default());
-                let name = format!("h2-{tag}");
-                let bundle = ReplayBundle::record_h2(
-                    &name,
-                    vector.description,
-                    f.uuid,
-                    &f.origin,
-                    &bytes,
-                    &workflow,
-                );
-                let path = dir.join(format!("{name}.json"));
-                bundle.save(&path)?;
-                promoted.push(path);
-            }
-        }
-    }
-
-    hdiff_obs::count("h2.campaign.findings", findings.len() as u64);
-    Ok(DowngradeSummary {
-        cases: cases.len(),
-        findings,
-        classes: classes.into_iter().collect(),
-        promoted,
-    })
 }
 
 /// Regenerates the golden h2 corpus: one minimized, promoted bundle per
-/// downgrade class the seed corpus detects, written to `dir`.
+/// downgrade class the seed corpus detects, written to `dir` by a
+/// one-thread sim campaign.
 pub fn regen_h2_golden(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let opts =
-        DowngradeCampaignOptions { threads: 1, tcp: false, promote_dir: Some(dir.to_path_buf()) };
-    Ok(run_downgrade_campaign(&opts)?.promoted)
+    let opts = ProtocolCampaignOptions { threads: 1, promote_dir: Some(dir.to_path_buf()) };
+    Ok(run_protocol_campaign(&DowngradeProtocol::standard(), &opts)?.promoted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn run_vector(id: &str) -> (DowngradeCaseOutcome, Vec<Finding>) {
         let workflow = DowngradeWorkflow::standard();
@@ -1048,9 +906,14 @@ mod tests {
         );
     }
 
+    fn campaign(threads: usize) -> crate::ProtocolSummary {
+        let opts = ProtocolCampaignOptions { threads, promote_dir: None };
+        run_protocol_campaign(&DowngradeProtocol::standard(), &opts).unwrap()
+    }
+
     #[test]
     fn campaign_detects_at_least_three_distinct_classes() {
-        let summary = run_downgrade_campaign(&DowngradeCampaignOptions::default()).unwrap();
+        let summary = campaign(1);
         assert!(summary.cases >= 10);
         assert!(
             summary.classes.len() >= 3,
@@ -1063,12 +926,8 @@ mod tests {
 
     #[test]
     fn campaign_is_thread_invariant() {
-        let single = run_downgrade_campaign(&DowngradeCampaignOptions::default()).unwrap();
-        let threaded = run_downgrade_campaign(&DowngradeCampaignOptions {
-            threads: 4,
-            ..DowngradeCampaignOptions::default()
-        })
-        .unwrap();
+        let single = campaign(1);
+        let threaded = campaign(4);
         assert_eq!(single.findings, threaded.findings);
         assert_eq!(single.classes, threaded.classes);
     }

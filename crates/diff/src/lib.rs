@@ -14,19 +14,19 @@
 //! * [`downgrade`] — the h2→h1 downgrade-desync model: each front end's
 //!   reconstructed HTTP/1.1 stream diffed against every back end's
 //!   interpretation of it, with its own seed corpus, request-level
-//!   minimizer, campaign driver, and replay-bundle integration.
+//!   minimizer, and replay-bundle integration.
 //! * [`protocol`] — the protocol-generic campaign core: the [`Protocol`]
-//!   trait (grammars + seed corpus + execution + detection + minimize)
-//!   and the shared deterministic campaign driver every workload runs
-//!   through. [`http1`] puts HTTP/1.1 behind the trait; [`downgrade`]'s
-//!   `DowngradeProtocol` does the same for the h2 surface; the cookie
-//!   workload (`hdiff-cookie`) is the first non-HTTP instance.
+//!   trait (seed corpus + execution + detection + minimize) and the
+//!   shared deterministic campaign driver every seed-corpus workload
+//!   runs through. [`downgrade`]'s `DowngradeProtocol` puts the h2
+//!   surface behind it on both transports; the cookie workload
+//!   (`hdiff-cookie`) is the first non-HTTP instance.
 //! * [`srcheck`] — single-implementation SR-assertion checking.
 //! * [`syntax`] — the grammar-conformance oracle over the compiled ABNF
 //!   matcher, annotating findings with per-view validity verdicts.
 //! * [`verdict`] — aggregation into Table I verdicts and Fig. 7 pair
 //!   matrices.
-//! * [`schedule`] — the work-stealing fan-out used by the runner.
+//! * [`schedule`] — the work-stealing fan-out every campaign driver uses.
 //! * [`runner`] — drives a whole test-case corpus through everything.
 //! * [`shard`] — deterministic case-space sharding for the multi-process
 //!   campaign fabric (`crates/fleet`).
@@ -37,7 +37,6 @@ pub mod detect;
 pub mod downgrade;
 pub mod findings;
 pub mod hmetrics;
-pub mod http1;
 pub mod json;
 pub mod minimize;
 pub mod protocol;
@@ -57,23 +56,22 @@ pub use baseline::{deviations, Deviation, DeviationKind};
 pub use detect::{detect_case, detect_case_with_oracle, detect_degradation, DegradationFinding};
 pub use downgrade::{
     detect_downgrade, downgrade_digests, finding_tag, minimize_h2_case, regen_h2_golden,
-    run_downgrade_campaign, run_downgrade_case_tcp, seed_vectors, DowngradeCampaignOptions,
-    DowngradeCaseOutcome, DowngradeChain, DowngradeProtocol, DowngradeSummary, DowngradeWorkflow,
-    Frontend, H2Minimized, SeedVector, H2_UUID_BASE,
+    run_downgrade_case_tcp, seed_vectors, DowngradeCaseOutcome, DowngradeChain, DowngradeProtocol,
+    DowngradeWorkflow, Frontend, H2Minimized, SeedVector, H2_UUID_BASE,
 };
 pub use findings::Finding;
 pub use hmetrics::HMetrics;
-pub use http1::{Http1Protocol, H1_UUID_BASE};
 pub use minimize::{
     ddmin_items, minimize, FindingContext, MinimizeOptions, MinimizeStats, Minimized,
 };
 pub use protocol::{
-    run_protocol_campaign, ProtoCase, ProtoExecution, ProtoView, Protocol, ProtocolCampaignOptions,
+    run_protocol_campaign, ProtoCase, ProtoExecution, Protocol, ProtocolCampaignOptions,
     ProtocolSummary,
 };
 pub use replay::{Fnv, ReplayBundle, ReplayReport};
 pub use runner::{
     CaseError, CaseRecord, ChunkProgress, DiffEngine, ProgressHook, RunSummary, RunTelemetry,
+    MAX_RETRIES,
 };
 pub use shard::{shard_ranges, ShardError, ShardErrorKind, ShardSpec, ShardStat, ShardTopology};
 pub use srcheck::{check_assertions, check_host_conformance, SrViolation};
@@ -82,9 +80,9 @@ pub use telemetry_codec::{
     load_report, summary_to_json, trace_to_jsonl, write_summary, write_trace,
 };
 pub use transport::{
-    consistency_findings, pipelined_desync_findings, run_bytes_tcp_async, run_case_tcp_async,
-    segmented_probe, try_run_bytes_tcp_async, try_run_case_tcp_async, Transport,
+    consistency_findings, pipelined_desync_findings, run_bytes_tcp_async, segmented_probe,
+    Transport,
 };
 pub use verdict::{PairMatrix, Verdicts};
 pub use verify::{verify_all, verify_finding, VerifiedFinding};
-pub use workflow::{CaseOutcome, ChainRun, FaultReaction, ReplayRun, Workflow};
+pub use workflow::{CaseOutcome, ChainRun, FaultReaction, ReplayRun, Workflow, STEP_BUDGET};

@@ -32,7 +32,7 @@ use hdiff_servers::ParserProfile;
 use crate::detect::detect_case_with_oracle;
 use crate::findings::Finding;
 use crate::syntax::SyntaxOracle;
-use crate::workflow::Workflow;
+use crate::workflow::{Workflow, STEP_BUDGET};
 
 /// Tuning knobs for one minimization.
 #[derive(Debug, Clone)]
@@ -341,29 +341,28 @@ fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 }
 
 /// Everything needed to re-detect a finding on arbitrary candidate bytes:
-/// the workflow environment, the profile set, an optional syntax oracle,
-/// and the per-attempt step budget that bounds hostile candidates.
+/// the workflow environment, the profile set and an optional syntax
+/// oracle. Every attempt runs on the sim under [`STEP_BUDGET`], which
+/// bounds hostile candidates.
 pub struct FindingContext<'a> {
     workflow: &'a Workflow,
     profiles: &'a [ParserProfile],
     /// Oracle used for detection annotations (kept identical to the
     /// campaign's so re-detected findings compare equal).
     pub oracle: Option<&'a SyntaxOracle>,
-    /// Logical step budget per predicate attempt.
-    pub step_budget: u64,
 }
 
 impl<'a> FindingContext<'a> {
     /// Builds a context over a workflow and profile set.
     pub fn new(workflow: &'a Workflow, profiles: &'a [ParserProfile]) -> FindingContext<'a> {
-        FindingContext { workflow, profiles, oracle: None, step_budget: 4096 }
+        FindingContext { workflow, profiles, oracle: None }
     }
 
     /// Detects findings on exact candidate bytes, under a fresh disabled
-    /// fault session that still enforces [`FindingContext::step_budget`].
+    /// fault session that still enforces [`STEP_BUDGET`].
     pub fn findings_for(&self, uuid: u64, origin: &str, bytes: &[u8]) -> Vec<Finding> {
         let injector = FaultInjector::new(FaultPlan::disabled());
-        let session = FaultSession::new(&injector, uuid, 0, self.step_budget);
+        let session = FaultSession::new(&injector, uuid, 0, STEP_BUDGET);
         let outcome = self.workflow.run_bytes_faulted(uuid, origin, bytes, Some(&session));
         detect_case_with_oracle(self.profiles, &outcome, self.oracle)
     }

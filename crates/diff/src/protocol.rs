@@ -1,22 +1,22 @@
 //! The protocol-generic campaign core.
 //!
-//! HDiff's methodology — extract grammars and requirements from an RFC
-//! family, generate seed cases, fan them out over behavioral profiles,
-//! diff the observables, minimize and freeze what diverges — is not
-//! HTTP-specific, but the machinery grew up HTTP-hardwired. [`Protocol`]
-//! is the seam: one trait bundling everything the campaign driver needs
-//! to know about a workload (its grammar set, its seed corpus, how to
-//! execute one case into findings + behavior digests, how to classify
-//! and minimize a finding, and how to freeze a replay bundle).
+//! HDiff's methodology — generate seed cases, fan them out over
+//! behavioral profiles, diff the observables, minimize and freeze what
+//! diverges — is not HTTP-specific. [`Protocol`] is the seam: one trait
+//! holding exactly what the campaign driver calls for a workload (its
+//! seed corpus, how to execute one case into findings + behavior
+//! digests, how to classify and minimize a finding, and how to freeze a
+//! replay bundle).
 //!
-//! [`run_protocol_campaign`] is the driver every workload shares. It is
-//! the exact shape the h2 downgrade campaign pioneered — deterministic
-//! work-stealing fan-out, findings merged in corpus order, first finding
-//! of each class tag minimized and promoted — hoisted above the protocol.
-//! The h2 downgrade surface itself now runs through it (see
-//! [`crate::downgrade::DowngradeProtocol`]), HTTP/1.1 is available
-//! behind it as [`crate::http1::Http1Protocol`], and the cookie workload
-//! (`hdiff-cookie`) is the first non-HTTP instance.
+//! [`run_protocol_campaign`] is the one driver every seed-corpus
+//! workload runs through: deterministic work-stealing fan-out, each case
+//! under `catch_unwind` (a panicking case is quarantined, never fatal),
+//! findings merged in corpus order, and the first finding of each class
+//! tag minimized and promoted. The h2 downgrade surface runs through it
+//! on both transports (see [`crate::downgrade::DowngradeProtocol`]), and
+//! the cookie workload (`hdiff-cookie`) is the first non-HTTP instance.
+//! HTTP/1.1 still runs through [`crate::DiffEngine`], which carries the
+//! fault retries, checkpoints and shards this driver does not have yet.
 //!
 //! Protocol-keyed [`ReplayBundle`]s carry a `protocol` name so `hdiff
 //! replay` can route them back to the instance that recorded them; the
@@ -25,6 +25,7 @@
 
 use std::collections::BTreeSet;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
 
@@ -48,35 +49,17 @@ pub struct ProtoCase {
     pub bytes: Vec<u8>,
 }
 
-/// One implementation's observable view of a case, reduced to a metrics
-/// vector: the accept/reject verdict plus named observables the
-/// detection models compare across views.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtoView {
-    /// Name of the behavioral profile that produced this view.
-    pub view: String,
-    /// Whether the profile accepted the case.
-    pub accepted: bool,
-    /// Status code (or protocol-specific equivalent; 0 when none).
-    pub status: u16,
-    /// Named observables, in a stable order.
-    pub metrics: Vec<(String, String)>,
-}
-
-/// Everything one executed case produced: per-profile views, the
-/// detection model's findings, and behavior digests (the determinism
-/// anchor replay bundles freeze).
+/// Everything one executed case produced: the detection model's findings
+/// and behavior digests (the determinism anchor replay bundles freeze).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtoExecution {
-    /// Per-profile observable views.
-    pub views: Vec<ProtoView>,
     /// Findings the workload's detection models flagged.
     pub findings: Vec<Finding>,
     /// Labelled FNV-1a digests of every view's behavior.
     pub digests: Vec<(String, u64)>,
 }
 
-/// A differential workload: grammars, seed corpus, execution, detection,
+/// A differential workload: seed corpus, execution, detection,
 /// minimization, and bundle recording for one protocol family.
 ///
 /// Implementations must be deterministic: same bytes, same
@@ -91,16 +74,12 @@ pub trait Protocol: Sync {
     /// attributable.
     fn uuid_base(&self) -> u64;
 
-    /// The ABNF grammar set behind the workload, as `(rule-set name,
-    /// grammar)` pairs. Empty for binary-framed surfaces with no ABNF
-    /// grammar (e.g. the h2 downgrade front).
-    fn grammars(&self) -> Vec<(String, hdiff_abnf::Grammar)>;
-
     /// The seed corpus, in canonical (deterministic) order.
     fn seed_cases(&self) -> Vec<ProtoCase>;
 
-    /// Executes one case in-process.
-    fn execute(&self, uuid: u64, origin: &str, bytes: &[u8]) -> ProtoExecution;
+    /// Executes one case. Fails only when the workload's transport
+    /// cannot serve it (an in-process workload never fails).
+    fn execute(&self, uuid: u64, origin: &str, bytes: &[u8]) -> io::Result<ProtoExecution>;
 
     /// The divergence-class tag of a finding this workload emitted
     /// (conventionally an evidence prefix `<name>:<tag>: …`), or `None`
@@ -115,8 +94,7 @@ pub trait Protocol: Sync {
 
     /// Freezes `bytes` as a replay bundle. The default executes the case
     /// and records a protocol-keyed bundle that [`ReplayBundle::replay_protocol`]
-    /// re-verifies; workloads with a richer bespoke format (h1's
-    /// fault-aware bundles, h2's frontend-keyed ones) override this.
+    /// re-verifies; h2 overrides it with its frontend-keyed format.
     fn record_bundle(
         &self,
         name: &str,
@@ -124,9 +102,9 @@ pub trait Protocol: Sync {
         uuid: u64,
         origin: &str,
         bytes: &[u8],
-    ) -> ReplayBundle {
-        let exec = self.execute(uuid, origin, bytes);
-        ReplayBundle {
+    ) -> io::Result<ReplayBundle> {
+        let exec = self.execute(uuid, origin, bytes)?;
+        Ok(ReplayBundle {
             name: name.to_string(),
             description: description.to_string(),
             uuid,
@@ -138,34 +116,30 @@ pub trait Protocol: Sync {
             transport: Transport::Sim,
             frontend: Frontend::H1,
             protocol: Some(self.name().to_string()),
-        }
+        })
     }
 }
 
 impl ReplayBundle {
-    /// Re-executes a protocol-keyed bundle against `p` and diffs
-    /// verdicts and digests, exactly like [`ReplayBundle::replay`] does
-    /// for h1/h2 bundles.
+    /// Re-executes the bundle against `p` and diffs verdicts and digests,
+    /// exactly like [`ReplayBundle::replay`] does for h1 bundles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` cannot execute the case (its testbed failed).
     pub fn replay_protocol(&self, p: &dyn Protocol) -> ReplayReport {
-        let exec = p.execute(self.uuid, &self.origin, &self.request);
-        ReplayReport {
-            bundle: self.name.clone(),
-            missing: self.findings.iter().filter(|f| !exec.findings.contains(f)).cloned().collect(),
-            unexpected: exec
-                .findings
-                .iter()
-                .filter(|f| !self.findings.contains(f))
-                .cloned()
-                .collect(),
-            drifted: crate::replay::diff_digests(&self.digests, &exec.digests),
-        }
+        let exec = p
+            .execute(self.uuid, &self.origin, &self.request)
+            .unwrap_or_else(|e| panic!("{} replay cannot execute: {e}", p.name()));
+        self.report(&exec.findings, &exec.digests)
     }
 }
 
 /// Options for [`run_protocol_campaign`].
 #[derive(Debug, Clone, Default)]
 pub struct ProtocolCampaignOptions {
-    /// Worker threads for the case fan-out (`0`/`1` runs inline).
+    /// Worker threads for the case fan-out; `0` means one per available
+    /// core, `1` runs inline.
     pub threads: usize,
     /// When set, the first finding of each class tag is minimized and
     /// promoted to a replay bundle in this directory.
@@ -185,28 +159,37 @@ pub struct ProtocolSummary {
     pub classes: Vec<String>,
     /// Replay bundles written (when `promote_dir` was set).
     pub promoted: Vec<PathBuf>,
+    /// Uuids of the cases whose execution panicked, ascending. A
+    /// quarantined case adds no findings and is never promoted.
+    pub quarantined: Vec<u64>,
 }
 
-/// The `<protocol>.campaign.cases` counter name, interned once per
-/// protocol so later campaigns build no string.
-fn campaign_cases_counter(protocol: &'static str) -> &'static str {
-    static INTERNED: Mutex<Vec<(&'static str, &'static str)>> = Mutex::new(Vec::new());
+/// The `<protocol>.campaign.cases` and `<protocol>.campaign.findings`
+/// counter names, interned once per protocol so later campaigns build no
+/// string.
+fn campaign_counters(protocol: &'static str) -> (&'static str, &'static str) {
+    type Names = (&'static str, (&'static str, &'static str));
+    static INTERNED: Mutex<Vec<Names>> = Mutex::new(Vec::new());
     // Entries are pushed whole, so a poisoned list is still valid.
     let mut interned = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(&(_, name)) = interned.iter().find(|(p, _)| *p == protocol) {
-        return name;
+    if let Some(&(_, names)) = interned.iter().find(|(p, _)| *p == protocol) {
+        return names;
     }
-    let name = hdiff_obs::MetricId::counter(&format!("{protocol}.campaign.cases")).name();
-    interned.push((protocol, name));
-    name
+    let counter =
+        |what: &str| hdiff_obs::MetricId::counter(&format!("{protocol}.campaign.{what}")).name();
+    let names = (counter("cases"), counter("findings"));
+    interned.push((protocol, names));
+    names
 }
 
 /// Runs a workload's seed corpus through its differential matrix: the
 /// shared campaign driver. Deterministic and invariant in `threads`
 /// (cases fan out via [`schedule::run_stealing`], findings merge in
 /// corpus order); when promoting, the first finding of each class tag is
-/// minimized and frozen as `<protocol>-<tag>.json`. Workers record
-/// under the calling thread's telemetry switches.
+/// minimized and frozen as `<protocol>-<tag>.json`. A case whose
+/// execution panics is quarantined; a case the workload fails to execute
+/// fails the campaign with the first such error in corpus order. Workers
+/// record under the calling thread's telemetry switches.
 pub fn run_protocol_campaign(
     p: &dyn Protocol,
     opts: &ProtocolCampaignOptions,
@@ -216,11 +199,25 @@ pub fn run_protocol_campaign(
         seeds.into_iter().enumerate().map(|(i, c)| (p.uuid_base() + i as u64, c)).collect();
 
     let recorder = hdiff_obs::Recorder::capture();
-    let per_case: Vec<Vec<Finding>> =
-        schedule::run_stealing(&cases, opts.threads.max(1), |(uuid, case)| {
-            let origin = format!("{}:{}", p.name(), case.id);
-            recorder.apply(|| p.execute(*uuid, &origin, &case.bytes).findings)
-        });
+    let threads = schedule::effective_threads(opts.threads);
+    let results = schedule::run_stealing(&cases, threads, |(uuid, case)| {
+        let origin = format!("{}:{}", p.name(), case.id);
+        recorder.apply(|| {
+            panic::catch_unwind(AssertUnwindSafe(|| p.execute(*uuid, &origin, &case.bytes)))
+        })
+    });
+
+    let mut per_case: Vec<Vec<Finding>> = Vec::with_capacity(cases.len());
+    let mut quarantined = Vec::new();
+    for ((uuid, _), result) in cases.iter().zip(results) {
+        match result {
+            Ok(exec) => per_case.push(exec?.findings),
+            Err(_panic) => {
+                quarantined.push(*uuid);
+                per_case.push(Vec::new());
+            }
+        }
+    }
 
     let mut findings = Vec::new();
     for case_findings in &per_case {
@@ -248,7 +245,7 @@ pub fn run_protocol_campaign(
                 let minimized = p.minimize(&case.bytes, f);
                 let name = format!("{}-{tag}", p.name());
                 let bundle =
-                    p.record_bundle(&name, &case.description, f.uuid, &f.origin, &minimized);
+                    p.record_bundle(&name, &case.description, f.uuid, &f.origin, &minimized)?;
                 let path = dir.join(format!("{name}.json"));
                 bundle.save(&path)?;
                 promoted.push(path);
@@ -256,12 +253,115 @@ pub fn run_protocol_campaign(
         }
     }
 
-    hdiff_obs::count(campaign_cases_counter(p.name()), cases.len() as u64);
+    let (cases_counter, findings_counter) = campaign_counters(p.name());
+    hdiff_obs::count(cases_counter, cases.len() as u64);
+    hdiff_obs::count(findings_counter, findings.len() as u64);
     Ok(ProtocolSummary {
         protocol: p.name().to_string(),
         cases: cases.len(),
         findings,
         classes: classes.into_iter().collect(),
         promoted,
+        quarantined,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hdiff_gen::AttackClass;
+
+    const BASE: u64 = 100;
+
+    /// Eight cases, each flagging one finding tagged by its parity, except
+    /// that the cases at `panics_at` panic and those at `fails_at` cannot
+    /// be served.
+    struct Fragile {
+        panics_at: u8,
+        fails_at: Vec<u8>,
+    }
+
+    impl Protocol for Fragile {
+        fn name(&self) -> &'static str {
+            "fragile"
+        }
+
+        fn uuid_base(&self) -> u64 {
+            BASE
+        }
+
+        fn seed_cases(&self) -> Vec<ProtoCase> {
+            (0..8u8)
+                .map(|i| ProtoCase {
+                    id: format!("c{i}"),
+                    description: String::new(),
+                    bytes: vec![i],
+                })
+                .collect()
+        }
+
+        fn execute(&self, uuid: u64, origin: &str, bytes: &[u8]) -> io::Result<ProtoExecution> {
+            assert_ne!(bytes[0], self.panics_at, "hostile case");
+            if self.fails_at.contains(&bytes[0]) {
+                return Err(io::Error::other(format!("{origin} unserved")));
+            }
+            let finding = Finding {
+                class: AttackClass::Hrs,
+                uuid,
+                origin: origin.to_string(),
+                front: None,
+                back: None,
+                culprits: BTreeSet::new(),
+                evidence: format!("fragile:parity{}: case {}", bytes[0] % 2, bytes[0]),
+            };
+            Ok(ProtoExecution { findings: vec![finding], digests: Vec::new() })
+        }
+
+        fn finding_tag(&self, f: &Finding) -> Option<String> {
+            let rest = f.evidence.strip_prefix("fragile:")?;
+            Some(rest[..rest.find(':')?].to_string())
+        }
+
+        fn minimize(&self, bytes: &[u8], _target: &Finding) -> Vec<u8> {
+            bytes.to_vec()
+        }
+    }
+
+    #[test]
+    fn a_panicking_case_is_quarantined_at_any_thread_count() {
+        let dir = std::env::temp_dir().join(format!("hdiff-fragile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fragile = Fragile { panics_at: 1, fails_at: Vec::new() };
+        let run = |threads: usize| {
+            let promote_dir = Some(dir.join(threads.to_string()));
+            run_protocol_campaign(&fragile, &ProtocolCampaignOptions { threads, promote_dir })
+                .expect("a panic does not fail the campaign")
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(one.cases, 8);
+        assert_eq!(one.quarantined, vec![BASE + 1]);
+        let flagged: Vec<u64> = one.findings.iter().map(|f| f.uuid).collect();
+        let expected: Vec<u64> = [0, 2, 3, 4, 5, 6, 7].iter().map(|i| BASE + i).collect();
+        assert_eq!(flagged, expected, "every other case keeps its findings");
+        assert_eq!(one.classes, ["parity0", "parity1"]);
+        // The quarantined case was the first of its class; the class is
+        // promoted from the next case instead.
+        let parity1 = one.promoted.iter().find(|p| p.ends_with("fragile-parity1.json")).unwrap();
+        assert_eq!(ReplayBundle::load(parity1).unwrap().uuid, BASE + 3);
+        assert_eq!(
+            (&one.findings, &one.classes, &one.quarantined),
+            (&four.findings, &four.classes, &four.quarantined)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_first_unserved_case_in_corpus_order_fails_the_campaign() {
+        let fragile = Fragile { panics_at: u8::MAX, fails_at: vec![6, 2] };
+        for threads in [1, 4] {
+            let opts = ProtocolCampaignOptions { threads, promote_dir: None };
+            let err = run_protocol_campaign(&fragile, &opts).unwrap_err();
+            assert_eq!(err.to_string(), "fragile:c2 unserved", "threads={threads}");
+        }
+    }
 }

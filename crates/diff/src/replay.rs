@@ -23,22 +23,19 @@ use hdiff_servers::ParserProfile;
 
 use crate::checkpoint::{data_err, read_finding, write_finding};
 use crate::detect::detect_case_with_oracle;
-use crate::downgrade::{detect_downgrade, downgrade_digests, DowngradeWorkflow, Frontend};
+use crate::downgrade::{
+    detect_downgrade, downgrade_digests, DowngradeProtocol, DowngradeWorkflow, Frontend,
+};
 use crate::findings::Finding;
 use crate::hmetrics::HMetrics;
 use crate::json::{push_json_str, Json, Parser};
 use crate::minimize::{FindingContext, MinimizeOptions};
 use crate::syntax::SyntaxOracle;
 use crate::transport::Transport;
-use crate::workflow::{CaseOutcome, Workflow};
+use crate::workflow::{CaseOutcome, Workflow, STEP_BUDGET};
 
 /// On-disk bundle format version; bumped on incompatible changes.
 pub const FORMAT_VERSION: u64 = 1;
-
-/// Per-attempt logical step budget used when recording and replaying.
-/// Fixed by the format (not a knob): digests recorded under one budget
-/// must be reproduced under the same budget.
-pub const STEP_BUDGET: u64 = 4096;
 
 /// A frozen, re-executable finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,9 +172,14 @@ impl ReplayBundle {
     }
 
     /// Re-executes the bundle and diffs verdicts and digests against the
-    /// recorded expectations. H2 bundles dispatch to the downgrade
-    /// matrix; the `workflow`/`profiles` arguments (which describe the
-    /// h1 pipeline) are not consulted for them.
+    /// recorded expectations. H2 bundles execute through
+    /// [`DowngradeProtocol`] over the bundle's transport; the
+    /// `workflow`/`profiles` arguments (which describe the h1 pipeline)
+    /// are not consulted for them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bundle's `tcp-async` testbed cannot be spawned.
     pub fn replay(
         &self,
         workflow: &Workflow,
@@ -196,7 +198,7 @@ impl ReplayBundle {
                 drifted: vec![format!("protocol:{protocol}:unrouted")],
             };
         }
-        let (findings, actual) = match self.frontend {
+        match self.frontend {
             Frontend::H1 => {
                 let (outcome, findings) = execute(
                     workflow,
@@ -208,35 +210,24 @@ impl ReplayBundle {
                     self.fault,
                     self.transport,
                 );
-                (findings, digests_of(&outcome))
+                self.report(&findings, &digests_of(&outcome))
             }
             Frontend::H2 => {
-                let wf = DowngradeWorkflow::standard();
-                let outcome = if self.transport == Transport::Sim {
-                    wf.run_bytes(self.uuid, &self.origin, &self.request)
-                } else {
-                    // One-shot, like the h1 replay's ephemeral testbed.
-                    hdiff_net::FrontTestbed::new(&wf.fronts)
-                        .map_err(std::io::Error::from)
-                        .and_then(|testbed| {
-                            crate::downgrade::run_downgrade_case_tcp(
-                                &wf,
-                                &testbed,
-                                self.uuid,
-                                &self.origin,
-                                &self.request,
-                            )
-                        })
-                        .unwrap_or_else(|e| panic!("h2 front testbed unavailable: {e}"))
-                };
-                (detect_downgrade(&outcome), downgrade_digests(&outcome))
+                let fronts = DowngradeProtocol::new(self.transport)
+                    .unwrap_or_else(|e| panic!("h2 front testbed unavailable: {e}"));
+                self.replay_protocol(&fronts)
             }
-        };
+        }
+    }
+
+    /// The report of a re-execution that produced `findings` and
+    /// `digests`.
+    pub(crate) fn report(&self, findings: &[Finding], digests: &[(String, u64)]) -> ReplayReport {
         ReplayReport {
             bundle: self.name.clone(),
             missing: self.findings.iter().filter(|f| !findings.contains(f)).cloned().collect(),
             unexpected: findings.iter().filter(|f| !self.findings.contains(f)).cloned().collect(),
-            drifted: diff_digests(&self.digests, &actual),
+            drifted: diff_digests(&self.digests, digests),
         }
     }
 
@@ -388,7 +379,7 @@ impl ReplayBundle {
 
 /// Labels whose digest drifted between the recorded and replayed views
 /// (changed value, vanished, or newly appeared).
-pub(crate) fn diff_digests(expected: &[(String, u64)], actual: &[(String, u64)]) -> Vec<String> {
+fn diff_digests(expected: &[(String, u64)], actual: &[(String, u64)]) -> Vec<String> {
     let mut drifted: Vec<String> = Vec::new();
     for (label, want) in expected {
         match actual.iter().find(|(l, _)| l == label) {
@@ -486,6 +477,10 @@ pub fn regen_golden(
 /// Runs one case exactly the way record/replay both must: a fresh fault
 /// session (disabled plan unless `fault` is set) under [`STEP_BUDGET`],
 /// through the chosen transport.
+///
+/// # Panics
+///
+/// Panics if the workflow's `tcp-async` testbed cannot be spawned.
 #[allow(clippy::too_many_arguments)]
 fn execute(
     workflow: &Workflow,
@@ -503,23 +498,9 @@ fn execute(
     };
     let injector = FaultInjector::new(plan);
     let session = FaultSession::new(&injector, uuid, 0, STEP_BUDGET);
-    let outcome = match transport {
-        Transport::Sim => workflow.run_bytes_faulted(uuid, origin, bytes, Some(&session)),
-        Transport::TcpAsync => {
-            // Replays are one-shot: an ephemeral testbed per execution
-            // still exercises the multiplexed code path end to end.
-            let testbed = hdiff_net::AsyncTestbed::new(workflow.backends(), workflow.proxies())
-                .unwrap_or_else(|e| panic!("loopback testbed unavailable: {e}"));
-            crate::transport::run_bytes_tcp_async(
-                workflow,
-                uuid,
-                origin,
-                bytes,
-                Some(&session),
-                &testbed,
-            )
-        }
-    };
+    let outcome = workflow
+        .execute(transport, uuid, origin.to_string(), bytes.to_vec(), &session)
+        .unwrap_or_else(|e| panic!("loopback testbed unavailable: {e}"));
     let findings = detect_case_with_oracle(profiles, &outcome, oracle);
     (outcome, findings)
 }

@@ -27,9 +27,12 @@ use crate::schedule;
 use crate::shard::{ShardError, ShardTopology};
 use crate::srcheck::{check_all, check_host_conformance, SrViolation};
 use crate::syntax::SyntaxOracle;
-use crate::transport::{try_run_case_tcp_async, Transport};
+use crate::transport::Transport;
 use crate::verdict::{PairMatrix, Verdicts};
-use crate::workflow::Workflow;
+use crate::workflow::{Workflow, STEP_BUDGET};
+
+/// Retries a case gets when a transient injected fault fires.
+pub const MAX_RETRIES: u32 = 2;
 
 /// Why a case failed — the runner's typed error taxonomy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,10 +218,6 @@ pub struct DiffEngine {
     pub threads: usize,
     /// Fault-injection plan (disabled by default: rate 0).
     pub fault_plan: FaultPlan,
-    /// Maximum retries per case on transient faults.
-    pub max_retries: u32,
-    /// Logical step budget per case attempt.
-    pub step_budget: u64,
     /// Cases per checkpoint interval for [`DiffEngine::run_with_checkpoint`].
     pub checkpoint_every: usize,
     /// Stop after this many checkpoint intervals — simulates a campaign
@@ -242,10 +241,6 @@ pub struct DiffEngine {
     /// Called after every chunk (post-save when checkpointing) — the
     /// shard worker's heartbeat source.
     pub progress: Option<ProgressHook>,
-    /// The multiplexed-transport testbed, spawned on first use and shared
-    /// by every worker thread for the engine's lifetime (the reactor
-    /// multiplexes all of their cases over one event loop).
-    async_testbed: std::sync::OnceLock<Result<hdiff_net::AsyncTestbed, hdiff_net::NetError>>,
 }
 
 impl DiffEngine {
@@ -271,8 +266,6 @@ impl DiffEngine {
             profiles,
             threads: 0,
             fault_plan: FaultPlan::disabled(),
-            max_retries: 2,
-            step_budget: 4096,
             checkpoint_every: 64,
             stop_after_chunks: None,
             syntax_oracle: None,
@@ -280,35 +273,12 @@ impl DiffEngine {
             transport: Transport::Sim,
             base_telemetry: hdiff_obs::Telemetry::default(),
             progress: None,
-            async_testbed: std::sync::OnceLock::new(),
         }
-    }
-
-    /// The shared multiplexed-transport testbed, spawning it on first
-    /// use. A spawn failure (unsupported platform, exhausted fds) is
-    /// cached and surfaces as a per-case net error, same as a blocking
-    /// testbed failure.
-    fn async_testbed(&self) -> Result<&hdiff_net::AsyncTestbed, hdiff_net::NetError> {
-        self.async_testbed
-            .get_or_init(|| {
-                hdiff_net::AsyncTestbed::new(self.workflow.backends(), self.workflow.proxies())
-            })
-            .as_ref()
-            .map_err(Clone::clone)
     }
 
     /// The workflow in use.
     pub fn workflow(&self) -> &Workflow {
         &self.workflow
-    }
-
-    /// The thread count actually used.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.threads
-        }
     }
 
     /// Runs the full analysis over a batch of test cases.
@@ -387,7 +357,7 @@ impl DiffEngine {
             cases.iter().filter(|c| !completed.contains_key(&c.uuid)).collect();
         // Resolve the thread count once per run; `available_parallelism`
         // is a syscall and the answer cannot change between chunks.
-        let threads = self.effective_threads();
+        let threads = schedule::effective_threads(self.threads);
         let recorder = hdiff_obs::Recorder::capture();
         for (i, chunk) in pending.chunks(self.checkpoint_every.max(1)).enumerate() {
             if self.stop_after_chunks.is_some_and(|n| i >= n) {
@@ -422,8 +392,8 @@ impl DiffEngine {
     }
 
     /// Runs one case under `catch_unwind` with a fresh fault session per
-    /// attempt, retrying transient faults up to [`DiffEngine::max_retries`]
-    /// times. A panic quarantines the case (recorded, skipped, never
+    /// attempt, retrying transient faults up to [`MAX_RETRIES`] times. A
+    /// panic quarantines the case (recorded, skipped, never
     /// fatal); a transient fault that survives every retry maps to its
     /// [`CaseError`]; truncation/garbling faults are behavioral (no error)
     /// and surface through degradation findings instead.
@@ -443,33 +413,28 @@ impl DiffEngine {
         let mut retries = 0u32;
         let mut backoff_units = 0u64;
         loop {
-            let session = FaultSession::new(&injector, case.uuid, retries, self.step_budget);
+            let session = FaultSession::new(&injector, case.uuid, retries, STEP_BUDGET);
             let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
                 let outcome = {
                     let _execute = hdiff_obs::span("stage.chain-execute");
                     let started = std::time::Instant::now();
-                    let outcome = match self.transport {
-                        Transport::Sim => Ok(self.workflow.run_case_faulted(case, Some(&session))),
-                        Transport::TcpAsync => self.async_testbed().and_then(|testbed| {
-                            try_run_case_tcp_async(&self.workflow, case, Some(&session), testbed)
-                        }),
-                    };
+                    let outcome = self.workflow.execute(
+                        self.transport,
+                        case.uuid,
+                        case.origin.to_string(),
+                        case.request.to_bytes(),
+                        &session,
+                    );
                     let rtt = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    match self.transport {
-                        Transport::Sim => hdiff_obs::observe("transport.rtt.sim", rtt),
-                        Transport::TcpAsync => hdiff_obs::observe("transport.rtt.tcp-async", rtt),
-                    }
-                    match outcome {
-                        Ok(o) => o,
-                        Err(net) => return Err(net),
-                    }
+                    hdiff_obs::observe(self.transport.rtt_metric(), rtt);
+                    outcome?
                 };
                 let _detect = hdiff_obs::span("stage.detect");
                 let replayed = outcome.chains.iter().any(|c| !c.replays.is_empty());
                 let findings =
                     detect_case_with_oracle(&self.profiles, &outcome, self.syntax_oracle.as_ref());
                 let degradations = detect_degradation(&outcome);
-                Ok((
+                Ok::<_, hdiff_net::NetError>((
                     outcome.fault_events,
                     outcome.budget_exhausted,
                     replayed,
@@ -515,7 +480,7 @@ impl DiffEngine {
 
             let transient = events.iter().map(|e| e.kind).find(|k| k.is_transient());
             if let Some(kind) = transient {
-                if retries < self.max_retries {
+                if retries < MAX_RETRIES {
                     retries += 1;
                     backoff_units += 1u64 << retries.min(16);
                     hdiff_obs::count("case.retry", 1);

@@ -20,6 +20,16 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// The worker count a campaign's `threads` setting asks for: `0` means one
+/// per available core, anything else is taken as is.
+pub fn effective_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        threads
+    }
+}
+
 /// Runs `job` over every item, fanning out across at most `workers`
 /// OS threads, and returns the results in input order.
 ///

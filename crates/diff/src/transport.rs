@@ -1,7 +1,8 @@
 //! The wire transport: the Fig. 6 workflow executed over real sockets.
 //!
 //! [`run_bytes_tcp_async`] is a drop-in alternative to
-//! [`Workflow::run_bytes_faulted`]: every behavioral profile is served
+//! [`Workflow::run_bytes_faulted`], and [`Workflow::execute`] picks it for
+//! `tcp-async` campaigns: every behavioral profile is served
 //! by one [`hdiff_net::AsyncTestbed`] event loop — backends as origin
 //! listeners, each proxy hop relaying to a shared echo — and the test
 //! case's bytes genuinely travel through the kernel's TCP stack. A case
@@ -45,10 +46,10 @@
 //! pipelined batch to every backend and flags response-attribution
 //! disagreements — the on-the-wire symptom of request smuggling.
 
-use hdiff_gen::{AttackClass, TestCase};
+use hdiff_gen::AttackClass;
 use hdiff_net::{
     attribute_responses, compare_attribution, AsyncListener, AsyncTestbed, ExchangeOutput,
-    ExchangeSpec, FaultEffect, Job, NetError, NetServerConfig, Reactor, SendMode, ServerFault,
+    ExchangeSpec, FaultEffect, Job, NetServerConfig, Reactor, SendMode, ServerFault,
 };
 use hdiff_servers::fault::{FaultKind, FaultSession, FaultStage};
 use hdiff_servers::{ParserProfile, ServerReply, ORIGIN_HOP};
@@ -81,6 +82,14 @@ impl Transport {
         }
     }
 
+    /// The histogram a campaign records each case's execution time in.
+    pub fn rtt_metric(self) -> &'static str {
+        match self {
+            Transport::Sim => "transport.rtt.sim",
+            Transport::TcpAsync => "transport.rtt.tcp-async",
+        }
+    }
+
     /// Parses [`Transport::as_str`] output. The error names the value and
     /// lists the accepted ones.
     pub fn parse(s: &str) -> Result<Transport, String> {
@@ -98,42 +107,9 @@ impl std::fmt::Display for Transport {
     }
 }
 
-/// [`run_bytes_tcp_async`] for a structured [`TestCase`].
-pub fn run_case_tcp_async(
-    workflow: &Workflow,
-    case: &TestCase,
-    faults: Option<&FaultSession<'_>>,
-    testbed: &AsyncTestbed,
-) -> CaseOutcome {
-    run_bytes_tcp_async(
-        workflow,
-        case.uuid,
-        &case.origin.to_string(),
-        &case.request.to_bytes(),
-        faults,
-        testbed,
-    )
-}
-
-/// [`try_run_bytes_tcp_async`] for a structured [`TestCase`].
-pub fn try_run_case_tcp_async(
-    workflow: &Workflow,
-    case: &TestCase,
-    faults: Option<&FaultSession<'_>>,
-    testbed: &AsyncTestbed,
-) -> Result<CaseOutcome, NetError> {
-    try_run_bytes_tcp_async(
-        workflow,
-        case.uuid,
-        &case.origin.to_string(),
-        &case.request.to_bytes(),
-        faults,
-        testbed,
-    )
-}
-
-/// [`Workflow::run_bytes_faulted`], over the loopback testbed. Panics on
-/// testbed failure; see [`try_run_bytes_tcp_async`].
+/// [`Workflow::run_bytes_faulted`], over the loopback testbed. Campaigns
+/// reach this path through [`Workflow::execute`], which owns the shared
+/// testbed.
 pub fn run_bytes_tcp_async(
     workflow: &Workflow,
     uuid: u64,
@@ -142,8 +118,7 @@ pub fn run_bytes_tcp_async(
     faults: Option<&FaultSession<'_>>,
     testbed: &AsyncTestbed,
 ) -> CaseOutcome {
-    try_run_bytes_tcp_async(workflow, uuid, origin, bytes, faults, testbed)
-        .unwrap_or_else(|e| panic!("loopback testbed unavailable: {e}"))
+    run_owned_tcp_async(workflow, uuid, origin.to_string(), bytes.to_vec(), faults, testbed)
 }
 
 /// The socket effect of an origin-side fault kind.
@@ -167,15 +142,14 @@ fn server_fault(kind: FaultKind) -> Option<ServerFault> {
 /// makes one real stalled exchange — the wire observation is the
 /// client's short read deadline — and skips every other exchange, since
 /// the sim's stalled read exhausts the budget.
-pub fn try_run_bytes_tcp_async(
+pub(crate) fn run_owned_tcp_async(
     workflow: &Workflow,
     uuid: u64,
-    origin: &str,
-    bytes: &[u8],
+    origin: String,
+    bytes: Vec<u8>,
     faults: Option<&FaultSession<'_>>,
     testbed: &AsyncTestbed,
-) -> Result<CaseOutcome, NetError> {
-    let bytes = bytes.to_vec();
+) -> CaseOutcome {
     let origin_fault =
         faults.and_then(|s| s.decide(ORIGIN_HOP, FaultStage::OriginRespond)).map(|d| d.kind);
     let probe_bytes = origin_fault.and_then(damaged_upstream_bytes);
@@ -314,15 +288,15 @@ pub fn try_run_bytes_tcp_async(
         });
     }
 
-    Ok(CaseOutcome {
+    CaseOutcome {
         uuid,
-        origin: origin.to_string(),
+        origin,
         bytes,
         chains,
         direct,
         fault_events: faults.map(|s| s.events()).unwrap_or_default(),
         budget_exhausted: faults.is_some_and(FaultSession::exhausted),
-    })
+    }
 }
 
 /// Keeps the replies the sim would: one budget charge per reply, stopping

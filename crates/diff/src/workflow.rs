@@ -19,12 +19,27 @@
 //! between cases (the storability check reads the cache policy and
 //! never stores). DESIGN.md "How the sim chain allocates" lists what is
 //! built once per workflow, once per case and once per message.
+//!
+//! [`Workflow::execute`] is the one place an h1 case is dispatched on its
+//! [`Transport`]: the sim runs the steps in-process, and `tcp-async` runs
+//! them over the loopback testbed the workflow spawns at its first
+//! socket case and shares with every later caller.
+
+use std::sync::OnceLock;
 
 use hdiff_gen::TestCase;
+use hdiff_net::{AsyncTestbed, NetError};
 use hdiff_servers::cache::StoreDecision;
 use hdiff_servers::fault::{FaultEvent, FaultKind, FaultSession, FaultStage};
 use hdiff_servers::response_path::{relay_response, RelayAction};
 use hdiff_servers::{ParserProfile, Proxy, ProxyResult, Server, ServerReply, ORIGIN_HOP};
+
+use crate::transport::{run_owned_tcp_async, Transport};
+
+/// Logical step budget of one case attempt, in every campaign, recording
+/// and replay. Fixed, not a knob: replay bundles freeze digests recorded
+/// under it, so a replay must run under the same budget.
+pub const STEP_BUDGET: u64 = 4096;
 
 /// One back-end's replies to a byte stream.
 #[derive(Debug, Clone)]
@@ -106,6 +121,9 @@ pub struct Workflow {
     sim_backends: Vec<Server>,
     /// Replay-reduction switch (on by default, like the paper).
     pub replay_reduction: bool,
+    /// The loopback testbed serving every profile, spawned at the first
+    /// `tcp-async` case; a spawn failure is kept and reported per case.
+    testbed: OnceLock<Result<AsyncTestbed, NetError>>,
 }
 
 impl Workflow {
@@ -117,7 +135,14 @@ impl Workflow {
     pub fn new(proxies: Vec<ParserProfile>, backends: Vec<ParserProfile>) -> Workflow {
         let sim_proxies = proxies.iter().cloned().map(Proxy::new).collect();
         let sim_backends = backends.iter().cloned().map(Server::new).collect();
-        Workflow { proxies, backends, sim_proxies, sim_backends, replay_reduction: true }
+        Workflow {
+            proxies,
+            backends,
+            sim_proxies,
+            sim_backends,
+            replay_reduction: true,
+            testbed: OnceLock::new(),
+        }
     }
 
     /// The standard Fig. 6 environment: six proxies, six back-ends.
@@ -172,6 +197,32 @@ impl Workflow {
         faults: Option<&FaultSession<'_>>,
     ) -> CaseOutcome {
         self.run_owned(uuid, origin.to_string(), bytes.to_vec(), faults)
+    }
+
+    /// Runs one case over `transport` under `faults`: the only dispatch
+    /// of an h1 case on its transport. The case's origin and bytes move
+    /// into the outcome, so the sim path copies neither. Fails only when
+    /// the loopback testbed cannot be spawned; that failure is kept, and
+    /// every later `tcp-async` case reports it again.
+    pub fn execute(
+        &self,
+        transport: Transport,
+        uuid: u64,
+        origin: String,
+        bytes: Vec<u8>,
+        faults: &FaultSession<'_>,
+    ) -> Result<CaseOutcome, NetError> {
+        match transport {
+            Transport::Sim => Ok(self.run_owned(uuid, origin, bytes, Some(faults))),
+            Transport::TcpAsync => {
+                let testbed = self
+                    .testbed
+                    .get_or_init(|| AsyncTestbed::new(&self.backends, &self.proxies))
+                    .as_ref()
+                    .map_err(Clone::clone)?;
+                Ok(run_owned_tcp_async(self, uuid, origin, bytes, Some(faults), testbed))
+            }
+        }
     }
 
     /// The three steps over a case the outcome takes ownership of.

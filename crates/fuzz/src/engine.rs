@@ -28,14 +28,14 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use hdiff_abnf::Grammar;
 use hdiff_diff::minimize::{ddmin_items, minimize, MinimizeOptions, MinimizeStats};
 use hdiff_diff::replay::behavior_digests;
-use hdiff_diff::transport::try_run_bytes_tcp_async;
-use hdiff_diff::{detect_case, schedule, Finding, ReplayBundle, Transport, Workflow};
+use hdiff_diff::{
+    detect_case, schedule, Finding, FindingContext, ReplayBundle, Transport, Workflow, STEP_BUDGET,
+};
 use hdiff_gen::{AbnfGenerator, CoverageMap, GenOptions, GrammarCoverage};
 use hdiff_servers::fault::{FaultInjector, FaultPlan, FaultSession};
 use hdiff_servers::ParserProfile;
@@ -45,9 +45,6 @@ use rand::{Rng, SeedableRng};
 use crate::corpus::Corpus;
 use crate::mutate::{host_values, inject_line, IngredientPool, StreamMutator};
 use crate::stream::Stream;
-
-/// Per-attempt logical step budget (matches the campaign runner's).
-pub const STEP_BUDGET: u64 = 4096;
 
 /// `(grammar rule, header-line prefix)` pairs the fresh-material
 /// operator draws from: the fields the three detection models care
@@ -289,7 +286,6 @@ pub struct FuzzEngine {
     workflow: Workflow,
     profiles: Vec<ParserProfile>,
     grammar: Grammar,
-    async_testbed: OnceLock<Result<hdiff_net::AsyncTestbed, hdiff_net::NetError>>,
 }
 
 /// What one executed candidate came back with.
@@ -330,29 +326,12 @@ impl FuzzEngine {
         profiles: Vec<ParserProfile>,
         grammar: Grammar,
     ) -> FuzzEngine {
-        FuzzEngine { opts, workflow, profiles, grammar, async_testbed: OnceLock::new() }
+        FuzzEngine { opts, workflow, profiles, grammar }
     }
 
     /// The options in use.
     pub fn options(&self) -> &FuzzOptions {
         &self.opts
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.opts.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.opts.threads
-        }
-    }
-
-    fn async_testbed(&self) -> Result<&hdiff_net::AsyncTestbed, hdiff_net::NetError> {
-        self.async_testbed
-            .get_or_init(|| {
-                hdiff_net::AsyncTestbed::new(self.workflow.backends(), self.workflow.proxies())
-            })
-            .as_ref()
-            .map_err(Clone::clone)
     }
 
     /// Runs the session to its budget and reports. The session records
@@ -410,7 +389,7 @@ impl FuzzEngine {
             FuzzBudget::Iters(n) => Some(n),
             FuzzBudget::Seconds(_) => None,
         };
-        let threads = self.effective_threads();
+        let threads = schedule::effective_threads(opts.threads);
         let batch_cap = opts.batch.max(1);
 
         // Seed streams: corpus-loaded artifacts first (they carry known
@@ -642,27 +621,15 @@ impl FuzzEngine {
         let (outcome, telemetry) = recorder.case(cand.uuid, || {
             let _span = hdiff_obs::span("stage.fuzz-exec");
             panic::catch_unwind(AssertUnwindSafe(|| {
-                let bytes = cand.stream.effective_bytes();
                 let injector = FaultInjector::new(FaultPlan::disabled());
                 let session = FaultSession::new(&injector, cand.uuid, 0, STEP_BUDGET);
-                let outcome = match self.opts.transport {
-                    Transport::Sim => Ok(self.workflow.run_bytes_faulted(
-                        cand.uuid,
-                        &cand.origin,
-                        &bytes,
-                        Some(&session),
-                    )),
-                    Transport::TcpAsync => self.async_testbed().and_then(|testbed| {
-                        try_run_bytes_tcp_async(
-                            &self.workflow,
-                            cand.uuid,
-                            &cand.origin,
-                            &bytes,
-                            Some(&session),
-                            testbed,
-                        )
-                    }),
-                };
+                let outcome = self.workflow.execute(
+                    self.opts.transport,
+                    cand.uuid,
+                    cand.origin.clone(),
+                    cand.stream.effective_bytes(),
+                    &session,
+                );
                 outcome.map(|outcome| {
                     let digests = behavior_digests(&outcome);
                     let findings = detect_case(&self.profiles, &outcome);
@@ -706,8 +673,9 @@ impl FuzzEngine {
             byte_pass_limit: 0,
             chunk_width: 16,
         };
+        let ctx = FindingContext::new(&self.workflow, &self.profiles);
         let predicate = |s: &Stream| {
-            self.findings_for(cand.uuid, &cand.origin, &s.effective_bytes()).iter().any(|f| {
+            ctx.findings_for(cand.uuid, &cand.origin, &s.effective_bytes()).iter().any(|f| {
                 f.class == finding.class && f.front == finding.front && f.back == finding.back
             })
         };
@@ -724,15 +692,6 @@ impl FuzzEngine {
             None,
         );
         (stream, bundle, shrink)
-    }
-
-    /// Detects findings on exact candidate bytes (fresh disabled fault
-    /// session, same step budget as execution).
-    fn findings_for(&self, uuid: u64, origin: &str, bytes: &[u8]) -> Vec<Finding> {
-        let injector = FaultInjector::new(FaultPlan::disabled());
-        let session = FaultSession::new(&injector, uuid, 0, STEP_BUDGET);
-        let outcome = self.workflow.run_bytes_faulted(uuid, origin, bytes, Some(&session));
-        detect_case(&self.profiles, &outcome)
     }
 }
 

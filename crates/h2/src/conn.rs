@@ -11,7 +11,7 @@
 //!
 //! The response direction ([`encode_server_connection`] /
 //! [`parse_server_connection`]) carries enough of the exchange for the
-//! TCP front end and `hdiff probe --frontend h2` to complete a real
+//! TCP front end and `hdiff probe --protocol h2` to complete a real
 //! round trip.
 
 use std::collections::BTreeMap;

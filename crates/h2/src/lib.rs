@@ -21,7 +21,7 @@
 //!   ([`conn::encode_client_connection`]) and the front-end view that
 //!   parses them back under stream-state rules
 //!   ([`conn::parse_client_connection`]), plus the response direction
-//!   for the TCP front end and `hdiff probe --frontend h2`.
+//!   for the TCP front end and `hdiff probe --protocol h2`.
 //!
 //! The downgrade *policy* layer — how a front end translates a parsed
 //! [`conn::H2Request`] into HTTP/1.1 bytes — deliberately lives in

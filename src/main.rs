@@ -14,23 +14,149 @@
 //! hdiff replay [--all] <p>   re-execute recorded replay bundles and diff
 //!                            verdicts + behavior digests
 //! hdiff golden regen <dir>   rebuild the minimized golden bundle corpus
-//! hdiff run --frontend h2    downgrade-desync campaign: h2 seed vectors
+//! hdiff run --protocol h2    downgrade-desync campaign: h2 seed vectors
 //!                            through the downgrade front ends
-//! hdiff run --protocol cookie  RFC 6265 cookie workload through the
-//!                            generic protocol campaign driver
-//! hdiff probe --frontend h2 <host:port>   sweep the h2 seed corpus
+//! hdiff run --protocol cookie  RFC 6265 cookie workload
+//! hdiff probe --protocol h2 <host:port>   sweep the h2 seed corpus
 //!                            against a live h2c endpoint
 //! hdiff golden regen-h2 <dir> rebuild the golden h2 downgrade bundles
 //! hdiff run --shards N       run the campaign through the crash-tolerant
 //!                            sharded fleet (supervisor + N workers)
 //! hdiff worker ...           internal: one shard of a fleet campaign
 //! ```
+//!
+//! Every `--flag` is checked against the command (and, for `run`, the
+//! `--protocol` workload) before anything runs: a flag no command knows,
+//! or one the command cannot honour, exits 1 with an error naming it.
 
 use std::path::Path;
 use std::process::ExitCode;
 
+use hdiff::diff::{Protocol, Transport};
 use hdiff::report;
 use hdiff::{HDiff, HdiffConfig};
+
+/// Every flag the CLI knows, and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--quick", false),
+    ("--threads", true),
+    ("--fault-rate", true),
+    ("--coverage-guided", false),
+    ("--transport", true),
+    ("--protocol", true),
+    ("--no-telemetry", false),
+    ("--shards", true),
+    ("--fleet-chaos", true),
+    ("--checkpoint-every", true),
+    ("--trace-out", true),
+    ("--summary-out", true),
+    ("--fleet-dir", true),
+    ("--csv", false),
+    ("--promote-dir", true),
+    ("--min-classes", true),
+    ("--seed", true),
+    ("--seconds", true),
+    ("--iters", true),
+    ("--seed-corpus", true),
+    ("--min-novel", true),
+    ("--all", false),
+    ("--shard", true),
+    ("--checkpoint", true),
+    ("--config", true),
+    ("--corpus", true),
+    ("--min-generation", true),
+    ("--alive-interval-ms", true),
+    ("--chaos-pause-ms", true),
+    ("--stall", false),
+];
+
+/// The flags of the full HTTP/1.1 pipeline, which every report command
+/// runs.
+const PIPELINE_FLAGS: &[&str] = &[
+    "--quick",
+    "--threads",
+    "--fault-rate",
+    "--coverage-guided",
+    "--transport",
+    "--protocol",
+    "--no-telemetry",
+    "--shards",
+    "--fleet-chaos",
+    "--checkpoint-every",
+    "--trace-out",
+    "--summary-out",
+    "--fleet-dir",
+];
+
+/// The flags of a seed-corpus workload (`run --protocol h2|cookie`).
+const PROTOCOL_FLAGS: &[&str] =
+    &["--threads", "--transport", "--protocol", "--promote-dir", "--min-classes"];
+
+/// The workloads `--protocol` names.
+const WORKLOADS: &[&str] = &["http", "h2", "cookie"];
+
+/// Rejects every `--flag` in `args` that `command`, running `workload`,
+/// does not use, and a `--protocol` workload the command cannot run.
+/// Unknown commands pass, so the dispatch can report them.
+fn check_flags(args: &[String], command: &str, workload: &str) -> Result<(), String> {
+    let (allowed, workloads): (&[&[&str]], &[&str]) = match command {
+        "run" if workload == "http" => (&[PIPELINE_FLAGS], WORKLOADS),
+        "run" => (&[PROTOCOL_FLAGS], WORKLOADS),
+        "stats" | "table1" | "table2" | "figure7" | "exploits" => (&[PIPELINE_FLAGS], &["http"]),
+        "findings" => (&[PIPELINE_FLAGS, &["--csv"]], &["http"]),
+        "probe" => (&[&["--protocol"]], &["http", "h2"]),
+        "fuzz" => (
+            &[&[
+                "--seed",
+                "--seconds",
+                "--iters",
+                "--threads",
+                "--transport",
+                "--promote-dir",
+                "--seed-corpus",
+                "--min-novel",
+            ]],
+            &["http"],
+        ),
+        "replay" => (&[&["--all", "--transport"]], &["http"]),
+        "worker" => (
+            &[&[
+                "--shard",
+                "--checkpoint",
+                "--config",
+                "--corpus",
+                "--min-generation",
+                "--alive-interval-ms",
+                "--chaos-pause-ms",
+                "--stall",
+            ]],
+            &["http"],
+        ),
+        "report" | "golden" | "--help" | "-h" | "help" => (&[], &["http"]),
+        _ => return Ok(()),
+    };
+    let scope =
+        if command == "run" { format!("the {workload} workload") } else { format!("`{command}`") };
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        let Some(&(_, takes_value)) = FLAGS.iter().find(|(flag, _)| flag == arg) else {
+            return Err(format!("unknown flag {arg}"));
+        };
+        if !allowed.iter().any(|flags| flags.contains(&arg.as_str())) {
+            return Err(format!("{arg} is not supported by {scope}"));
+        }
+        if takes_value {
+            rest.next();
+        }
+    }
+    if !workloads.contains(&workload) {
+        return Err(format!("--protocol {workload} is not supported by {scope}"));
+    }
+    Ok(())
+}
 
 /// Reads the value of a `--flag N` pair, reporting parse failures.
 fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
@@ -45,136 +171,73 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    match run_cli(&args) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Parses and checks every flag, then runs the command. An `Err` is a
+/// usage error: printed to stderr, exit 1.
+fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     let command = args.first().map(String::as_str).unwrap_or("run");
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut config = if quick { HdiffConfig::quick() } else { HdiffConfig::full() };
-    match flag_value::<usize>(&args, "--threads") {
-        Ok(Some(n)) => config.threads = n,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+    let workload = match flag_value::<String>(args, "--protocol")? {
+        Some(name) if WORKLOADS.contains(&name.as_str()) => name,
+        Some(name) => {
+            return Err(format!(
+                "--protocol: unknown workload {name:?} (expected: http, h2, cookie)"
+            ))
         }
+        None => "http".to_string(),
+    };
+    check_flags(args, command, &workload)?;
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let percent = |flag: &str| -> Result<Option<u8>, String> {
+        match flag_value::<u8>(args, flag)? {
+            Some(pct) if pct > 100 => Err(format!("{flag}: {pct} is not a percentage")),
+            pct => Ok(pct),
+        }
+    };
+    let mut config = if has("--quick") { HdiffConfig::quick() } else { HdiffConfig::full() };
+    config.protocol = workload;
+    if let Some(n) = flag_value(args, "--threads")? {
+        config.threads = n;
     }
-    match flag_value::<u8>(&args, "--fault-rate") {
-        Ok(Some(pct)) if pct <= 100 => config.fault_rate = pct,
-        Ok(Some(pct)) => {
-            eprintln!("--fault-rate: {pct} is not a percentage");
-            return ExitCode::FAILURE;
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(pct) = percent("--fault-rate")? {
+        config.fault_rate = pct;
     }
-    if args.iter().any(|a| a == "--coverage-guided") {
-        config.coverage_guided = true;
-    }
-    let transport = match flag_value::<String>(&args, "--transport") {
-        Ok(Some(raw)) => match hdiff::diff::Transport::parse(&raw) {
-            Ok(t) => Some(t),
-            Err(e) => {
-                eprintln!("--transport: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => None,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    config.coverage_guided |= has("--coverage-guided");
+    let transport = match flag_value::<String>(args, "--transport")? {
+        Some(raw) => Some(Transport::parse(&raw).map_err(|e| format!("--transport: {e}"))?),
+        None => None,
     };
     if let Some(t) = transport {
         config.transport = t;
     }
-    let frontend = match flag_value::<String>(&args, "--frontend") {
-        Ok(Some(raw)) => match hdiff::diff::Frontend::parse(&raw) {
-            Some(f) => Some(f),
-            None => {
-                eprintln!("--frontend: unknown frontend {raw:?} (expected: h1, h2)");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => None,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    config.telemetry &= !has("--no-telemetry");
+    if let Some(n) = flag_value(args, "--shards")? {
+        config.shards = n;
+    }
+    if let Some(pct) = percent("--fleet-chaos")? {
+        config.fleet_chaos = pct;
+    }
+    match flag_value::<usize>(args, "--checkpoint-every")? {
+        Some(0) => return Err("--checkpoint-every: must be at least 1".to_string()),
+        Some(n) => config.checkpoint_every = n,
+        None => {}
+    }
+    let sinks = TelemetrySinks {
+        trace_out: flag_value(args, "--trace-out")?,
+        summary_out: flag_value(args, "--summary-out")?,
+        fleet_dir: flag_value(args, "--fleet-dir")?,
     };
-    if let Some(f) = frontend {
-        config.frontend = f;
-    }
-    match flag_value::<String>(&args, "--protocol") {
-        Ok(Some(name)) => {
-            if name != "http" && protocol_by_name(&name).is_none() {
-                eprintln!("--protocol: unknown workload {name:?} (expected: http, cookie)");
-                return ExitCode::FAILURE;
-            }
-            config.protocol = name;
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if config.protocol != "http" && config.frontend == hdiff::diff::Frontend::H2 {
-        eprintln!("--protocol {} does not combine with --frontend h2", config.protocol);
-        return ExitCode::FAILURE;
-    }
-    if args.iter().any(|a| a == "--no-telemetry") {
-        config.telemetry = false;
-    }
-    match flag_value::<u32>(&args, "--shards") {
-        Ok(Some(n)) => config.shards = n,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match flag_value::<u8>(&args, "--fleet-chaos") {
-        Ok(Some(pct)) if pct <= 100 => config.fleet_chaos = pct,
-        Ok(Some(pct)) => {
-            eprintln!("--fleet-chaos: {pct} is not a percentage");
-            return ExitCode::FAILURE;
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match flag_value::<usize>(&args, "--checkpoint-every") {
-        Ok(Some(n)) if n > 0 => config.checkpoint_every = n,
-        Ok(Some(_)) => {
-            eprintln!("--checkpoint-every: must be at least 1");
-            return ExitCode::FAILURE;
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let (trace_out, summary_out, fleet_dir) = match (
-        flag_value::<String>(&args, "--trace-out"),
-        flag_value::<String>(&args, "--summary-out"),
-        flag_value::<String>(&args, "--fleet-dir"),
-    ) {
-        (Ok(t), Ok(s), Ok(d)) => (t, s, d),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let sinks = TelemetrySinks { trace_out, summary_out, fleet_dir };
 
-    match command {
-        "worker" => run_worker_cli(&args),
-        "run" if config.frontend == hdiff::diff::Frontend::H2 => run_downgrade_cli(&args, &config),
-        "run" if config.protocol != "http" => run_protocol_cli(&args, &config),
+    Ok(match command {
+        "worker" => run_worker_cli(args),
+        "run" if config.protocol != "http" => run_protocol_cli(args, &config)?,
         "run" => {
             let r = run_pipeline(config, &sinks);
             println!("{}", report::render_stats(&r));
@@ -211,8 +274,7 @@ fn main() -> ExitCode {
         }
         "report" => {
             let Some(path) = args.get(1).filter(|a| !a.starts_with('-')) else {
-                eprintln!("usage: hdiff report <summary.json | trace.jsonl>");
-                return ExitCode::FAILURE;
+                return Err("usage: hdiff report <summary.json | trace.jsonl>".to_string());
             };
             match hdiff::diff::load_report(Path::new(path)) {
                 Ok(input) => {
@@ -227,7 +289,7 @@ fn main() -> ExitCode {
         }
         "findings" => {
             let r = run_pipeline(config, &sinks);
-            if args.iter().any(|a| a == "--csv") {
+            if has("--csv") {
                 print!("{}", report::render_findings_csv(&r.summary));
             } else {
                 for f in &r.summary.findings {
@@ -241,21 +303,23 @@ fn main() -> ExitCode {
                 .iter()
                 .enumerate()
                 .skip(1)
-                .find(|(i, a)| !a.starts_with('-') && args[i - 1] != "--frontend")
+                .find(|(i, a)| !a.starts_with('-') && args[i - 1] != "--protocol")
                 .map(|(_, a)| a)
             else {
-                eprintln!("usage: hdiff probe [--frontend h2] <raw-request-file | host:port>");
-                return ExitCode::FAILURE;
+                return Err(
+                    "usage: hdiff probe [--protocol h2] <raw-request-file | host:port>".to_string()
+                );
             };
-            if config.frontend == hdiff::diff::Frontend::H2 {
+            if config.protocol == "h2" {
                 if Path::new(target).exists() || !target.contains(':') {
-                    eprintln!("--frontend h2 probes a live host:port (h2c prior knowledge)");
-                    return ExitCode::FAILURE;
+                    return Err(
+                        "--protocol h2 probes a live host:port (h2c prior knowledge)".to_string()
+                    );
                 }
-                return probe_live_h2(target);
+                return Ok(probe_live_h2(target));
             }
             if !Path::new(target).exists() && target.contains(':') {
-                return probe_live(target);
+                return Ok(probe_live(target));
             }
             match std::fs::read(target) {
                 Ok(bytes) => {
@@ -268,7 +332,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "fuzz" => run_fuzz_cli(&args, transport),
+        "fuzz" => run_fuzz_cli(args, transport),
         "replay" => {
             let Some(path) = args
                 .iter()
@@ -277,24 +341,24 @@ fn main() -> ExitCode {
                 .find(|(i, a)| !a.starts_with('-') && args[i - 1] != "--transport")
                 .map(|(_, a)| a)
             else {
-                eprintln!(
+                return Err(
                     "usage: hdiff replay [--all] [--transport sim|tcp-async] <bundle.json | directory>"
+                        .to_string(),
                 );
-                return ExitCode::FAILURE;
             };
             replay(Path::new(path), transport)
         }
         "golden" => {
             let (Some(sub), Some(dir)) = (args.get(1), args.get(2)) else {
-                eprintln!("usage: hdiff golden <regen | regen-h2> <directory>");
-                return ExitCode::FAILURE;
+                return Err("usage: hdiff golden <regen | regen-h2> <directory>".to_string());
             };
             match sub.as_str() {
                 "regen" => golden_regen(Path::new(dir)),
                 "regen-h2" => golden_regen_h2(Path::new(dir)),
                 _ => {
-                    eprintln!("unknown golden subcommand {sub:?} (expected: regen, regen-h2)");
-                    ExitCode::FAILURE
+                    return Err(format!(
+                        "unknown golden subcommand {sub:?} (expected: regen, regen-h2)"
+                    ))
                 }
             }
         }
@@ -307,7 +371,7 @@ fn main() -> ExitCode {
             print_help();
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// Where campaign telemetry goes besides the summary itself, plus the
@@ -368,21 +432,22 @@ fn run_pipeline(config: HdiffConfig, sinks: &TelemetrySinks) -> hdiff::PipelineR
 fn print_help() {
     println!(
         "hdiff — semantic gap attack discovery (DSN 2022 reproduction)\n\n\
-         options (any command):\n\
+         A flag the command (or its --protocol workload) does not use is an\n\
+         error, never silently ignored.\n\n\
+         pipeline options (run, stats, table1, table2, figure7, exploits,\n\
+         findings):\n\
          \x20 --quick          small corpus for fast runs\n\
          \x20 --threads N      worker threads (0 = one per core)\n\
          \x20 --fault-rate N   inject faults into N% of hop decisions\n\
          \x20 --transport T    run cases over `sim` (in-process, default) or\n\
          \x20                  `tcp-async` (loopback sockets on one epoll\n\
          \x20                  event loop, Linux x86_64/aarch64 only)\n\
-         \x20 --frontend F     campaign client protocol: `h1` (default) or\n\
-         \x20                  `h2` (HTTP/2 into the downgrade front ends)\n\
          \x20 --protocol P     campaign workload: `http` (default, the full\n\
-         \x20                  pipeline) or `cookie` (RFC 6265 profiles\n\
-         \x20                  through the generic protocol driver)\n\
+         \x20                  pipeline); `run` also takes `h2` and `cookie`\n\
          \x20 --no-telemetry   skip span/counter/histogram collection\n\
          \x20 --summary-out F  write the machine-readable summary JSON to F\n\
-         \x20 --trace-out F    record raw events, write JSONL trace to F\n\n\
+         \x20 --trace-out F    record raw events, write JSONL trace to F\n\
+         \x20 --coverage-guided  bias ABNF generation toward cold alternations\n\n\
          commands:\n\
          \x20 run [--quick]    full pipeline: stats, Table I, Figure 7\n\
          \x20 stats            corpus/extraction statistics\n\
@@ -394,22 +459,23 @@ fn print_help() {
          \x20 exploits         exploit write-ups with payloads\n\
          \x20 probe <file>     interpret a raw request under all products\n\
          \x20 probe <host:port>   send a catalog vector to a live server\n\
-         \x20 probe --frontend h2 <host:port>  sweep the h2 downgrade seed\n\
+         \x20 probe --protocol h2 <host:port>  sweep the h2 downgrade seed\n\
          \x20                  corpus against a live h2c endpoint\n\
-         \x20 replay [--all] <p>  re-execute replay bundle(s), diff verdicts\n\
+         \x20 replay [--all] [--transport T] <p>  re-execute replay bundle(s),\n\
+         \x20                  diff verdicts\n\
          \x20 golden regen <dir>  rebuild the minimized golden corpus\n\
          \x20 golden regen-h2 <dir>  rebuild the golden h2 downgrade bundles\n\
-         \x20 run --frontend h2   downgrade-desync campaign over the h2 seed\n\
-         \x20                  vectors [--promote-dir D] [--min-classes N]\n\
+         \x20 run --protocol h2      downgrade-desync campaign over the h2 seed\n\
+         \x20                  vectors (HTTP/2 into the downgrade front ends)\n\
          \x20 run --protocol cookie  cookie workload campaign over the RFC\n\
-         \x20                  6265 profile matrix [--promote-dir D]\n\
-         \x20                  [--min-classes N]\n\
+         \x20                  6265 profile matrix (sim transport only)\n\
+         \x20                  both take only [--threads N] [--transport T]\n\
+         \x20                  [--promote-dir D] [--min-classes N]\n\
          \x20 fuzz [...]       coverage-guided fuzzing over connection streams:\n\
-         \x20                  [--seconds N | --iters N] [--seed S]\n\
-         \x20                  [--promote-dir D] [--seed-corpus D] [--min-novel N]\n\n\
-         generation options:\n\
-         \x20 --coverage-guided  bias ABNF generation toward cold alternations\n\n\
-         fleet options (sharded multi-process campaigns):\n\
+         \x20                  [--seconds N | --iters N] [--seed S] [--threads N]\n\
+         \x20                  [--transport T] [--promote-dir D] [--seed-corpus D]\n\
+         \x20                  [--min-novel N]\n\n\
+         fleet options (sharded multi-process pipeline campaigns):\n\
          \x20 --shards N           run the campaign as N worker processes\n\
          \x20                      (0 = in-process, the default)\n\
          \x20 --fleet-chaos N      SIGKILL N% of worker incarnations on a\n\
@@ -423,7 +489,7 @@ fn print_help() {
 /// fails when any replay drifts from its recorded verdicts or digests.
 /// A `--transport` override re-executes recorded bundles over that
 /// transport instead of the one they were recorded with.
-fn replay(path: &Path, transport: Option<hdiff::diff::Transport>) -> ExitCode {
+fn replay(path: &Path, transport: Option<Transport>) -> ExitCode {
     use hdiff::diff::{ReplayBundle, Workflow};
 
     let workflow = Workflow::standard();
@@ -449,16 +515,13 @@ fn replay(path: &Path, transport: Option<hdiff::diff::Transport>) -> ExitCode {
         match ReplayBundle::load(&p) {
             Ok(mut bundle) => {
                 // Protocol-keyed bundles route back to the workload that
-                // recorded them; classic bundles replay through the h1/h2
-                // machinery (honoring a --transport override).
+                // recorded them, in-process; classic bundles replay through
+                // the h1/h2 machinery (honoring a --transport override).
                 let report = if let Some(name) = bundle.protocol.clone() {
-                    match protocol_by_name(&name) {
-                        Some(proto) => bundle.replay_protocol(proto.as_ref()),
-                        None => {
-                            eprintln!(
-                                "cannot replay {}: unknown protocol workload {name:?}",
-                                p.display()
-                            );
+                    match protocol_by_name(&name, Transport::Sim) {
+                        Ok(proto) => bundle.replay_protocol(proto.as_ref()),
+                        Err(e) => {
+                            eprintln!("cannot replay {}: {e}", p.display());
                             return ExitCode::FAILURE;
                         }
                     }
@@ -506,7 +569,7 @@ fn replay(path: &Path, transport: Option<hdiff::diff::Transport>) -> ExitCode {
 /// stats and every promoted divergence, then renders the telemetry
 /// report. With `--min-novel N`, exits nonzero unless at least N novel
 /// behavior-digest views were observed (the CI smoke gate).
-fn run_fuzz_cli(args: &[String], transport: Option<hdiff::diff::Transport>) -> ExitCode {
+fn run_fuzz_cli(args: &[String], transport: Option<Transport>) -> ExitCode {
     use hdiff::fuzz::{FuzzBudget, FuzzEngine, FuzzOptions};
 
     let parse = || -> Result<(FuzzOptions, u64), String> {
@@ -572,127 +635,68 @@ fn run_fuzz_cli(args: &[String], transport: Option<hdiff::diff::Transport>) -> E
     ExitCode::SUCCESS
 }
 
-/// `hdiff run --frontend h2` — the downgrade-desync campaign: every h2
-/// seed vector is encoded as an h2c client connection, translated to
-/// HTTP/1.1 by the three front-end profiles, and the reconstructed
-/// bytes re-interpreted by the backend matrix. `--transport tcp-async`
-/// serves the fronts over loopback sockets instead of in-process (the
-/// translation must stay byte-identical). With `--min-classes N`, exits
-/// nonzero unless at least N distinct downgrade classes were detected
-/// (the CI gate).
-fn run_downgrade_cli(args: &[String], config: &HdiffConfig) -> ExitCode {
-    use hdiff::diff::{run_downgrade_campaign, DowngradeCampaignOptions, Transport};
-
-    let (promote_dir, min_classes) = match (
-        flag_value::<String>(args, "--promote-dir"),
-        flag_value::<usize>(args, "--min-classes"),
-    ) {
-        (Ok(d), Ok(m)) => (d, m.unwrap_or(0)),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let opts = DowngradeCampaignOptions {
-        threads: config.threads,
-        tcp: config.transport == Transport::TcpAsync,
-        promote_dir: promote_dir.map(Into::into),
-    };
-    let summary = match run_downgrade_campaign(&opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("downgrade campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("== downgrade campaign (h2 front ends, {} transport) ==", config.transport);
-    println!("cases    : {}", summary.cases);
-    println!("findings : {}", summary.findings.len());
-    for f in &summary.findings {
-        println!("  {f}");
-    }
-    println!("classes  : {} ({})", summary.classes.len(), summary.classes.join(", "));
-    for p in &summary.promoted {
-        println!("promoted : {}", p.display());
-    }
-    if summary.classes.len() < min_classes {
-        eprintln!(
-            "downgrade campaign detected {} class(es), expected at least {min_classes}",
-            summary.classes.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Resolves a named [`hdiff::diff::Protocol`] workload. `"http"` is not
-/// listed here: it runs through the full bespoke pipeline (analyzer,
-/// generator, fault campaign), not the generic driver.
-fn protocol_by_name(name: &str) -> Option<Box<dyn hdiff::diff::Protocol>> {
+/// Resolves a seed-corpus workload over `transport`: `h2` (the downgrade
+/// fronts, in-process or over loopback sockets) or `cookie` (in-process
+/// only). `"http"` is not listed: it runs through the full pipeline
+/// (analyzer, generator, fault campaign), not the generic driver.
+fn protocol_by_name(name: &str, transport: Transport) -> Result<Box<dyn Protocol>, String> {
     match name {
-        "cookie" => Some(Box::new(hdiff::cookie::CookieProtocol::standard())),
-        _ => None,
+        "h2" => match hdiff::diff::DowngradeProtocol::new(transport) {
+            Ok(p) => Ok(Box::new(p)),
+            Err(e) => Err(format!("h2 front testbed unavailable: {e}")),
+        },
+        "cookie" if transport == Transport::Sim => {
+            Ok(Box::new(hdiff::cookie::CookieProtocol::standard()))
+        }
+        "cookie" => Err("--protocol cookie runs over --transport sim".to_string()),
+        _ => Err(format!("unknown protocol workload {name:?}")),
     }
 }
 
-/// `hdiff run --protocol <name>` — a protocol workload campaign through
-/// the generic driver: the workload's seed corpus fans out over its
-/// behavioral profile matrix, findings merge deterministically, and with
+/// `hdiff run --protocol h2|cookie` — a seed-corpus campaign through the
+/// generic driver: the workload's seed corpus fans out over its
+/// behavioral matrix, findings merge deterministically, and with
 /// `--promote-dir` the first finding of each divergence class is
-/// minimized and frozen as a protocol-keyed replay bundle. With
-/// `--min-classes N`, exits nonzero unless at least N distinct classes
-/// were detected (the CI gate).
-fn run_protocol_cli(args: &[String], config: &HdiffConfig) -> ExitCode {
-    use hdiff::diff::{run_protocol_campaign, ProtocolCampaignOptions, Transport};
+/// minimized and frozen as a replay bundle. `h2` encodes every seed
+/// vector as an h2c client connection, has the three front-end profiles
+/// translate it to HTTP/1.1 (in-process, or over loopback sockets with
+/// `--transport tcp-async`), and re-interprets the result on the back-end
+/// matrix. With `--min-classes N`, exits nonzero unless at least N
+/// distinct classes were detected (the CI gate).
+fn run_protocol_cli(args: &[String], config: &HdiffConfig) -> Result<ExitCode, String> {
+    use hdiff::diff::{run_protocol_campaign, ProtocolCampaignOptions};
 
-    let (promote_dir, min_classes) = match (
-        flag_value::<String>(args, "--promote-dir"),
-        flag_value::<usize>(args, "--min-classes"),
-    ) {
-        (Ok(d), Ok(m)) => (d, m.unwrap_or(0)),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if config.transport != Transport::Sim {
-        eprintln!("--protocol {} runs over --transport sim", config.protocol);
-        return ExitCode::FAILURE;
-    }
-    let Some(protocol) = protocol_by_name(&config.protocol) else {
-        eprintln!("unknown protocol workload {:?}", config.protocol);
-        return ExitCode::FAILURE;
-    };
+    let promote_dir = flag_value::<String>(args, "--promote-dir")?;
+    let min_classes = flag_value::<usize>(args, "--min-classes")?.unwrap_or(0);
+    let protocol = protocol_by_name(&config.protocol, config.transport)?;
     let opts = ProtocolCampaignOptions {
         threads: config.threads,
         promote_dir: promote_dir.map(Into::into),
     };
-    let summary = match run_protocol_campaign(protocol.as_ref(), &opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{} campaign failed: {e}", config.protocol);
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("== {} campaign (generic protocol driver, sim transport) ==", summary.protocol);
+    let summary = run_protocol_campaign(protocol.as_ref(), &opts)
+        .map_err(|e| format!("{} campaign failed: {e}", config.protocol))?;
+    println!("== {} campaign ({} transport) ==", summary.protocol, config.transport);
     println!("cases    : {}", summary.cases);
     println!("findings : {}", summary.findings.len());
     for f in &summary.findings {
         println!("  {f}");
     }
     println!("classes  : {} ({})", summary.classes.len(), summary.classes.join(", "));
+    if !summary.quarantined.is_empty() {
+        let uuids: Vec<String> = summary.quarantined.iter().map(u64::to_string).collect();
+        println!("quarantined: {} ({})", uuids.len(), uuids.join(", "));
+    }
     for p in &summary.promoted {
         println!("promoted : {}", p.display());
     }
     if summary.classes.len() < min_classes {
-        eprintln!(
+        return Err(format!(
             "{} campaign detected {} class(es), expected at least {min_classes}",
             summary.protocol,
             summary.classes.len()
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Regenerates the golden replay corpus from the Table II catalog.

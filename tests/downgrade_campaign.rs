@@ -1,21 +1,30 @@
-//! Acceptance gates for the HTTP/2 downgrade-desync subsystem: the
-//! seeded campaign detects at least three distinct downgrade classes,
-//! its output is invariant across worker threads and across the sim and
-//! tcp-async front-end transports (byte-stable translation), and every
-//! promoted bundle re-verifies through the ordinary replay machinery.
+//! Acceptance gates for the HTTP/2 downgrade-desync subsystem, run
+//! through the generic protocol driver: the seeded campaign detects at
+//! least three distinct downgrade classes, its output is invariant across
+//! worker threads and across the sim and tcp-async front-end transports
+//! (byte-stable translation), and every promoted bundle re-verifies
+//! through the ordinary replay machinery.
+
+use std::path::PathBuf;
 
 use hdiff::diff::{
-    finding_tag, run_downgrade_campaign, seed_vectors, DowngradeCampaignOptions, DowngradeSummary,
-    DowngradeWorkflow, Frontend, ReplayBundle, Transport, Workflow,
+    finding_tag, run_protocol_campaign, seed_vectors, DowngradeProtocol, DowngradeWorkflow,
+    Frontend, ProtocolCampaignOptions, ProtocolSummary, ReplayBundle, Transport, Workflow,
 };
 use hdiff::h2::{encode_client_connection, EncodeOptions};
 
-fn campaign(threads: usize, tcp: bool) -> DowngradeSummary {
-    run_downgrade_campaign(&DowngradeCampaignOptions { threads, tcp, promote_dir: None })
+fn run(threads: usize, tcp: bool, promote_dir: Option<PathBuf>) -> ProtocolSummary {
+    let transport = if tcp { Transport::TcpAsync } else { Transport::Sim };
+    let fronts = DowngradeProtocol::new(transport).expect("fronts serve");
+    run_protocol_campaign(&fronts, &ProtocolCampaignOptions { threads, promote_dir })
         .expect("campaign runs")
 }
 
-fn identity(s: &DowngradeSummary) -> (usize, Vec<String>, Vec<String>) {
+fn campaign(threads: usize, tcp: bool) -> ProtocolSummary {
+    run(threads, tcp, None)
+}
+
+fn identity(s: &ProtocolSummary) -> (usize, Vec<String>, Vec<String>) {
     (s.cases, s.findings.iter().map(ToString::to_string).collect(), s.classes.clone())
 }
 
@@ -69,12 +78,7 @@ fn sim_and_tcp_fronts_produce_identical_digests() {
 fn promoted_bundles_reverify_through_replay() {
     let dir = std::env::temp_dir().join(format!("hdiff-h2-promote-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let s = run_downgrade_campaign(&DowngradeCampaignOptions {
-        threads: 2,
-        tcp: false,
-        promote_dir: Some(dir.clone()),
-    })
-    .expect("campaign runs");
+    let s = run(2, false, Some(dir.clone()));
     assert!(s.promoted.len() >= 3, "expected >= 3 promoted bundles, got {:?}", s.promoted);
 
     // The h1 workflow arguments are ignored for h2 bundles; replay
@@ -89,4 +93,24 @@ fn promoted_bundles_reverify_through_replay() {
         assert!(report.passed(), "{}: {}", path.display(), report.summary());
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tcp_async_promotes_the_same_bundles_as_sim() {
+    // Minimization and recording run on the sim whatever the transport,
+    // so the socket campaign freezes byte-identical bundles.
+    let base = std::env::temp_dir().join(format!("hdiff-h2-promote-parity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let sim = run(2, false, Some(base.join("sim")));
+    let wire = run(2, true, Some(base.join("tcp-async")));
+    assert!(!sim.promoted.is_empty());
+    let names = |s: &ProtocolSummary| -> Vec<_> {
+        s.promoted.iter().map(|p| p.file_name().unwrap().to_owned()).collect()
+    };
+    assert_eq!(names(&sim), names(&wire));
+    for (a, b) in sim.promoted.iter().zip(&wire.promoted) {
+        let (a_bytes, b_bytes) = (std::fs::read(a).unwrap(), std::fs::read(b).unwrap());
+        assert_eq!(a_bytes, b_bytes, "{} differs from {}", a.display(), b.display());
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -6,7 +6,9 @@
 
 use std::sync::Once;
 
-use hdiff::diff::{DiffEngine, FindingContext, MinimizeOptions, Workflow};
+use hdiff::diff::{
+    DiffEngine, FindingContext, MinimizeOptions, Workflow, MAX_RETRIES, STEP_BUDGET,
+};
 use hdiff::gen::{catalog, Origin, TestCase};
 use hdiff::servers::fault::{FaultInjector, FaultKind, FaultPlan, FaultSession, FaultStage};
 use hdiff::servers::{ParserProfile, ORIGIN_HOP};
@@ -114,14 +116,14 @@ fn killed_campaign_resumes_to_the_identical_summary() {
 
 /// Replays the runner's retry policy for one case against the fault
 /// plan's deterministic schedule: attempts keep firing the transient
-/// origin fault until one comes back clean or `max_retries` is spent.
+/// origin fault until one comes back clean or `MAX_RETRIES` is spent.
 /// Returns `(retries, backoff_units, terminal_error)`.
 fn expected_schedule(plan: &FaultPlan, uuid: u64, max_retries: u32) -> (u32, u64, bool) {
     let injector = FaultInjector::new(plan.clone());
     let mut retries = 0u32;
     let mut backoff = 0u64;
     loop {
-        let session = FaultSession::new(&injector, uuid, retries, 4096);
+        let session = FaultSession::new(&injector, uuid, retries, STEP_BUDGET);
         let fired = session.decide(ORIGIN_HOP, FaultStage::OriginRespond).is_some();
         if !fired {
             return (retries, backoff, false);
@@ -151,7 +153,7 @@ fn recorded_retry_counts_match_the_injected_transient_schedule_exactly() {
     let mut backoff = 0u64;
     let mut errors = 0usize;
     for case in &cases {
-        let (r, b, failed) = expected_schedule(&plan, case.uuid, engine.max_retries);
+        let (r, b, failed) = expected_schedule(&plan, case.uuid, MAX_RETRIES);
         retries += r as usize;
         backoff += b;
         errors += usize::from(failed);

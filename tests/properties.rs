@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use hdiff::diff::DiffEngine;
+use hdiff::diff::{DiffEngine, MAX_RETRIES};
 use hdiff::gen::{AbnfGenerator, GenOptions, MutationEngine, PredefinedRules, TestCase};
 use hdiff::servers::fault::{FaultInjector, FaultKind, FaultPlan, FaultStage};
 use hdiff::servers::{interpret, ParserProfile};
@@ -124,7 +124,7 @@ proptest! {
         engine.fault_plan = FaultPlan::new(seed, rate).with_kinds(&kinds);
         let summary = engine.run(&cases);
         prop_assert_eq!(summary.cases, cases.len());
-        prop_assert!(summary.retries <= cases.len() * engine.max_retries as usize);
+        prop_assert!(summary.retries <= cases.len() * MAX_RETRIES as usize);
         prop_assert!(summary.errors <= summary.cases);
         prop_assert!(summary.quarantined.is_empty(), "no profile panics here");
     }

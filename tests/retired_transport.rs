@@ -15,7 +15,7 @@ fn the_cli_rejects_tcp_on_every_command() {
         &["run", "--quick", "--transport", "tcp"][..],
         &["fuzz", "--iters", "1", "--transport", "tcp"],
         &["replay", "--transport", "tcp", "tests/golden"],
-        &["run", "--frontend", "h2", "--transport", "tcp"],
+        &["run", "--protocol", "h2", "--transport", "tcp"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_hdiff")).args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}");
