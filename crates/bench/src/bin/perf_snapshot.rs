@@ -38,7 +38,7 @@ use hdiff_wire::Request;
 /// Budget the old call sites granted the backtracking matcher.
 const REFERENCE_BUDGET: usize = 500_000;
 
-/// The matching workload (same shapes as `benches/matcher.rs`).
+/// The matching workload: Host, URI and coding values of realistic shapes.
 const WORKLOAD: &[(&str, &str)] = &[
     ("Host", "example.com:8080"),
     ("Host", "a.b.c.d.e.f.g.example.com:80"),
@@ -439,7 +439,7 @@ fn net_gate(smoke: bool, previous: Option<&str>, points: &[f64], serial: f64) ->
 /// Writes `BENCH_h2.json`: HTTP/2 framing and HPACK layer throughput
 /// (encode + parse of the downgrade seed-vector connections, HPACK
 /// block round-trips), plus end-to-end downgrade-campaign cases/s over
-/// the in-process fronts through the generic protocol driver.
+/// the in-process fronts through the campaign driver.
 fn h2_snapshot(smoke: bool) {
     use hdiff_diff::{
         run_protocol_campaign, seed_vectors, DowngradeProtocol, ProtocolCampaignOptions,
@@ -500,7 +500,7 @@ fn h2_snapshot(smoke: bool) {
         let start = Instant::now();
         let summary = run_protocol_campaign(&protocol, &opts).expect("downgrade campaign runs");
         campaign_ms = campaign_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        cases = summary.cases;
+        cases = summary.run.cases;
     }
     let cases_per_s = cases as f64 / (campaign_ms / 1e3).max(1e-9);
 
@@ -519,7 +519,7 @@ fn h2_snapshot(smoke: bool) {
 
 /// Writes `BENCH_cookie.json`: per-case cost of the eight-profile
 /// cookie interpretation matrix plus end-to-end campaign throughput of
-/// the protocol-generic driver.
+/// the campaign driver.
 fn cookie_snapshot(smoke: bool) {
     use hdiff_cookie::{seed_vectors, CookieProtocol, COOKIE_UUID_BASE};
     use hdiff_diff::{run_protocol_campaign, Protocol, ProtocolCampaignOptions};
@@ -540,7 +540,7 @@ fn cookie_snapshot(smoke: bool) {
         }
     }) / cases.len() as f64;
 
-    // End to end: the seeded cookie campaign via the generic driver, on
+    // End to end: the seeded cookie campaign via the campaign driver, on
     // one inline worker.
     let campaign_rounds = if smoke { 2 } else { 7 };
     let mut campaign_ms = f64::INFINITY;
@@ -551,7 +551,7 @@ fn cookie_snapshot(smoke: bool) {
         let start = Instant::now();
         let summary = run_protocol_campaign(&protocol, &opts).expect("cookie campaign runs");
         campaign_ms = campaign_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        campaign_cases = summary.cases;
+        campaign_cases = summary.run.cases;
         classes = summary.classes.len();
     }
     let cases_per_s = campaign_cases as f64 / (campaign_ms / 1e3).max(1e-9);

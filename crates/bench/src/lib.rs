@@ -8,8 +8,9 @@
 //! * `figure7_server_pairs` — Figure 7 (pair grids per attack class).
 //! * `ablations` — the DESIGN.md §5 ablation studies (replay reduction,
 //!   predefined leaf rules, depth cap, mutation rounds, SR finder recall).
+//! * `perf_snapshot` — writes the `BENCH_*.json` layer snapshots.
 //!
-//! Criterion benches (`cargo bench`) measure pipeline-stage cost.
+//! End-to-end and per-layer timings come from the `perfbench` harness.
 
 use hdiff_core::{HDiff, HdiffConfig, PipelineReport};
 

@@ -2,8 +2,9 @@
 //!
 //! This is the proof that the campaign core is protocol-generic: no
 //! HTTP machinery anywhere, yet `run_protocol_campaign` drives the seed
-//! corpus through the profile matrix, merges findings deterministically,
-//! and promotes minimized protocol-keyed replay bundles that
+//! corpus through the profile matrix on the same campaign driver as
+//! HTTP/1.1, returns the same `RunSummary`, and promotes minimized
+//! protocol-keyed replay bundles that
 //! [`hdiff_diff::ReplayBundle::replay_protocol`] re-verifies.
 
 use std::io;
@@ -213,14 +214,14 @@ mod tests {
         let p = CookieProtocol::standard();
         let summary =
             run_protocol_campaign(&p, &ProtocolCampaignOptions::default()).expect("campaign");
-        assert_eq!(summary.protocol, "cookie");
-        assert_eq!(summary.cases, seed_vectors().len());
+        assert_eq!(p.name(), "cookie");
+        assert_eq!(summary.run.cases, seed_vectors().len());
         for tag in crate::detect::TAGS {
             assert!(summary.classes.contains(&tag.to_string()), "{tag}: {:?}", summary.classes);
         }
         // ≥3 distinct attack classes among the findings.
         let classes: std::collections::BTreeSet<_> =
-            summary.findings.iter().map(|f| f.class).collect();
+            summary.run.findings.iter().map(|f| f.class).collect();
         assert!(classes.len() >= 3, "{classes:?}");
     }
 
@@ -235,7 +236,7 @@ mod tests {
                 &ProtocolCampaignOptions { threads, ..ProtocolCampaignOptions::default() },
             )
             .expect("campaign");
-            assert_eq!(base.findings, t.findings, "threads={threads}");
+            assert_eq!(base.run.findings, t.run.findings, "threads={threads}");
             assert_eq!(base.classes, t.classes, "threads={threads}");
         }
     }

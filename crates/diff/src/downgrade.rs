@@ -795,6 +795,10 @@ impl Protocol for DowngradeProtocol {
         })
     }
 
+    fn transport(&self) -> Transport {
+        self.fronts.as_ref().map_or(Transport::Sim, |_| Transport::TcpAsync)
+    }
+
     fn finding_tag(&self, f: &Finding) -> Option<String> {
         finding_tag(f).map(str::to_string)
     }
@@ -914,7 +918,7 @@ mod tests {
     #[test]
     fn campaign_detects_at_least_three_distinct_classes() {
         let summary = campaign(1);
-        assert!(summary.cases >= 10);
+        assert!(summary.run.cases >= 10);
         assert!(
             summary.classes.len() >= 3,
             "expected >=3 downgrade classes, got {:?}",
@@ -928,7 +932,7 @@ mod tests {
     fn campaign_is_thread_invariant() {
         let single = campaign(1);
         let threaded = campaign(4);
-        assert_eq!(single.findings, threaded.findings);
+        assert_eq!(single.run.findings, threaded.run.findings);
         assert_eq!(single.classes, threaded.classes);
     }
 

@@ -17,17 +17,18 @@
 //!   minimizer, and replay-bundle integration.
 //! * [`protocol`] — the protocol-generic campaign core: the [`Protocol`]
 //!   trait (seed corpus + execution + detection + minimize) and the
-//!   shared deterministic campaign driver every seed-corpus workload
-//!   runs through. [`downgrade`]'s `DowngradeProtocol` puts the h2
-//!   surface behind it on both transports; the cookie workload
-//!   (`hdiff-cookie`) is the first non-HTTP instance.
+//!   seed-corpus entry into the campaign driver. [`downgrade`]'s
+//!   `DowngradeProtocol` puts the h2 surface behind it on both
+//!   transports; the cookie workload (`hdiff-cookie`) is the first
+//!   non-HTTP instance.
 //! * [`srcheck`] — single-implementation SR-assertion checking.
 //! * [`syntax`] — the grammar-conformance oracle over the compiled ABNF
 //!   matcher, annotating findings with per-view validity verdicts.
 //! * [`verdict`] — aggregation into Table I verdicts and Fig. 7 pair
 //!   matrices.
-//! * [`schedule`] — the work-stealing fan-out every campaign driver uses.
-//! * [`runner`] — drives a whole test-case corpus through everything.
+//! * [`schedule`] — the work-stealing fan-out of the campaign driver and
+//!   the fuzz loop.
+//! * [`runner`] — the campaign driver every `run` workload goes through.
 //! * [`shard`] — deterministic case-space sharding for the multi-process
 //!   campaign fabric (`crates/fleet`).
 

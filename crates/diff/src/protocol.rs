@@ -8,30 +8,29 @@
 //! digests, how to classify and minimize a finding, and how to freeze a
 //! replay bundle).
 //!
-//! [`run_protocol_campaign`] is the one driver every seed-corpus
-//! workload runs through: deterministic work-stealing fan-out, each case
-//! under `catch_unwind` (a panicking case is quarantined, never fatal),
-//! findings merged in corpus order, and the first finding of each class
-//! tag minimized and promoted. The h2 downgrade surface runs through it
-//! on both transports (see [`crate::downgrade::DowngradeProtocol`]), and
-//! the cookie workload (`hdiff-cookie`) is the first non-HTTP instance.
-//! HTTP/1.1 still runs through [`crate::DiffEngine`], which carries the
-//! fault retries, checkpoints and shards this driver does not have yet.
+//! [`run_protocol_campaign`] runs a workload's seed corpus through the
+//! campaign driver h1 uses ([`crate::runner`]), returns the same
+//! [`RunSummary`], and promotes the first finding of each class tag,
+//! minimized. The h2 downgrade surface runs through it on both
+//! transports (see [`crate::downgrade::DowngradeProtocol`]), and the
+//! cookie workload (`hdiff-cookie`) is the first non-HTTP instance.
+//! HTTP/1.1 gets its corpus from the generation pipeline and reaches
+//! the same driver through [`crate::DiffEngine`].
 //!
 //! Protocol-keyed [`ReplayBundle`]s carry a `protocol` name so `hdiff
 //! replay` can route them back to the instance that recorded them; the
 //! key is absent for classic h1/h2 bundles, keeping the golden corpora
 //! byte-identical.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
+
+use hdiff_servers::fault::FaultPlan;
 
 use crate::findings::Finding;
 use crate::replay::{ReplayBundle, ReplayReport};
-use crate::schedule;
+use crate::runner::{drive, fold_records, Attempt, CaseError, Driver, RunSummary};
 use crate::transport::Transport;
 use crate::Frontend;
 
@@ -80,6 +79,12 @@ pub trait Protocol: Sync {
     /// Executes one case. Fails only when the workload's transport
     /// cannot serve it (an in-process workload never fails).
     fn execute(&self, uuid: u64, origin: &str, bytes: &[u8]) -> io::Result<ProtoExecution>;
+
+    /// The transport [`Protocol::execute`] runs cases over, reported in
+    /// the campaign's [`RunSummary`]. In-process unless overridden.
+    fn transport(&self) -> Transport {
+        Transport::Sim
+    }
 
     /// The divergence-class tag of a finding this workload emitted
     /// (conventionally an evidence prefix `<name>:<tag>: …`), or `None`
@@ -146,88 +151,64 @@ pub struct ProtocolCampaignOptions {
     pub promote_dir: Option<PathBuf>,
 }
 
-/// What a protocol campaign produced.
+/// What a protocol campaign produced: the driver's [`RunSummary`] plus
+/// what only a seed-corpus workload has.
 #[derive(Debug, Clone)]
 pub struct ProtocolSummary {
-    /// The workload's [`Protocol::name`].
-    pub protocol: String,
-    /// Seed cases executed.
-    pub cases: usize,
-    /// Every finding, in corpus order.
-    pub findings: Vec<Finding>,
+    /// The campaign summary; its `quarantined` cases panicked, added no
+    /// findings and are never promoted.
+    pub run: RunSummary,
     /// Sorted distinct class tags observed.
     pub classes: Vec<String>,
     /// Replay bundles written (when `promote_dir` was set).
     pub promoted: Vec<PathBuf>,
-    /// Uuids of the cases whose execution panicked, ascending. A
-    /// quarantined case adds no findings and is never promoted.
-    pub quarantined: Vec<u64>,
 }
 
-/// The `<protocol>.campaign.cases` and `<protocol>.campaign.findings`
-/// counter names, interned once per protocol so later campaigns build no
-/// string.
-fn campaign_counters(protocol: &'static str) -> (&'static str, &'static str) {
-    type Names = (&'static str, (&'static str, &'static str));
-    static INTERNED: Mutex<Vec<Names>> = Mutex::new(Vec::new());
-    // Entries are pushed whole, so a poisoned list is still valid.
-    let mut interned = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(&(_, names)) = interned.iter().find(|(p, _)| *p == protocol) {
-        return names;
-    }
-    let counter =
-        |what: &str| hdiff_obs::MetricId::counter(&format!("{protocol}.campaign.{what}")).name();
-    let names = (counter("cases"), counter("findings"));
-    interned.push((protocol, names));
-    names
+/// A seed case and its campaign uuid.
+type SeedCase = (u64, ProtoCase);
+
+/// `p`'s seed corpus, uuids counted from [`Protocol::uuid_base`].
+fn seed_corpus(p: &dyn Protocol) -> Vec<SeedCase> {
+    let seeds = p.seed_cases().into_iter().enumerate();
+    seeds.map(|(i, case)| (p.uuid_base() + i as u64, case)).collect()
 }
 
-/// Runs a workload's seed corpus through its differential matrix: the
-/// shared campaign driver. Deterministic and invariant in `threads`
-/// (cases fan out via [`schedule::run_stealing`], findings merge in
-/// corpus order); when promoting, the first finding of each class tag is
-/// minimized and frozen as `<protocol>-<tag>.json`. A case whose
-/// execution panics is quarantined; a case the workload fails to execute
-/// fails the campaign with the first such error in corpus order. Workers
-/// record under the calling thread's telemetry switches.
+/// One attempt at a seed case, under the origin `<protocol>:<id>`. A seed
+/// workload has no fault model: the driver's fault session goes unused.
+fn seed_attempt(p: &dyn Protocol, (uuid, case): &SeedCase) -> io::Result<Attempt> {
+    let origin = format!("{}:{}", p.name(), case.id);
+    let exec = p.execute(*uuid, &origin, &case.bytes)?;
+    Ok(Attempt { findings: exec.findings, ..Attempt::default() })
+}
+
+/// Runs a workload's seed corpus through its differential matrix on the
+/// campaign driver ([`crate::runner::drive`]): one chunk, no checkpoint,
+/// no faults. Deterministic and invariant in `threads`; when promoting,
+/// the first finding of each class tag is minimized and frozen as
+/// `<protocol>-<tag>.json`. A case whose execution panics is
+/// quarantined; a case the workload fails to execute fails the campaign
+/// with the first such error in corpus order. Cases record under the
+/// calling thread's telemetry switches.
 pub fn run_protocol_campaign(
     p: &dyn Protocol,
     opts: &ProtocolCampaignOptions,
 ) -> io::Result<ProtocolSummary> {
-    let seeds = p.seed_cases();
-    let cases: Vec<(u64, ProtoCase)> =
-        seeds.into_iter().enumerate().map(|(i, c)| (p.uuid_base() + i as u64, c)).collect();
+    let cases = seed_corpus(p);
+    let driver = Driver {
+        threads: opts.threads,
+        fault_plan: &FaultPlan::disabled(),
+        checkpoint_every: cases.len(),
+        stop_after_chunks: None,
+        progress: None,
+    };
+    let uuid = |c: &SeedCase| c.0;
+    let mut completed = BTreeMap::new();
+    drive(&driver, &cases, uuid, |c, _| seed_attempt(p, c), &mut completed, None, 0)?;
 
-    let recorder = hdiff_obs::Recorder::capture();
-    let threads = schedule::effective_threads(opts.threads);
-    let results = schedule::run_stealing(&cases, threads, |(uuid, case)| {
-        let origin = format!("{}:{}", p.name(), case.id);
-        recorder.apply(|| {
-            panic::catch_unwind(AssertUnwindSafe(|| p.execute(*uuid, &origin, &case.bytes)))
-        })
-    });
-
-    let mut per_case: Vec<Vec<Finding>> = Vec::with_capacity(cases.len());
-    let mut quarantined = Vec::new();
-    for ((uuid, _), result) in cases.iter().zip(results) {
-        match result {
-            Ok(exec) => per_case.push(exec?.findings),
-            Err(_panic) => {
-                quarantined.push(*uuid);
-                per_case.push(Vec::new());
-            }
-        }
-    }
-
-    let mut findings = Vec::new();
-    for case_findings in &per_case {
-        findings.extend(case_findings.iter().cloned());
-    }
-
-    let mut classes: BTreeSet<String> = BTreeSet::new();
-    for f in &findings {
-        if let Some(tag) = p.finding_tag(f) {
-            classes.insert(tag);
+    let records = || cases.iter().map(|c| (&c.1, &completed[&c.0]));
+    for (_, record) in records() {
+        if let Some(CaseError::Io(detail)) = &record.error {
+            return Err(io::Error::other(detail.clone()));
         }
     }
 
@@ -235,9 +216,8 @@ pub fn run_protocol_campaign(
     if let Some(dir) = &opts.promote_dir {
         std::fs::create_dir_all(dir)?;
         let mut done: BTreeSet<String> = BTreeSet::new();
-        for (idx, case_findings) in per_case.iter().enumerate() {
-            let (_, case) = &cases[idx];
-            for f in case_findings {
+        for (case, record) in records() {
+            for f in &record.findings {
                 let Some(tag) = p.finding_tag(f) else { continue };
                 if !done.insert(tag.clone()) {
                     continue;
@@ -253,23 +233,18 @@ pub fn run_protocol_campaign(
         }
     }
 
-    let (cases_counter, findings_counter) = campaign_counters(p.name());
-    hdiff_obs::count(cases_counter, cases.len() as u64);
-    hdiff_obs::count(findings_counter, findings.len() as u64);
-    Ok(ProtocolSummary {
-        protocol: p.name().to_string(),
-        cases: cases.len(),
-        findings,
-        classes: classes.into_iter().collect(),
-        promoted,
-        quarantined,
-    })
+    let run = fold_records(&cases, uuid, completed, &Default::default(), p.transport());
+    let classes: BTreeSet<String> = run.findings.iter().filter_map(|f| p.finding_tag(f)).collect();
+    Ok(ProtocolSummary { run, classes: classes.into_iter().collect(), promoted })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint;
+    use crate::transport::Transport::Sim;
     use hdiff_gen::AttackClass;
+    use hdiff_servers::fault::FaultSession;
 
     const BASE: u64 = 100;
 
@@ -338,9 +313,9 @@ mod tests {
                 .expect("a panic does not fail the campaign")
         };
         let (one, four) = (run(1), run(4));
-        assert_eq!(one.cases, 8);
-        assert_eq!(one.quarantined, vec![BASE + 1]);
-        let flagged: Vec<u64> = one.findings.iter().map(|f| f.uuid).collect();
+        assert_eq!(one.run.cases, 8);
+        assert_eq!(one.run.quarantined, vec![BASE + 1]);
+        let flagged: Vec<u64> = one.run.findings.iter().map(|f| f.uuid).collect();
         let expected: Vec<u64> = [0, 2, 3, 4, 5, 6, 7].iter().map(|i| BASE + i).collect();
         assert_eq!(flagged, expected, "every other case keeps its findings");
         assert_eq!(one.classes, ["parity0", "parity1"]);
@@ -349,8 +324,8 @@ mod tests {
         let parity1 = one.promoted.iter().find(|p| p.ends_with("fragile-parity1.json")).unwrap();
         assert_eq!(ReplayBundle::load(parity1).unwrap().uuid, BASE + 3);
         assert_eq!(
-            (&one.findings, &one.classes, &one.quarantined),
-            (&four.findings, &four.classes, &four.quarantined)
+            (&one.run.findings, &one.classes, &one.run.quarantined),
+            (&four.run.findings, &four.classes, &four.run.quarantined)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -362,6 +337,48 @@ mod tests {
             let opts = ProtocolCampaignOptions { threads, promote_dir: None };
             let err = run_protocol_campaign(&fragile, &opts).unwrap_err();
             assert_eq!(err.to_string(), "fragile:c2 unserved", "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_killed_seed_campaign_resumes_to_the_uninterrupted_summary() {
+        // The kill-and-resume gate, on a seed workload: stop after one
+        // three-case chunk with a checkpoint, resume from it, and fold the
+        // records into the summary an uninterrupted campaign returns,
+        // quarantined case and per-case telemetry included.
+        let fragile = Fragile { panics_at: 1, fails_at: Vec::new() };
+        let cases = seed_corpus(&fragile);
+        let attempt = |c: &SeedCase, _: &FaultSession| seed_attempt(&fragile, c);
+        for threads in [1, 4] {
+            let path = std::env::temp_dir()
+                .join(format!("hdiff-fragile-resume-{}-{threads}.ckpt", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let plan = FaultPlan::disabled();
+            let mut driver = Driver {
+                threads,
+                fault_plan: &plan,
+                checkpoint_every: 3,
+                stop_after_chunks: Some(1),
+                progress: None,
+            };
+            let mut first = BTreeMap::new();
+            let generation =
+                drive(&driver, &cases, |c| c.0, attempt, &mut first, Some(&path), 0).unwrap();
+            assert_eq!((first.len(), generation), (3, 1), "threads={threads}");
+
+            driver.stop_after_chunks = None;
+            let (mut resumed, generation) = checkpoint::load_with_generation(&path).unwrap();
+            assert_eq!(resumed.len(), 3, "threads={threads}");
+            drive(&driver, &cases, |c| c.0, attempt, &mut resumed, Some(&path), generation)
+                .unwrap();
+            let summary = fold_records(&cases, |c| c.0, resumed, &Default::default(), Sim);
+
+            let opts = ProtocolCampaignOptions { threads, promote_dir: None };
+            let uninterrupted = run_protocol_campaign(&fragile, &opts).unwrap().run;
+            assert_eq!(summary, uninterrupted, "threads={threads}");
+            assert_eq!(summary.quarantined, vec![BASE + 1]);
+            assert_eq!(summary.telemetry.merged.spans["case"].count, 8);
+            let _ = std::fs::remove_file(&path);
         }
     }
 }

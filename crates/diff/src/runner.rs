@@ -1,5 +1,5 @@
-//! Drives a test-case corpus through workflow, detection and aggregation —
-//! resiliently.
+//! The campaign driver: drives a case corpus through execution, detection
+//! and aggregation — resiliently.
 //!
 //! Long differential campaigns meet hostile inputs: a case can panic the
 //! harness, loop past any reasonable step budget, or (under fault
@@ -9,6 +9,11 @@
 //! slept) exponential backoff, quarantines panicking cases instead of
 //! dying, and checkpoints progress so an interrupted campaign resumes and
 //! converges to the identical [`RunSummary`].
+//!
+//! [`drive`] is the one driver, generic over the case type and the
+//! function that runs one attempt of a case: [`DiffEngine`] passes the h1
+//! attempt, [`crate::run_protocol_campaign`] a seed workload's
+//! `Protocol::execute`; both fold records through [`fold_records`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,7 +22,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 
 use hdiff_gen::TestCase;
-use hdiff_servers::fault::{FaultInjector, FaultKind, FaultPlan, FaultSession};
+use hdiff_servers::fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSession};
 use hdiff_servers::ParserProfile;
 
 use crate::checkpoint;
@@ -71,7 +76,7 @@ impl CaseError {
 
 /// Everything recorded about one executed case — the unit the checkpoint
 /// persists and the summary aggregates.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CaseRecord {
     /// Test-case id.
     pub uuid: u64,
@@ -98,7 +103,11 @@ pub struct CaseRecord {
     pub telemetry: hdiff_obs::CaseTelemetry,
 }
 
-/// Summary of one differential-testing run.
+/// Summary of one differential-testing run, whatever the workload.
+///
+/// A seed-corpus campaign leaves `sr_violations`, `degradations`,
+/// `verdicts` and `coverage` empty: only the h1 pipeline has SR
+/// assertions, a fault model, Table I profiles and a generation phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Test cases executed.
@@ -289,7 +298,7 @@ impl DiffEngine {
         let mut completed = BTreeMap::new();
         self.execute(cases, &mut completed, None, 0)
             .expect("no I/O happens without a checkpoint path");
-        self.summarize(cases, completed)
+        self.summarize_records(cases, completed)
     }
 
     /// Like [`DiffEngine::run`], but checkpoints progress to `path` every
@@ -304,7 +313,7 @@ impl DiffEngine {
             (BTreeMap::new(), 0)
         };
         self.execute(cases, &mut completed, Some(path), generation)?;
-        Ok(self.summarize(cases, completed))
+        Ok(self.summarize_records(cases, completed))
     }
 
     /// The shard-worker entry point: like
@@ -326,167 +335,196 @@ impl DiffEngine {
         if let Some(hook) = &self.progress {
             hook.report(ChunkProgress { completed: completed.len(), generation: generation + 1 });
         }
-        Ok(self.summarize(cases, completed))
+        Ok(self.summarize_records(cases, completed))
     }
 
-    /// Assembles a [`RunSummary`] from records produced elsewhere (the
-    /// fleet supervisor merging per-shard checkpoints). Same corpus-order
-    /// reassembly as every in-process run, so the result is identical to
-    /// running `cases` directly.
+    /// Assembles a [`RunSummary`] from completed records: the shared
+    /// corpus-order fold plus what only h1 has (SR conformance checks,
+    /// Table I verdicts, grammar coverage). Every run ends here, and so
+    /// does the fleet supervisor merging per-shard checkpoints, so its
+    /// result is identical to running `cases` directly.
     pub fn summarize_records(
         &self,
         cases: &[TestCase],
         completed: BTreeMap<u64, CaseRecord>,
     ) -> RunSummary {
-        self.summarize(cases, completed)
+        let mut summary =
+            fold_records(cases, |c| c.uuid, completed, &self.base_telemetry, self.transport);
+        summary.sr_violations = check_all(&self.profiles, cases);
+        if let Some(oracle) = &self.syntax_oracle {
+            summary.sr_violations.extend(check_host_conformance(oracle, &self.profiles, cases));
+        }
+        summary.verdicts = Verdicts::from_findings(&summary.findings, &self.profiles);
+        summary.coverage = self.grammar_coverage;
+        summary
     }
 
-    /// Executes every not-yet-completed case, chunk by chunk, saving a
-    /// checkpoint (when a path is given) at each chunk boundary with a
-    /// generation counter continuing from `generation`. Returns the last
-    /// generation written. Cases record under the switches of the thread
-    /// that calls this.
+    /// Runs every pending case through [`drive`] with the h1 attempt and
+    /// this engine's settings; returns the last checkpoint generation.
     fn execute(
         &self,
         cases: &[TestCase],
         completed: &mut BTreeMap<u64, CaseRecord>,
         ckpt: Option<&Path>,
-        mut generation: u64,
+        generation: u64,
     ) -> io::Result<u64> {
-        let pending: Vec<&TestCase> =
-            cases.iter().filter(|c| !completed.contains_key(&c.uuid)).collect();
-        // Resolve the thread count once per run; `available_parallelism`
-        // is a syscall and the answer cannot change between chunks.
-        let threads = schedule::effective_threads(self.threads);
-        let recorder = hdiff_obs::Recorder::capture();
-        for (i, chunk) in pending.chunks(self.checkpoint_every.max(1)).enumerate() {
-            if self.stop_after_chunks.is_some_and(|n| i >= n) {
-                break;
-            }
-            for record in self.run_chunk(chunk, threads, recorder) {
-                completed.insert(record.uuid, record);
-            }
-            if let Some(path) = ckpt {
-                generation += 1;
-                checkpoint::save_with_generation(path, completed, generation)?;
-            }
-            if let Some(hook) = &self.progress {
-                hook.report(ChunkProgress { completed: completed.len(), generation });
-            }
-        }
-        Ok(generation)
+        let driver = Driver {
+            threads: self.threads,
+            fault_plan: &self.fault_plan,
+            checkpoint_every: self.checkpoint_every,
+            stop_after_chunks: self.stop_after_chunks,
+            progress: self.progress.as_ref(),
+        };
+        let attempt = |case: &TestCase, session: &FaultSession| self.attempt(case, session);
+        drive(&driver, cases, |c| c.uuid, attempt, completed, ckpt, generation)
     }
 
-    /// Runs one chunk's cases across the worker threads. Workers steal
-    /// cases from a shared cursor (see [`schedule::run_stealing`]), so a
-    /// stalled-read straggler occupies one thread while the rest drain
-    /// the chunk, and a chunk smaller than the thread count spawns only
-    /// as many workers as it has cases.
-    fn run_chunk(
+    /// One attempt at an h1 case: the Fig. 6 workflow over the engine's
+    /// transport, then detection.
+    fn attempt(
         &self,
-        chunk: &[&TestCase],
-        threads: usize,
-        recorder: hdiff_obs::Recorder,
-    ) -> Vec<CaseRecord> {
-        schedule::run_stealing(chunk, threads, |case| self.run_case_resilient(case, recorder))
+        case: &TestCase,
+        session: &FaultSession,
+    ) -> Result<Attempt, hdiff_net::NetError> {
+        let outcome = {
+            let _execute = hdiff_obs::span("stage.chain-execute");
+            let started = std::time::Instant::now();
+            let outcome = self.workflow.execute(
+                self.transport,
+                case.uuid,
+                case.origin.to_string(),
+                case.request.to_bytes(),
+                session,
+            );
+            let rtt = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            hdiff_obs::observe(self.transport.rtt_metric(), rtt);
+            outcome?
+        };
+        let _detect = hdiff_obs::span("stage.detect");
+        let oracle = self.syntax_oracle.as_ref();
+        Ok(Attempt {
+            replayed: outcome.chains.iter().any(|c| !c.replays.is_empty()),
+            findings: detect_case_with_oracle(&self.profiles, &outcome, oracle),
+            degradations: detect_degradation(&outcome),
+            budget_exhausted: outcome.budget_exhausted,
+            fault_events: outcome.fault_events,
+        })
     }
+}
 
-    /// Runs one case under `catch_unwind` with a fresh fault session per
-    /// attempt, retrying transient faults up to [`MAX_RETRIES`] times. A
-    /// panic quarantines the case (recorded, skipped, never
-    /// fatal); a transient fault that survives every retry maps to its
-    /// [`CaseError`]; truncation/garbling faults are behavioral (no error)
-    /// and surface through degradation findings instead.
-    fn run_case_resilient(&self, case: &TestCase, recorder: hdiff_obs::Recorder) -> CaseRecord {
-        let (mut record, telemetry) = recorder.case(case.uuid, || {
-            let _case = hdiff_obs::span("case");
-            self.run_case_attempts(case)
+/// What one attempt at a case produced: the per-case runner's input for
+/// its retry decision and the [`CaseRecord`] fields of the same names.
+#[derive(Debug, Default)]
+pub(crate) struct Attempt {
+    pub(crate) findings: Vec<Finding>,
+    pub(crate) degradations: Vec<DegradationFinding>,
+    /// Faults that fired; a transient one makes the runner retry.
+    pub(crate) fault_events: Vec<FaultEvent>,
+    pub(crate) budget_exhausted: bool,
+    pub(crate) replayed: bool,
+}
+
+/// The settings a campaign runs under: [`DiffEngine`]'s fields of the
+/// same names, borrowed.
+pub(crate) struct Driver<'a> {
+    pub(crate) threads: usize,
+    pub(crate) fault_plan: &'a FaultPlan,
+    pub(crate) checkpoint_every: usize,
+    pub(crate) stop_after_chunks: Option<usize>,
+    pub(crate) progress: Option<&'a ProgressHook>,
+}
+
+/// The campaign driver: runs every case not yet in `completed` through
+/// [`run_case`], chunk by chunk, saving a checkpoint to `ckpt` (if any)
+/// after each chunk with a generation counted on from `generation`, and
+/// returns the last generation written. Cases record under the switches
+/// of the thread that calls this.
+pub(crate) fn drive<C: Sync, E: fmt::Display>(
+    driver: &Driver<'_>,
+    cases: &[C],
+    uuid: impl Fn(&C) -> u64 + Sync,
+    attempt: impl Fn(&C, &FaultSession) -> Result<Attempt, E> + Sync,
+    completed: &mut BTreeMap<u64, CaseRecord>,
+    ckpt: Option<&Path>,
+    mut generation: u64,
+) -> io::Result<u64> {
+    let pending: Vec<&C> = cases.iter().filter(|c| !completed.contains_key(&uuid(c))).collect();
+    // Resolve the thread count once per run; `available_parallelism`
+    // is a syscall and the answer cannot change between chunks.
+    let threads = schedule::effective_threads(driver.threads);
+    let recorder = hdiff_obs::Recorder::capture();
+    let injector = FaultInjector::new(driver.fault_plan.clone());
+    for (i, chunk) in pending.chunks(driver.checkpoint_every.max(1)).enumerate() {
+        if driver.stop_after_chunks.is_some_and(|n| i >= n) {
+            break;
+        }
+        // Workers steal cases from a shared cursor (see
+        // [`schedule::run_stealing`]), so a stalled-read straggler
+        // occupies one thread while the rest drain the chunk.
+        let records = schedule::run_stealing(chunk, threads, |case| {
+            run_case(*case, uuid(case), &injector, recorder, &attempt)
         });
-        record.telemetry = telemetry;
-        record
+        for record in records {
+            completed.insert(record.uuid, record);
+        }
+        if let Some(path) = ckpt {
+            generation += 1;
+            checkpoint::save_with_generation(path, completed, generation)?;
+        }
+        if let Some(hook) = driver.progress {
+            hook.report(ChunkProgress { completed: completed.len(), generation });
+        }
     }
+    Ok(generation)
+}
 
-    /// The attempt loop of [`DiffEngine::run_case_resilient`], running
-    /// inside the case's telemetry scope.
-    fn run_case_attempts(&self, case: &TestCase) -> CaseRecord {
-        let injector = FaultInjector::new(self.fault_plan.clone());
-        let mut retries = 0u32;
-        let mut backoff_units = 0u64;
+/// The per-case runner: a telemetry scope and `case` span around attempt
+/// after attempt, each under `catch_unwind` with a fresh fault session.
+/// A panic quarantines the case; an attempt's error is a
+/// [`CaseError::Io`]; transient faults retry up to [`MAX_RETRIES`] times,
+/// then map to their [`CaseError`]; truncation and garbling faults are
+/// behavioral and surface as degradation findings instead.
+fn run_case<C, E: fmt::Display>(
+    case: &C,
+    uuid: u64,
+    injector: &FaultInjector,
+    recorder: hdiff_obs::Recorder,
+    attempt: &impl Fn(&C, &FaultSession) -> Result<Attempt, E>,
+) -> CaseRecord {
+    let (mut record, telemetry) = recorder.case(uuid, || {
+        let _case = hdiff_obs::span("case");
+        let mut record = CaseRecord { uuid, ..CaseRecord::default() };
         loop {
-            let session = FaultSession::new(&injector, case.uuid, retries, STEP_BUDGET);
-            let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-                let outcome = {
-                    let _execute = hdiff_obs::span("stage.chain-execute");
-                    let started = std::time::Instant::now();
-                    let outcome = self.workflow.execute(
-                        self.transport,
-                        case.uuid,
-                        case.origin.to_string(),
-                        case.request.to_bytes(),
-                        &session,
-                    );
-                    let rtt = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    hdiff_obs::observe(self.transport.rtt_metric(), rtt);
-                    outcome?
-                };
-                let _detect = hdiff_obs::span("stage.detect");
-                let replayed = outcome.chains.iter().any(|c| !c.replays.is_empty());
-                let findings =
-                    detect_case_with_oracle(&self.profiles, &outcome, self.syntax_oracle.as_ref());
-                let degradations = detect_degradation(&outcome);
-                Ok::<_, hdiff_net::NetError>((
-                    outcome.fault_events,
-                    outcome.budget_exhausted,
-                    replayed,
-                    findings,
-                    degradations,
-                ))
-            }));
-            let (events, budget_exhausted, replayed, findings, degradations) = match attempt {
+            let session = FaultSession::new(injector, uuid, record.retries, STEP_BUDGET);
+            let done = match panic::catch_unwind(AssertUnwindSafe(|| attempt(case, &session))) {
                 Err(payload) => {
                     hdiff_obs::count("case.quarantined", 1);
-                    return CaseRecord {
-                        uuid: case.uuid,
-                        replayed: false,
-                        retries,
-                        backoff_units,
-                        quarantined: true,
-                        error: Some(CaseError::Panic(panic_message(&payload))),
-                        findings: Vec::new(),
-                        degradations: Vec::new(),
-                        telemetry: hdiff_obs::CaseTelemetry::default(),
-                    };
+                    record.quarantined = true;
+                    record.error = Some(CaseError::Panic(panic_message(&payload)));
+                    return record;
                 }
-                // The loopback testbed itself failed (bind/accept/spawn):
-                // a recorded, non-quarantining outcome — the case may
-                // succeed on a respawned worker or a later campaign.
-                Ok(Err(net)) => {
+                // The case could not be served (the loopback testbed failed
+                // to bind, accept or spawn; a seed workload's front delivered
+                // nothing): a recorded, non-quarantining outcome.
+                Ok(Err(e)) => {
                     hdiff_obs::count("case.net-error", 1);
-                    return CaseRecord {
-                        uuid: case.uuid,
-                        replayed: false,
-                        retries,
-                        backoff_units,
-                        quarantined: false,
-                        error: Some(CaseError::Io(net.to_string())),
-                        findings: Vec::new(),
-                        degradations: Vec::new(),
-                        telemetry: hdiff_obs::CaseTelemetry::default(),
-                    };
+                    record.error = Some(CaseError::Io(e.to_string()));
+                    return record;
                 }
-                Ok(Ok(r)) => r,
+                Ok(Ok(done)) => done,
             };
-            hdiff_obs::count("fault.events", events.len() as u64);
+            hdiff_obs::count("fault.events", done.fault_events.len() as u64);
 
-            let transient = events.iter().map(|e| e.kind).find(|k| k.is_transient());
+            let transient = done.fault_events.iter().map(|e| e.kind).find(|k| k.is_transient());
             if let Some(kind) = transient {
-                if retries < MAX_RETRIES {
-                    retries += 1;
-                    backoff_units += 1u64 << retries.min(16);
+                if record.retries < MAX_RETRIES {
+                    record.retries += 1;
+                    record.backoff_units += 1u64 << record.retries.min(16);
                     hdiff_obs::count("case.retry", 1);
                     continue;
                 }
-                let error = match kind {
+                let retries = record.retries;
+                record.error = Some(match kind {
                     FaultKind::Transient5xx => {
                         CaseError::Fault(format!("transient 5xx persisted after {retries} retries"))
                     }
@@ -496,108 +534,86 @@ impl DiffEngine {
                     _ => CaseError::Budget(format!(
                         "stalled read exhausted the step budget after {retries} retries"
                     )),
-                };
-                return CaseRecord {
-                    uuid: case.uuid,
-                    replayed,
-                    retries,
-                    backoff_units,
-                    quarantined: false,
-                    error: Some(error),
-                    findings,
-                    degradations,
-                    telemetry: hdiff_obs::CaseTelemetry::default(),
-                };
+                });
+            } else if done.budget_exhausted {
+                record.error = Some(CaseError::Budget("step budget exhausted".to_string()));
             }
+            record.replayed = done.replayed;
+            record.findings = done.findings;
+            record.degradations = done.degradations;
+            return record;
+        }
+    });
+    record.telemetry = telemetry;
+    record
+}
 
-            let error =
-                budget_exhausted.then(|| CaseError::Budget("step budget exhausted".to_string()));
-            return CaseRecord {
-                uuid: case.uuid,
-                replayed,
-                retries,
-                backoff_units,
-                quarantined: false,
-                error,
-                findings,
-                degradations,
-                telemetry: hdiff_obs::CaseTelemetry::default(),
-            };
+/// Folds records into a [`RunSummary`] in corpus order, so the result is
+/// the same however (and across how many interruptions) they were made.
+/// Consumes the records; leaves `sr_violations`, `verdicts` and
+/// `coverage` for the caller.
+pub(crate) fn fold_records<C>(
+    cases: &[C],
+    uuid: impl Fn(&C) -> u64,
+    mut completed: BTreeMap<u64, CaseRecord>,
+    base_telemetry: &hdiff_obs::Telemetry,
+    transport: Transport,
+) -> RunSummary {
+    let mut findings = Vec::new();
+    let mut degradations = Vec::new();
+    let mut replayed_cases = 0usize;
+    let mut errors = 0usize;
+    let mut retries = 0usize;
+    let mut backoff_units = 0u64;
+    let mut quarantined = Vec::new();
+    let mut executed = 0usize;
+    // Same reassembly discipline as case results: fold per-case
+    // telemetry by metric id in input-corpus order, so the merged view
+    // is identical however many threads (or interruptions) produced the
+    // records.
+    let mut tally = hdiff_obs::Tally::default();
+    tally.add_telemetry(base_telemetry);
+    let case_span = hdiff_obs::MetricId::span("case");
+    let mut slowest: Vec<(u64, u64)> = Vec::new();
+    for case in cases {
+        let Some(r) = completed.remove(&uuid(case)) else { continue };
+        executed += 1;
+        findings.extend(r.findings);
+        degradations.extend(r.degradations);
+        replayed_cases += usize::from(r.replayed);
+        errors += usize::from(r.error.is_some());
+        retries += r.retries as usize;
+        backoff_units += r.backoff_units;
+        if r.quarantined {
+            quarantined.push(r.uuid);
+        }
+        tally.add(&r.telemetry);
+        if let Some(span) = r.telemetry.span(case_span) {
+            slowest.push((r.uuid, span.total_ns));
         }
     }
+    quarantined.sort_unstable();
+    // Ties break toward the lower uuid so the ranking is stable.
+    slowest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    slowest.truncate(RunTelemetry::SLOWEST_KEPT);
 
-    /// Assembles the summary from completed records, iterating the input
-    /// corpus in order so the result is identical however (and across how
-    /// many interruptions) the records were produced. Consumes the
-    /// records: their findings move into the summary.
-    fn summarize(
-        &self,
-        cases: &[TestCase],
-        mut completed: BTreeMap<u64, CaseRecord>,
-    ) -> RunSummary {
-        let mut findings = Vec::new();
-        let mut degradations = Vec::new();
-        let mut replayed_cases = 0usize;
-        let mut errors = 0usize;
-        let mut retries = 0usize;
-        let mut backoff_units = 0u64;
-        let mut quarantined = Vec::new();
-        let mut executed = 0usize;
-        // Same reassembly discipline as case results: fold per-case
-        // telemetry by metric id in input-corpus order, so the merged
-        // view is identical however many threads (or interruptions)
-        // produced the records.
-        let mut tally = hdiff_obs::Tally::default();
-        tally.add_telemetry(&self.base_telemetry);
-        let case_span = hdiff_obs::MetricId::span("case");
-        let mut slowest: Vec<(u64, u64)> = Vec::new();
-        for case in cases {
-            let Some(r) = completed.remove(&case.uuid) else { continue };
-            executed += 1;
-            findings.extend(r.findings);
-            degradations.extend(r.degradations);
-            replayed_cases += usize::from(r.replayed);
-            errors += usize::from(r.error.is_some());
-            retries += r.retries as usize;
-            backoff_units += r.backoff_units;
-            if r.quarantined {
-                quarantined.push(r.uuid);
-            }
-            tally.add(&r.telemetry);
-            if let Some(span) = r.telemetry.span(case_span) {
-                slowest.push((r.uuid, span.total_ns));
-            }
-        }
-        quarantined.sort_unstable();
-        // Ties break toward the lower uuid so the ranking is stable.
-        slowest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        slowest.truncate(RunTelemetry::SLOWEST_KEPT);
-
-        let mut sr_violations = check_all(&self.profiles, cases);
-        if let Some(oracle) = &self.syntax_oracle {
-            sr_violations.extend(check_host_conformance(oracle, &self.profiles, cases));
-        }
-        let pairs = PairMatrix::from_findings(&findings);
-        let verdicts = Verdicts::from_findings(&findings, &self.profiles);
-
-        RunSummary {
-            cases: executed,
-            replayed_cases,
-            findings,
-            degradations,
-            sr_violations,
-            pairs,
-            verdicts,
-            errors,
-            retries,
-            backoff_units,
-            quarantined,
-            coverage: self.grammar_coverage,
-            transport: self.transport,
-            telemetry: RunTelemetry { merged: tally.into_telemetry(), slowest },
-            shard_errors: Vec::new(),
-            topology: ShardTopology::in_process(),
-        }
+    RunSummary {
+        cases: executed,
+        replayed_cases,
+        pairs: PairMatrix::from_findings(&findings),
+        findings,
+        degradations,
+        sr_violations: Vec::new(),
+        verdicts: Verdicts::default(),
+        errors,
+        retries,
+        backoff_units,
+        quarantined,
+        coverage: None,
+        transport,
+        telemetry: RunTelemetry { merged: tally.into_telemetry(), slowest },
+        shard_errors: Vec::new(),
+        topology: ShardTopology::in_process(),
     }
 }
 

@@ -14,9 +14,10 @@
 //! and histograms into the worker's own arrays and packs the touched
 //! slots into a compact bucket travelling inside the
 //! [`crate::CaseRecord`]. The runner folds buckets by metric id in corpus
-//! order during `summarize`, so the merged totals are identical whichever
-//! worker — or how many workers — executed each case, and resuming from
-//! a checkpoint re-folds persisted buckets without double-counting.
+//! order (`runner::fold_records`), so the merged totals are identical
+//! whichever worker — or how many workers — executed each case, and
+//! resuming from a checkpoint re-folds persisted buckets without
+//! double-counting.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

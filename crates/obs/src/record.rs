@@ -216,18 +216,6 @@ impl Recorder {
         });
         (result, bucket.unwrap_or_default())
     }
-
-    /// Runs `f` on the calling thread under these switches, outside any
-    /// case scope: for campaign workers that record into their thread's
-    /// own telemetry.
-    pub fn apply<R>(self, f: impl FnOnce() -> R) -> R {
-        let outer = with_local(|l| mem::replace(&mut l.switches, self));
-        let result = f();
-        if let Some(outer) = outer {
-            with_local(|l| l.switches = outer);
-        }
-        result
-    }
 }
 
 /// Runs `f` with all telemetry it records collected into a private
@@ -314,7 +302,6 @@ mod tests {
         let inert = Recorder { enabled: false, trace: false };
         let ((), bucket) = inert.case(10, || count("scoped", 1));
         assert!(bucket.is_empty());
-        assert!(!inert.apply(enabled), "apply runs under the given switches");
         assert!(enabled());
     }
 

@@ -17,6 +17,8 @@
 //! hdiff run --protocol h2    downgrade-desync campaign: h2 seed vectors
 //!                            through the downgrade front ends
 //! hdiff run --protocol cookie  RFC 6265 cookie workload
+//! hdiff report <path>        profile a summary JSON or JSONL trace that
+//!                            any `run` workload wrote
 //! hdiff probe --protocol h2 <host:port>   sweep the h2 seed corpus
 //!                            against a live h2c endpoint
 //! hdiff golden regen-h2 <dir> rebuild the golden h2 downgrade bundles
@@ -28,6 +30,9 @@
 //! Every `--flag` is checked against the command (and, for `run`, the
 //! `--protocol` workload) before anything runs: a flag no command knows,
 //! or one the command cannot honour, exits 1 with an error naming it.
+//! So does a fleet flag (`--fleet-chaos`, `--checkpoint-every`,
+//! `--fleet-dir`) without `--shards N` (N > 0). Every `run` workload
+//! writes `--summary-out` and `--trace-out` the same way.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -89,8 +94,20 @@ const PIPELINE_FLAGS: &[&str] = &[
 ];
 
 /// The flags of a seed-corpus workload (`run --protocol h2|cookie`).
-const PROTOCOL_FLAGS: &[&str] =
-    &["--threads", "--transport", "--protocol", "--promote-dir", "--min-classes"];
+const PROTOCOL_FLAGS: &[&str] = &[
+    "--threads",
+    "--transport",
+    "--protocol",
+    "--promote-dir",
+    "--min-classes",
+    "--no-telemetry",
+    "--trace-out",
+    "--summary-out",
+];
+
+/// The flags that configure a sharded fleet, which only `--shards N`
+/// (N > 0) runs.
+const FLEET_FLAGS: &[&str] = &["--fleet-chaos", "--checkpoint-every", "--fleet-dir"];
 
 /// The workloads `--protocol` names.
 const WORKLOADS: &[&str] = &["http", "h2", "cookie"];
@@ -229,6 +246,11 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
         Some(n) => config.checkpoint_every = n,
         None => {}
     }
+    if config.shards == 0 {
+        if let Some(flag) = FLEET_FLAGS.iter().find(|flag| has(flag)) {
+            return Err(format!("{flag} needs --shards N (N > 0)"));
+        }
+    }
     let sinks = TelemetrySinks {
         trace_out: flag_value(args, "--trace-out")?,
         summary_out: flag_value(args, "--summary-out")?,
@@ -237,7 +259,7 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
 
     Ok(match command {
         "worker" => run_worker_cli(args),
-        "run" if config.protocol != "http" => run_protocol_cli(args, &config)?,
+        "run" if config.protocol != "http" => run_protocol_cli(args, &config, &sinks)?,
         "run" => {
             let r = run_pipeline(config, &sinks);
             println!("{}", report::render_stats(&r));
@@ -382,16 +404,48 @@ struct TelemetrySinks {
     fleet_dir: Option<String>,
 }
 
-/// Runs the pipeline honoring the telemetry sinks: `--trace-out` turns on
-/// raw event capture and writes the replay-stable JSONL event log;
-/// `--summary-out` writes the machine-readable campaign summary. With
-/// `--shards N` (N > 0) the campaign runs through the sharded fleet
-/// fabric instead of in-process.
-fn run_pipeline(config: HdiffConfig, sinks: &TelemetrySinks) -> hdiff::PipelineReport {
+/// Runs a campaign under the telemetry sinks, for every `run` workload:
+/// `--no-telemetry` (`telemetry` false) records nothing, `--trace-out`
+/// turns on raw event capture. Afterwards `--summary-out` writes the
+/// machine-readable summary and `--trace-out` the replay-stable JSONL
+/// event log, from the [`RunSummary`](hdiff::diff::RunSummary) that
+/// `summary` finds in the result (none when the campaign failed).
+fn record_campaign<R>(
+    telemetry: bool,
+    sinks: &TelemetrySinks,
+    campaign: impl FnOnce() -> R,
+    summary: impl FnOnce(&R) -> Option<&hdiff::diff::RunSummary>,
+) -> R {
+    hdiff::obs::set_enabled(telemetry);
     if sinks.trace_out.is_some() {
         hdiff::obs::set_trace(true);
     }
-    let r = if config.shards > 0 {
+    let r = campaign();
+    let Some(summary) = summary(&r) else { return r };
+    if let Some(path) = &sinks.summary_out {
+        match hdiff::diff::write_summary(Path::new(path), summary) {
+            Ok(()) => eprintln!("summary written to {path}"),
+            Err(e) => eprintln!("cannot write summary to {path}: {e}"),
+        }
+    }
+    if let Some(path) = &sinks.trace_out {
+        match hdiff::diff::write_trace(Path::new(path), &summary.telemetry.merged) {
+            Ok(()) => eprintln!("trace written to {path}"),
+            Err(e) => eprintln!("cannot write trace to {path}: {e}"),
+        }
+    }
+    r
+}
+
+/// Runs the pipeline honoring the telemetry sinks ([`record_campaign`]).
+/// With `--shards N` (N > 0) the campaign runs through the sharded fleet
+/// fabric instead of in-process.
+fn run_pipeline(config: HdiffConfig, sinks: &TelemetrySinks) -> hdiff::PipelineReport {
+    let telemetry = config.telemetry;
+    let pipeline = || {
+        if config.shards == 0 {
+            return HDiff::new(config).run();
+        }
         let mut fleet = match &sinks.fleet_dir {
             Some(dir) => {
                 let mut f = hdiff::fleet::FleetConfig::new(config.shards, dir);
@@ -411,22 +465,8 @@ fn run_pipeline(config: HdiffConfig, sinks: &TelemetrySinks) -> hdiff::PipelineR
                 std::process::exit(1);
             }
         }
-    } else {
-        HDiff::new(config).run()
     };
-    if let Some(path) = &sinks.summary_out {
-        match hdiff::diff::write_summary(Path::new(path), &r.summary) {
-            Ok(()) => eprintln!("summary written to {path}"),
-            Err(e) => eprintln!("cannot write summary to {path}: {e}"),
-        }
-    }
-    if let Some(path) = &sinks.trace_out {
-        match hdiff::diff::write_trace(Path::new(path), &r.summary.telemetry.merged) {
-            Ok(()) => eprintln!("trace written to {path}"),
-            Err(e) => eprintln!("cannot write trace to {path}: {e}"),
-        }
-    }
-    r
+    record_campaign(telemetry, sinks, pipeline, |r| Some(&r.summary))
 }
 
 fn print_help() {
@@ -471,11 +511,14 @@ fn print_help() {
          \x20                  6265 profile matrix (sim transport only)\n\
          \x20                  both take only [--threads N] [--transport T]\n\
          \x20                  [--promote-dir D] [--min-classes N]\n\
+         \x20                  [--no-telemetry] [--summary-out F]\n\
+         \x20                  [--trace-out F]\n\
          \x20 fuzz [...]       coverage-guided fuzzing over connection streams:\n\
          \x20                  [--seconds N | --iters N] [--seed S] [--threads N]\n\
          \x20                  [--transport T] [--promote-dir D] [--seed-corpus D]\n\
          \x20                  [--min-novel N]\n\n\
-         fleet options (sharded multi-process pipeline campaigns):\n\
+         fleet options (sharded multi-process pipeline campaigns; the\n\
+         last three need --shards N with N > 0):\n\
          \x20 --shards N           run the campaign as N worker processes\n\
          \x20                      (0 = in-process, the default)\n\
          \x20 --fleet-chaos N      SIGKILL N% of worker incarnations on a\n\
@@ -515,10 +558,10 @@ fn replay(path: &Path, transport: Option<Transport>) -> ExitCode {
         match ReplayBundle::load(&p) {
             Ok(mut bundle) => {
                 // Protocol-keyed bundles route back to the workload that
-                // recorded them, in-process; classic bundles replay through
-                // the h1/h2 machinery (honoring a --transport override).
+                // recorded them, classic bundles through the h1/h2
+                // machinery; both honour a --transport override.
                 let report = if let Some(name) = bundle.protocol.clone() {
-                    match protocol_by_name(&name, Transport::Sim) {
+                    match protocol_by_name(&name, transport.unwrap_or(Transport::Sim)) {
                         Ok(proto) => bundle.replay_protocol(proto.as_ref()),
                         Err(e) => {
                             eprintln!("cannot replay {}: {e}", p.display());
@@ -654,36 +697,45 @@ fn protocol_by_name(name: &str, transport: Transport) -> Result<Box<dyn Protocol
 }
 
 /// `hdiff run --protocol h2|cookie` — a seed-corpus campaign through the
-/// generic driver: the workload's seed corpus fans out over its
+/// campaign driver: the workload's seed corpus fans out over its
 /// behavioral matrix, findings merge deterministically, and with
 /// `--promote-dir` the first finding of each divergence class is
 /// minimized and frozen as a replay bundle. `h2` encodes every seed
 /// vector as an h2c client connection, has the three front-end profiles
 /// translate it to HTTP/1.1 (in-process, or over loopback sockets with
 /// `--transport tcp-async`), and re-interprets the result on the back-end
-/// matrix. With `--min-classes N`, exits nonzero unless at least N
-/// distinct classes were detected (the CI gate).
-fn run_protocol_cli(args: &[String], config: &HdiffConfig) -> Result<ExitCode, String> {
+/// matrix. The telemetry sinks work as for the h1 pipeline
+/// ([`record_campaign`]). With `--min-classes N`, exits nonzero unless at
+/// least N distinct classes were detected (the CI gate).
+fn run_protocol_cli(
+    args: &[String],
+    config: &HdiffConfig,
+    sinks: &TelemetrySinks,
+) -> Result<ExitCode, String> {
     use hdiff::diff::{run_protocol_campaign, ProtocolCampaignOptions};
 
     let promote_dir = flag_value::<String>(args, "--promote-dir")?;
     let min_classes = flag_value::<usize>(args, "--min-classes")?.unwrap_or(0);
     let protocol = protocol_by_name(&config.protocol, config.transport)?;
+    let name = protocol.name();
     let opts = ProtocolCampaignOptions {
         threads: config.threads,
         promote_dir: promote_dir.map(Into::into),
     };
-    let summary = run_protocol_campaign(protocol.as_ref(), &opts)
-        .map_err(|e| format!("{} campaign failed: {e}", config.protocol))?;
-    println!("== {} campaign ({} transport) ==", summary.protocol, config.transport);
-    println!("cases    : {}", summary.cases);
-    println!("findings : {}", summary.findings.len());
-    for f in &summary.findings {
+    let campaign = || run_protocol_campaign(protocol.as_ref(), &opts);
+    let summary =
+        record_campaign(config.telemetry, sinks, campaign, |r| r.as_ref().ok().map(|s| &s.run))
+            .map_err(|e| format!("{name} campaign failed: {e}"))?;
+    let run = &summary.run;
+    println!("== {name} campaign ({} transport) ==", config.transport);
+    println!("cases    : {}", run.cases);
+    println!("findings : {}", run.findings.len());
+    for f in &run.findings {
         println!("  {f}");
     }
     println!("classes  : {} ({})", summary.classes.len(), summary.classes.join(", "));
-    if !summary.quarantined.is_empty() {
-        let uuids: Vec<String> = summary.quarantined.iter().map(u64::to_string).collect();
+    if !run.quarantined.is_empty() {
+        let uuids: Vec<String> = run.quarantined.iter().map(u64::to_string).collect();
         println!("quarantined: {} ({})", uuids.len(), uuids.join(", "));
     }
     for p in &summary.promoted {
@@ -691,8 +743,7 @@ fn run_protocol_cli(args: &[String], config: &HdiffConfig) -> Result<ExitCode, S
     }
     if summary.classes.len() < min_classes {
         return Err(format!(
-            "{} campaign detected {} class(es), expected at least {min_classes}",
-            summary.protocol,
+            "{name} campaign detected {} class(es), expected at least {min_classes}",
             summary.classes.len()
         ));
     }

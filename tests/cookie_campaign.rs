@@ -4,6 +4,8 @@
 //! `replay_protocol`, and a misrouted classic replay fails loudly
 //! instead of silently mis-executing.
 
+use std::process::Command;
+
 use hdiff::cookie::CookieProtocol;
 use hdiff::diff::{
     run_protocol_campaign, Protocol, ProtocolCampaignOptions, ReplayBundle, Workflow,
@@ -20,9 +22,11 @@ fn cookie_campaign_is_deterministic_across_thread_counts() {
             &ProtocolCampaignOptions { threads, ..ProtocolCampaignOptions::default() },
         )
         .unwrap();
-        assert_eq!(run.cases, base.cases, "threads={threads}");
-        assert_eq!(run.findings, base.findings, "threads={threads}");
+        assert_eq!(run.run.cases, base.run.cases, "threads={threads}");
+        assert_eq!(run.run.findings, base.run.findings, "threads={threads}");
         assert_eq!(run.classes, base.classes, "threads={threads}");
+        // The whole summary, per-case telemetry shape included.
+        assert_eq!(run.run, base.run, "threads={threads}");
     }
 }
 
@@ -58,5 +62,35 @@ fn promoted_cookie_bundles_replay_and_refuse_the_classic_path() {
             misrouted.drifted
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_takes_the_transport_override_to_protocol_keyed_bundles() {
+    let dir = std::env::temp_dir().join(format!("hdiff-cookie-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ProtocolCampaignOptions { threads: 1, promote_dir: Some(dir.clone()) };
+    let promoted = run_protocol_campaign(&CookieProtocol::standard(), &opts).unwrap().promoted;
+    assert!(!promoted.is_empty());
+    let replay = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_hdiff"))
+            .arg("replay")
+            .args(extra)
+            .arg(&dir)
+            .output()
+            .unwrap()
+    };
+
+    let sim = replay(&[]);
+    assert!(sim.status.success(), "{}", String::from_utf8_lossy(&sim.stdout));
+    let summary = format!("{} bundle(s), 0 failed", promoted.len());
+    assert!(String::from_utf8_lossy(&sim.stdout).contains(&summary));
+
+    // Cookie runs only in-process: the override is refused, not dropped.
+    let wire = replay(&["--transport", "tcp-async"]);
+    assert_eq!(wire.status.code(), Some(1));
+    assert!(wire.stdout.is_empty(), "{}", String::from_utf8_lossy(&wire.stdout));
+    let stderr = String::from_utf8_lossy(&wire.stderr);
+    assert!(stderr.contains("--protocol cookie runs over --transport sim"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

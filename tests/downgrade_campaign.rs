@@ -1,9 +1,9 @@
 //! Acceptance gates for the HTTP/2 downgrade-desync subsystem, run
-//! through the generic protocol driver: the seeded campaign detects at
-//! least three distinct downgrade classes, its output is invariant across
-//! worker threads and across the sim and tcp-async front-end transports
-//! (byte-stable translation), and every promoted bundle re-verifies
-//! through the ordinary replay machinery.
+//! through the campaign driver: the seeded campaign detects at least
+//! three distinct downgrade classes, its summary is invariant across
+//! worker threads, its findings across the sim and tcp-async front-end
+//! transports (byte-stable translation), and every promoted bundle
+//! re-verifies through the ordinary replay machinery.
 
 use std::path::PathBuf;
 
@@ -25,18 +25,18 @@ fn campaign(threads: usize, tcp: bool) -> ProtocolSummary {
 }
 
 fn identity(s: &ProtocolSummary) -> (usize, Vec<String>, Vec<String>) {
-    (s.cases, s.findings.iter().map(ToString::to_string).collect(), s.classes.clone())
+    (s.run.cases, s.run.findings.iter().map(ToString::to_string).collect(), s.classes.clone())
 }
 
 #[test]
 fn seeded_campaign_detects_at_least_three_downgrade_classes() {
     let s = campaign(2, false);
-    assert_eq!(s.cases, seed_vectors().len());
+    assert_eq!(s.run.cases, seed_vectors().len());
     assert!(s.classes.len() >= 3, "expected >= 3 distinct downgrade classes, got {:?}", s.classes);
     for class in ["cl-mismatch", "te-forwarded", "authority-host"] {
         assert!(s.classes.iter().any(|c| c == class), "no {class} in {:?}", s.classes);
     }
-    for f in &s.findings {
+    for f in &s.run.findings {
         assert!(finding_tag(f).is_some(), "non-downgrade evidence in campaign finding {f}");
         assert!(f.origin.starts_with("h2:"), "campaign finding without h2 origin: {f}");
     }
@@ -47,6 +47,8 @@ fn campaign_is_thread_and_transport_invariant() {
     let one = campaign(1, false);
     let four = campaign(4, false);
     assert_eq!(identity(&one), identity(&four), "1 vs 4 threads");
+    // The whole summary, per-case telemetry shape included.
+    assert_eq!(one.run, four.run, "1 vs 4 threads");
 
     // The socket fronts must reproduce the in-process translation byte
     // for byte: identical findings, identical classes.
