@@ -132,15 +132,9 @@ fn write_record(out: &mut String, r: &CaseRecord) {
     out.push('}');
 }
 
-/// Serializes the completed-case map to `path`, atomically (write to a
-/// sibling temp file, then rename) so an interruption mid-save never
-/// leaves a corrupt checkpoint behind. Writes generation 0; checkpoint
-/// chains that resume use [`save_with_generation`].
-pub fn save(path: &Path, completed: &BTreeMap<u64, CaseRecord>) -> io::Result<()> {
-    save_with_generation(path, completed, 0)
-}
-
-/// [`save`] with an explicit generation counter.
+/// Serializes the completed-case map and its generation counter to
+/// `path`, atomically (write to a sibling temp file, then rename) so an
+/// interruption mid-save never leaves a corrupt checkpoint behind.
 pub fn save_with_generation(
     path: &Path,
     completed: &BTreeMap<u64, CaseRecord>,
@@ -275,7 +269,7 @@ fn read_record(v: &Json) -> io::Result<CaseRecord> {
     })
 }
 
-/// Loads a checkpoint written by [`save`].
+/// Loads a checkpoint written by [`save_with_generation`].
 pub fn load(path: &Path) -> io::Result<BTreeMap<u64, CaseRecord>> {
     load_with_generation(path).map(|(completed, _)| completed)
 }
@@ -452,7 +446,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.json");
         let records = sample_records();
-        save(&path, &records).unwrap();
+        save_with_generation(&path, &records, 0).unwrap();
         let loaded = load(&path).unwrap();
         assert_eq!(records, loaded);
         std::fs::remove_dir_all(&dir).ok();

@@ -144,22 +144,16 @@ impl DowngradeWorkflow {
     /// Runs one h2 client connection through the whole matrix,
     /// in-process. Deterministic: same bytes, same outcome.
     pub fn run_bytes(&self, uuid: u64, origin: &str, bytes: &[u8]) -> DowngradeCaseOutcome {
-        hdiff_obs::count("h2.downgrade.cases", 1);
-        let (requests, parse_error) = match parse_client_connection(bytes) {
-            Ok(conn) => (conn.requests.into_iter().map(|p| p.request).collect::<Vec<_>>(), None),
-            Err(e) => (Vec::new(), Some(e.to_string())),
-        };
-        let chains = self
-            .fronts
-            .iter()
-            .map(|front| {
-                let chain = run_chain(front, &requests, &self.backends);
-                if chain.forwarded_count < chain.outcomes.len() {
-                    hdiff_obs::count("h2.downgrade.rejects", 1);
+        let (requests, frames, parse_error): (Vec<H2Request>, _, _) =
+            match parse_client_connection(bytes) {
+                Ok(conn) => {
+                    (conn.requests.into_iter().map(|p| p.request).collect(), conn.frames, None)
                 }
-                chain
-            })
-            .collect();
+                Err(e) => (Vec::new(), 0, Some(e.to_string())),
+            };
+        let chains: Vec<DowngradeChain> =
+            self.fronts.iter().map(|front| run_chain(front, &requests, &self.backends)).collect();
+        count_case(parse_error.is_none(), frames, &chains);
         DowngradeCaseOutcome {
             uuid,
             origin: origin.to_string(),
@@ -167,6 +161,25 @@ impl DowngradeWorkflow {
             parse_error,
             requests,
             chains,
+        }
+    }
+}
+
+/// Counts one case's h2 telemetry on the calling thread: the case, the
+/// client connection the fronts parsed (when it parsed) and its frames,
+/// and each front that rejected at least one request. Both case paths
+/// call it on the case thread with what the fronts saw, so a campaign
+/// records the same counters over sim and tcp-async (where the fronts
+/// parse on the event loop's thread).
+fn count_case(parsed: bool, frames: usize, chains: &[DowngradeChain]) {
+    hdiff_obs::count("h2.downgrade.cases", 1);
+    if parsed {
+        hdiff_obs::count("h2.conn.parsed", 1);
+        hdiff_obs::count("h2.frames.parsed", frames as u64);
+    }
+    for chain in chains {
+        if chain.forwarded_count < chain.outcomes.len() {
+            hdiff_obs::count("h2.downgrade.rejects", 1);
         }
     }
 }
@@ -216,12 +229,14 @@ pub fn run_downgrade_case_tcp(
     bytes: &[u8],
 ) -> io::Result<DowngradeCaseOutcome> {
     let mut parse_error = None;
+    let mut frames = 0;
     let mut requests: Vec<H2Request> = Vec::new();
     let mut chains = Vec::new();
     for (front, log) in workflow.fronts.iter().zip(testbed.run(bytes)) {
         let log =
             log.ok_or_else(|| io::Error::other(format!("{}: no connection log", front.name)))?;
         parse_error = log.parse_error;
+        frames = log.frames;
         requests = log.requests;
         let forwarded_count = log.outcomes.iter().filter(|o| o.is_forwarded()).count();
         let backends = run_backends(&log.h1, &workflow.backends);
@@ -233,6 +248,7 @@ pub fn run_downgrade_case_tcp(
             backends,
         });
     }
+    count_case(parse_error.is_none(), frames, &chains);
     Ok(DowngradeCaseOutcome {
         uuid,
         origin: origin.to_string(),

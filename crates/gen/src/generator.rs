@@ -120,6 +120,18 @@ impl AbnfGenerator {
         &self.grammar
     }
 
+    /// Restarts the random stream from `seed`, so the next values are the
+    /// ones a generator built with `GenOptions { seed, .. }` and otherwise
+    /// identical options would produce. Nothing else needs resetting: the
+    /// compiled grammar and the min-depth table depend only on the grammar
+    /// and the options, and the RNG is the only state a generation call
+    /// changes. The one exception is coverage, which keeps accumulating
+    /// across a reseed (and, under `coverage_guided`, steers later picks).
+    pub fn reseed(&mut self, seed: u64) {
+        self.opts.seed = seed;
+        self.rng = StdRng::seed_from_u64(seed);
+    }
+
     /// Generates one value for `rule`, or `None` when the rule is unknown.
     pub fn generate(&mut self, rule: &str) -> Option<Vec<u8>> {
         let cg = self.compiled.clone();
@@ -738,6 +750,30 @@ mod tests {
         // Every generated message must contain a CRLF-terminated start line.
         for m in &msgs {
             assert!(m.windows(2).any(|w| w == b"\r\n"), "{:?}", String::from_utf8_lossy(m));
+        }
+    }
+
+    #[test]
+    fn reseeding_reproduces_a_fresh_generator() {
+        let out = hdiff_analyzer::DocumentAnalyzer::with_default_inputs()
+            .analyze(&hdiff_corpus::core_documents());
+        let host = out.grammar.get("Host").unwrap().node.clone();
+        let fresh = |seed| {
+            AbnfGenerator::new(out.grammar.clone(), GenOptions { seed, ..GenOptions::default() })
+        };
+        // One generator, advanced by earlier values before every reseed.
+        let mut reused = fresh(3);
+        for seed in [0, 7, 11, u64::MAX] {
+            reused.generate("HTTP-message");
+            reused.reseed(seed);
+            let (mut a, mut b) = (fresh(seed), fresh(seed));
+            for _ in 0..5 {
+                assert_eq!(reused.generate("Host"), a.generate("Host"), "seed {seed}");
+            }
+            reused.reseed(seed);
+            for _ in 0..5 {
+                assert_eq!(reused.generate_node(&host), b.generate_node(&host), "seed {seed}");
+            }
         }
     }
 

@@ -112,12 +112,13 @@ impl MutationEngine {
                     return None;
                 }
                 let idx = self.rng.gen_range(0..n);
-                let field = request.headers.iter().nth(idx)?.clone();
+                let field = request.headers.iter().nth(idx)?;
                 let name = field.name_trimmed().to_vec();
                 let mut value = field.value().to_vec();
                 value.extend_from_slice(b".alt");
-                request.headers.push(name.clone(), value);
-                Some(format!("repeat header {}", String::from_utf8_lossy(&name)))
+                let note = format!("repeat header {}", String::from_utf8_lossy(&name));
+                request.headers.push(name, value);
+                Some(note)
             }
             MutationKind::SpecialCharBeforeName
             | MutationKind::SpecialCharBeforeColon
@@ -129,8 +130,7 @@ impl MutationEngine {
                     return None;
                 }
                 let idx = self.rng.gen_range(0..n);
-                let field = request.headers.iter().nth(idx)?.clone();
-                let mut raw = field.raw().to_vec();
+                let mut raw = request.headers.iter().nth(idx)?.raw().to_vec();
                 let flip = self.rng.gen_range(0..raw.len().max(1));
                 for (i, b) in raw.iter_mut().enumerate() {
                     if i <= flip && b.is_ascii_alphabetic() {
@@ -161,18 +161,20 @@ impl MutationEngine {
                     return None;
                 }
                 let idx = self.rng.gen_range(0..n);
-                let field = request.headers.iter().nth(idx)?.clone();
+                let field = request.headers.iter().nth(idx)?;
                 let value = field.value();
                 if value.is_empty() {
                     return None;
                 }
                 let pos = self.rng.gen_range(0..value.len());
-                let mut new_value = value[..pos].to_vec();
-                new_value.extend_from_slice(format!("%{:02X}", value[pos]).as_bytes());
-                new_value.extend_from_slice(&value[pos + 1..]);
-                let mut raw = field.name_raw().to_vec();
+                let name = field.name_raw();
+                // The encoded byte takes three bytes, two more than before.
+                let mut raw = Vec::with_capacity(name.len() + 2 + value.len() + 2);
+                raw.extend_from_slice(name);
                 raw.extend_from_slice(b": ");
-                raw.extend_from_slice(&new_value);
+                raw.extend_from_slice(&value[..pos]);
+                raw.extend_from_slice(format!("%{:02X}", value[pos]).as_bytes());
+                raw.extend_from_slice(&value[pos + 1..]);
                 replace_header(request, idx, raw);
                 Some("percent-encode byte in value".to_string())
             }
@@ -189,10 +191,12 @@ impl MutationEngine {
                     return None;
                 }
                 let idx = eligible[self.rng.gen_range(0..eligible.len())];
-                let field = request.headers.iter().nth(idx)?.clone();
-                let value = field.value().to_vec();
+                let field = request.headers.iter().nth(idx)?;
+                let value = field.value();
                 let split = value.len() / 2;
-                let mut raw = field.name_raw().to_vec();
+                let name = field.name_raw();
+                let mut raw = Vec::with_capacity(name.len() + 2 + value.len() + 3);
+                raw.extend_from_slice(name);
                 raw.extend_from_slice(b": ");
                 raw.extend_from_slice(&value[..split]);
                 raw.extend_from_slice(b"\r\n ");
@@ -215,31 +219,30 @@ impl MutationEngine {
         }
         let idx = self.rng.gen_range(0..n);
         let sc = SPECIAL_CHARS[self.rng.gen_range(0..SPECIAL_CHARS.len())];
-        let field = request.headers.iter().nth(idx)?.clone();
-        let name = field.name_raw().to_vec();
-        let value = field.value_raw().to_vec();
-        let mut raw = Vec::new();
+        let field = request.headers.iter().nth(idx)?;
+        let (name, value) = (field.name_raw(), field.value_raw());
+        let mut raw = Vec::with_capacity(name.len() + 1 + sc.len() + value.len());
         match kind {
             MutationKind::SpecialCharBeforeName => {
                 raw.extend_from_slice(sc);
-                raw.extend_from_slice(&name);
+                raw.extend_from_slice(name);
                 raw.push(b':');
-                raw.extend_from_slice(&value);
+                raw.extend_from_slice(value);
             }
             MutationKind::SpecialCharBeforeColon => {
-                raw.extend_from_slice(&name);
+                raw.extend_from_slice(name);
                 raw.extend_from_slice(sc);
                 raw.push(b':');
-                raw.extend_from_slice(&value);
+                raw.extend_from_slice(value);
             }
             MutationKind::SpecialCharAfterColon => {
-                raw.extend_from_slice(&name);
+                raw.extend_from_slice(name);
                 raw.push(b':');
                 raw.extend_from_slice(sc);
-                raw.extend_from_slice(&value);
+                raw.extend_from_slice(value);
             }
             MutationKind::SpecialCharInValue => {
-                raw.extend_from_slice(&name);
+                raw.extend_from_slice(name);
                 raw.push(b':');
                 if value.is_empty() {
                     raw.extend_from_slice(sc);
@@ -270,14 +273,12 @@ impl MutationEngine {
     }
 }
 
+/// Replaces the raw line of the header at `idx`, leaving every other
+/// field where it is. Callers size `raw` exactly: the corpus keeps it.
 fn replace_header(request: &mut Request, idx: usize, raw: Vec<u8>) {
-    let fields: Vec<HeaderField> = request
-        .headers
-        .iter()
-        .enumerate()
-        .map(|(i, f)| if i == idx { HeaderField::from_raw(raw.clone()) } else { f.clone() })
-        .collect();
-    request.headers = fields.into_iter().collect();
+    if let Some(field) = request.headers.iter_mut().nth(idx) {
+        *field = HeaderField::from_raw(raw);
+    }
 }
 
 #[cfg(test)]

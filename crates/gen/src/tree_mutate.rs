@@ -10,13 +10,20 @@
 //! language but just outside it — `h1..com`, `h1.com:80:80`,
 //! `h1.com@h2.com`-style near-misses the paper credits for its effective
 //! HoT corpus.
+//!
+//! [`TreeMutator::malformed_values`] builds one [`AbnfGenerator`] per call
+//! (the grammar clone, the predefined-leaf table and the min-depth
+//! fixpoint) and, per value, only the mutated tree, its detached
+//! compilation and the value itself. Each value still gets its own seed,
+//! drawn from the mutator's RNG, and [`AbnfGenerator::reseed`] restarts
+//! the shared generator from it, so every value is the one a generator
+//! built for it alone would produce.
 
 use hdiff_abnf::{Grammar, Node, Repeat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::generator::{AbnfGenerator, GenOptions};
-use crate::predefined::PredefinedRules;
 
 /// The tree-mutation operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,6 +86,13 @@ impl TreeMutator {
 
     /// Produces `count` byte values generated from mutated copies of
     /// `rule`'s tree — the malformed-but-plausible corpus.
+    ///
+    /// The generator is built once per call, with the default options
+    /// (which include the standard predefined leaves). Per value, the
+    /// mutator mutates the tree, then draws the value's seed from its own
+    /// RNG and reseeds the generator with it. A generator without coverage
+    /// keeps no state between values except its RNG, so each value is
+    /// byte-identical to one from a fresh generator built with that seed.
     pub fn malformed_values(
         &mut self,
         grammar: &Grammar,
@@ -87,17 +101,11 @@ impl TreeMutator {
     ) -> Vec<(Vec<u8>, TreeMutation)> {
         let Some(r) = grammar.get(rule) else { return Vec::new() };
         let base = r.node.clone();
+        let mut generator = AbnfGenerator::new(grammar.clone(), GenOptions::default());
         let mut out = Vec::new();
         for i in 0..count {
             let (mutated, op) = self.mutate(&base);
-            let mut generator = AbnfGenerator::new(
-                grammar.clone(),
-                GenOptions {
-                    seed: self.rng.gen(),
-                    predefined: PredefinedRules::standard(),
-                    ..GenOptions::default()
-                },
-            );
+            generator.reseed(self.rng.gen());
             let value = generator.generate_node(&mutated);
             if !value.is_empty() || i == 0 {
                 out.push((value, op));
@@ -217,6 +225,7 @@ fn count_sites(node: &Node, op: TreeMutation) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predefined::PredefinedRules;
     use hdiff_abnf::{matcher, parse_rulelist};
 
     fn grammar(text: &str) -> Grammar {
@@ -296,5 +305,55 @@ mod tests {
             m.malformed_values(&g, "Host", 10)
         };
         assert_eq!(run(5), run(5));
+    }
+
+    /// `malformed_values` with a fresh generator built for every value,
+    /// seeded from the mutator's RNG right after the tree mutation.
+    fn fresh_generator_per_value(
+        seed: u64,
+        grammar: &Grammar,
+        rule: &str,
+        count: usize,
+    ) -> Vec<(Vec<u8>, TreeMutation)> {
+        let mut m = TreeMutator::new(seed);
+        let base = grammar.get(rule).unwrap().node.clone();
+        let mut out = Vec::new();
+        for i in 0..count {
+            let (mutated, op) = m.mutate(&base);
+            let mut generator = AbnfGenerator::new(
+                grammar.clone(),
+                GenOptions {
+                    seed: m.rng.gen(),
+                    predefined: PredefinedRules::standard(),
+                    ..GenOptions::default()
+                },
+            );
+            let value = generator.generate_node(&mutated);
+            if !value.is_empty() || i == 0 {
+                out.push((value, op));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_generator_per_call_matches_a_fresh_generator_per_value() {
+        let toy = grammar(
+            "Host = uri-host [ \":\" port ]\nuri-host = 1*( ALPHA / DIGIT / \".\" / \"-\" )\nport = 1*DIGIT\n",
+        );
+        let adapted = hdiff_analyzer::DocumentAnalyzer::with_default_inputs()
+            .analyze(&hdiff_corpus::core_documents())
+            .grammar;
+        for (g, seeds) in [(&toy, [0u64, 7, 42, 0x7ee]), (&adapted, [1, 7, 11, 0xb0b])] {
+            for seed in seeds {
+                for count in [0, 1, 5, 40] {
+                    assert_eq!(
+                        TreeMutator::new(seed).malformed_values(g, "Host", count),
+                        fresh_generator_per_value(seed, g, "Host", count),
+                        "seed {seed}, count {count}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -455,8 +455,6 @@ pub fn parse_client_connection(bytes: &[u8]) -> Result<ClientConnection, H2Error
     }
     completed.sort_by_key(|r| r.stream_id);
     conn.requests = completed;
-    hdiff_obs::count("h2.conn.parsed", 1);
-    hdiff_obs::count("h2.frames.parsed", conn.frames as u64);
     Ok(conn)
 }
 

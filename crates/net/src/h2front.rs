@@ -23,6 +23,9 @@ pub struct H2FrontLog {
     /// Connection-level h2 parse failure, when the client bytes never
     /// yielded requests.
     pub parse_error: Option<String>,
+    /// Frames the front parsed from the client connection (0 when the
+    /// parse failed).
+    pub frames: usize,
     /// The h2 requests the connection carried, in stream order.
     pub requests: Vec<H2Request>,
     /// Per-request translation outcomes.
@@ -34,13 +37,13 @@ pub struct H2FrontLog {
 /// Downgrades one whole client connection: the h2 server connection
 /// bytes to answer with, and the log of what the front did.
 pub(crate) fn serve(front: &DowngradeProfile, bytes: &[u8]) -> (Vec<u8>, H2FrontLog) {
-    let (requests, stream_ids, parse_error) = match parse_client_connection(bytes) {
+    let (requests, stream_ids, frames, parse_error) = match parse_client_connection(bytes) {
         Ok(conn) => {
             let ids: Vec<u32> = conn.requests.iter().map(|p| p.stream_id).collect();
             let reqs: Vec<H2Request> = conn.requests.into_iter().map(|p| p.request).collect();
-            (reqs, ids, None)
+            (reqs, ids, conn.frames, None)
         }
-        Err(e) => (Vec::new(), Vec::new(), Some(e.to_string())),
+        Err(e) => (Vec::new(), Vec::new(), 0, Some(e.to_string())),
     };
 
     let outcomes: Vec<DowngradeOutcome> = requests.iter().map(|r| front.downgrade(r)).collect();
@@ -64,7 +67,8 @@ pub(crate) fn serve(front: &DowngradeProfile, bytes: &[u8]) -> (Vec<u8>, H2Front
         })
         .collect();
 
-    (encode_server_connection(&responses), H2FrontLog { parse_error, requests, outcomes, h1 })
+    let log = H2FrontLog { parse_error, frames, requests, outcomes, h1 };
+    (encode_server_connection(&responses), log)
 }
 
 #[cfg(test)]
@@ -97,6 +101,7 @@ mod tests {
 
         let log = ex.front_log.expect("paired front log");
         assert!(log.parse_error.is_none());
+        assert_eq!(log.frames, parse_client_connection(&bytes).unwrap().frames);
         assert_eq!(log.h1, expected);
     }
 
@@ -119,5 +124,6 @@ mod tests {
         let log = ex.front_log.expect("paired front log");
         assert!(log.parse_error.as_deref().unwrap().contains("preface"));
         assert!(log.requests.is_empty());
+        assert_eq!(log.frames, 0);
     }
 }

@@ -1,23 +1,29 @@
-//! Allocation and heap budgets of the in-process Fig. 6 chain.
+//! Allocation and heap budgets of the in-process Fig. 6 chain and of
+//! corpus generation.
 //!
 //! Counts heap allocations per case while the Table II catalog runs
 //! through `Workflow::run_case` and through a one-thread
 //! `DiffEngine::run` (detection, telemetry and summary included), and
-//! how far a campaign's live heap grows per case. The counters are
-//! thread-local, so allocations the test harness makes on its other
+//! how far a campaign's live heap grows per case. On the generation side
+//! it counts allocations per value of the ABNF-tree mutator over the
+//! adapted grammar, and per case of `HDiff::generate_cases` on the
+//! paper-scale configuration (analysis outside the count). The counters
+//! are thread-local, so allocations the test harness makes on its other
 //! threads never reach them. Each bound sits just above what the current
 //! code makes (DESIGN.md "How the sim chain allocates" lists what the
-//! chain builds once per workflow, once per case and once per message;
+//! chain builds once per workflow, once per case and once per message,
+//! and what generation builds once per call and once per value;
 //! DESIGN.md §13 what a case's telemetry keeps); a change that brings
-//! back per-case rebuilds, per-message temporaries or per-case telemetry
-//! maps fails here.
+//! back per-case rebuilds, per-message temporaries, per-case telemetry
+//! maps or a generator per generated value fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hdiff::diff::{DiffEngine, Workflow};
-use hdiff::gen::{catalog, Origin, TestCase};
+use hdiff::gen::{catalog, Origin, TestCase, TreeMutator};
 use hdiff::obs::{count, observe, span, Recorder};
+use hdiff::{HDiff, HdiffConfig};
 
 struct CountingAlloc;
 
@@ -210,4 +216,52 @@ fn a_case_scope_makes_at_most_one_allocation() {
     assert_eq!(buckets.len(), 1000);
     println!("1000 case scopes: {allocations} allocations");
     assert!(allocations <= 1000, "{allocations} allocations for 1000 case scopes");
+}
+
+/// Allocations per requested value of `TreeMutator::malformed_values`
+/// over the adapted grammar, 1,000 Host values. The code this budget was
+/// set on makes 28.8 (28,799 over 1,000 values); building a generator
+/// per value made 4,412.5.
+const TREE_MUTATION_BUDGET: f64 = 29.5;
+
+/// Allocations per case of `HDiff::generate_cases` on the paper-scale
+/// configuration (`full()` with 4,000 ABNF seeds, one thread, seed 7:
+/// 29,188 cases). The code this budget was set on makes 21.2 (618,504
+/// over 29,188 cases); with a generator per tree-mutated value and a
+/// header list rebuilt per header edit it made 179.3.
+const GENERATE_CASES_BUDGET: f64 = 21.6;
+
+#[test]
+fn tree_mutation_stays_within_its_allocation_budget() {
+    let grammar = HDiff::new(HdiffConfig::full()).analyze_syntax().grammar;
+    // Compile outside the count: the compiled form is cached per grammar.
+    grammar.compiled();
+    let values = 1000;
+    let (allocations, out) =
+        allocations_in(|| TreeMutator::new(7 ^ 0x7ee).malformed_values(&grammar, "Host", values));
+    assert!(!out.is_empty());
+    let per_value = allocations as f64 / values as f64;
+    println!("TreeMutator::malformed_values: {allocations} allocations over {values} values");
+    assert!(
+        per_value <= TREE_MUTATION_BUDGET,
+        "malformed_values made {per_value:.1} allocations per value, budget {TREE_MUTATION_BUDGET}"
+    );
+}
+
+#[test]
+fn corpus_generation_stays_within_its_allocation_budget() {
+    let mut config = HdiffConfig::full();
+    config.abnf_seeds = 4000;
+    config.threads = 1;
+    config.seed = 7;
+    let hdiff = HDiff::new(config);
+    let analysis = hdiff.analyze();
+    let (allocations, cases) = allocations_in(|| hdiff.generate_cases(&analysis));
+    assert_eq!(cases.len(), 29_188);
+    let per_case = allocations as f64 / cases.len() as f64;
+    println!("HDiff::generate_cases: {allocations} allocations over {} cases", cases.len());
+    assert!(
+        per_case <= GENERATE_CASES_BUDGET,
+        "generate_cases made {per_case:.1} allocations per case, budget {GENERATE_CASES_BUDGET}"
+    );
 }

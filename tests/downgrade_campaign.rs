@@ -1,9 +1,9 @@
 //! Acceptance gates for the HTTP/2 downgrade-desync subsystem, run
 //! through the campaign driver: the seeded campaign detects at least
 //! three distinct downgrade classes, its summary is invariant across
-//! worker threads, its findings across the sim and tcp-async front-end
-//! transports (byte-stable translation), and every promoted bundle
-//! re-verifies through the ordinary replay machinery.
+//! worker threads, its findings and telemetry across the sim and
+//! tcp-async front-end transports (byte-stable translation), and every
+//! promoted bundle re-verifies through the ordinary replay machinery.
 
 use std::path::PathBuf;
 
@@ -54,6 +54,10 @@ fn campaign_is_thread_and_transport_invariant() {
     // for byte: identical findings, identical classes.
     let wire = campaign(2, true);
     assert_eq!(identity(&one), identity(&wire), "sim vs tcp");
+    // And the campaign records the same telemetry whichever thread the
+    // fronts parse on (shape only: names, span counts, counter totals).
+    assert!(one.run.telemetry.merged.counters.contains_key("h2.frames.parsed"));
+    assert_eq!(one.run.telemetry, wire.run.telemetry, "sim vs tcp telemetry");
 }
 
 #[test]
