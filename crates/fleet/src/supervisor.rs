@@ -6,12 +6,15 @@
 //! loop:
 //!
 //! 1. **Watch.** Reader threads forward each worker's stdout lines (the
-//!    [`crate::heartbeat`] protocol) over a channel. Any line refreshes
-//!    the shard's liveness deadline; heartbeats additionally record the
-//!    completed count and checkpoint generation.
+//!    [`crate::heartbeat`] protocol) over a channel, then the end of the
+//!    stream. Any line refreshes the shard's liveness deadline;
+//!    heartbeats additionally record the completed count and checkpoint
+//!    generation.
 //! 2. **Declare dead.** A worker is dead when its process exits before
 //!    reporting `done`, *or* when it stays silent past
 //!    [`FleetConfig::heartbeat_timeout`] (then the watchdog SIGKILLs it).
+//!    An exit is judged only once the incarnation's stdout has been read
+//!    to its end, so a `done` printed just before the exit always counts.
 //! 3. **Recover.** A dead shard re-dispatches after exponential backoff,
 //!    resuming from the orphaned checkpoint — the new worker is handed
 //!    the highest generation the supervisor witnessed as a floor, so it
@@ -138,6 +141,9 @@ struct ShardRun {
     /// completed cases.
     kill_at: Option<usize>,
     done_seen: bool,
+    /// The live incarnation's stdout reached its end: every line it
+    /// printed has been handled.
+    stream_closed: bool,
     chaos_killed: bool,
     watchdog_killed: bool,
     phase: Phase,
@@ -174,6 +180,7 @@ fn supervise(
             generation: 0,
             kill_at: None,
             done_seen: false,
+            stream_closed: false,
             chaos_killed: false,
             watchdog_killed: false,
             phase: Phase::Pending(Instant::now()),
@@ -210,6 +217,12 @@ fn supervise(
             }
             let Some(child) = s.child.as_mut() else { continue };
             match child.try_wait() {
+                // Judge an exit only after the incarnation's last line:
+                // a `done` printed just before exiting may still be on its
+                // way. (A stream held open past the liveness deadline —
+                // by a descendant of the worker — stops the wait.)
+                Ok(Some(_))
+                    if !s.stream_closed && s.last_seen.elapsed() <= fleet.heartbeat_timeout => {}
                 Ok(Some(status)) => {
                     s.child = None;
                     if s.done_seen {
@@ -299,7 +312,7 @@ fn spawn_worker(
     corpus_path: &Path,
     chaos: &ChaosPlan,
     checkpoint_every: usize,
-    tx: &mpsc::Sender<(u32, u32, WorkerLine)>,
+    tx: &mpsc::Sender<(u32, u32, Option<WorkerLine>)>,
 ) {
     let incarnation = s.incarnations;
     s.incarnations += 1;
@@ -307,6 +320,7 @@ fn spawn_worker(
         s.stat.respawns += 1;
     }
     s.done_seen = false;
+    s.stream_closed = false;
     s.chaos_killed = false;
     s.watchdog_killed = false;
     s.kill_at = None;
@@ -347,17 +361,23 @@ fn spawn_worker(
 
     match cmd.spawn() {
         Ok(mut child) => {
-            if let Some(stdout) = child.stdout.take() {
-                let tx = tx.clone();
-                let index = s.spec.index;
-                std::thread::spawn(move || {
-                    for line in BufReader::new(stdout).lines() {
-                        let Ok(line) = line else { break };
-                        if tx.send((index, incarnation, heartbeat::parse(&line))).is_err() {
-                            break;
+            match child.stdout.take() {
+                Some(stdout) => {
+                    let tx = tx.clone();
+                    let index = s.spec.index;
+                    std::thread::spawn(move || {
+                        for line in BufReader::new(stdout).lines() {
+                            let Ok(line) = line else { break };
+                            let line = Some(heartbeat::parse(&line));
+                            if tx.send((index, incarnation, line)).is_err() {
+                                return;
+                            }
                         }
-                    }
-                });
+                        // The end of the stream, after every line.
+                        let _ = tx.send((index, incarnation, None));
+                    });
+                }
+                None => s.stream_closed = true,
             }
             s.child = Some(child);
             s.last_seen = Instant::now();
@@ -367,13 +387,21 @@ fn spawn_worker(
     }
 }
 
-fn handle_line(shards: &mut [ShardRun], (index, incarnation, line): (u32, u32, WorkerLine)) {
+/// Handles one line of a worker's stdout, or (`None`) the end of it.
+fn handle_line(
+    shards: &mut [ShardRun],
+    (index, incarnation, line): (u32, u32, Option<WorkerLine>),
+) {
     let Some(s) = shards.iter_mut().find(|s| s.spec.index == index) else { return };
     // A line from a killed predecessor must not refresh the live
     // incarnation's deadline or roll its progress back.
     if incarnation + 1 != s.incarnations {
         return;
     }
+    let Some(line) = line else {
+        s.stream_closed = true;
+        return;
+    };
     s.last_seen = Instant::now();
     match line {
         WorkerLine::Alive | WorkerLine::Other(_) => {}
