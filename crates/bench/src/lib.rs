@@ -18,8 +18,3 @@ use hdiff_core::{HDiff, HdiffConfig, PipelineReport};
 pub fn full_run() -> PipelineReport {
     HDiff::new(HdiffConfig::full()).run()
 }
-
-/// Runs the quick-configuration pipeline once.
-pub fn quick_run() -> PipelineReport {
-    HDiff::new(HdiffConfig::quick()).run()
-}

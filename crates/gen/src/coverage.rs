@@ -28,7 +28,6 @@
 //! [`CoverageMap::alt_covered`] to bias traversal toward cold arms.
 
 use std::fmt;
-use std::sync::Arc;
 
 use hdiff_abnf::compile::{CompiledGrammar, Op, RuleOrigin};
 
@@ -116,11 +115,6 @@ impl CoverageMap {
             arm_bits: vec![0; words(arm_total).max(1)],
             arm_total,
         }
-    }
-
-    /// Convenience constructor from a shared compiled grammar.
-    pub fn for_grammar(cg: &Arc<CompiledGrammar>) -> CoverageMap {
-        CoverageMap::new(cg)
     }
 
     /// Marks rule `idx` as entered. Untracked indices (core rules,

@@ -230,28 +230,9 @@ pub fn parse_settings(payload: &[u8]) -> Result<Vec<Setting>, H2Error> {
         .collect())
 }
 
-/// Encodes a GOAWAY frame (last stream id + error code + debug data).
-pub fn goaway_frame(last_stream_id: u32, error_code: u32, debug: &[u8]) -> Frame {
-    let mut payload = Vec::with_capacity(8 + debug.len());
-    payload.extend_from_slice(&(last_stream_id & 0x7fff_ffff).to_be_bytes());
-    payload.extend_from_slice(&error_code.to_be_bytes());
-    payload.extend_from_slice(debug);
-    Frame::new(FrameType::Goaway, 0, 0, payload)
-}
-
 /// Encodes an RST_STREAM frame.
 pub fn rst_stream_frame(stream_id: u32, error_code: u32) -> Frame {
     Frame::new(FrameType::RstStream, 0, stream_id, error_code.to_be_bytes().to_vec())
-}
-
-/// Encodes a WINDOW_UPDATE frame.
-pub fn window_update_frame(stream_id: u32, increment: u32) -> Frame {
-    Frame::new(
-        FrameType::WindowUpdate,
-        0,
-        stream_id,
-        (increment & 0x7fff_ffff).to_be_bytes().to_vec(),
-    )
 }
 
 /// Error codes (RFC 9113 §7) used by this subset.

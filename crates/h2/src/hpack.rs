@@ -46,11 +46,6 @@ impl Header {
         Header { name: name.into(), value: value.into(), never_indexed: true }
     }
 
-    /// Size charged against the dynamic table (RFC 7541 §4.1).
-    pub fn table_size(&self) -> usize {
-        self.name.len() + self.value.len() + ENTRY_OVERHEAD
-    }
-
     /// Whether the name starts with `:` (pseudo-header).
     pub fn is_pseudo(&self) -> bool {
         self.name.first() == Some(&b':')

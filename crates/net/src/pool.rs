@@ -103,11 +103,6 @@ impl ConnPool {
         self.stats
     }
 
-    /// Idle connections currently parked.
-    pub fn idle_len(&self) -> usize {
-        self.idle.len()
-    }
-
     fn connect(&mut self) -> std::io::Result<Idle> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_read_timeout(Some(self.config.read_timeout))?;

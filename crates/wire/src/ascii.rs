@@ -51,11 +51,6 @@ pub fn is_field_vchar(b: u8) -> bool {
     is_vchar(b) || b >= 0x80
 }
 
-/// Returns `true` for ASCII hexadecimal digits.
-pub fn is_hex_digit(b: u8) -> bool {
-    b.is_ascii_hexdigit()
-}
-
 /// Trims leading and trailing OWS (`SP`/`HTAB`) from a byte slice.
 ///
 /// ```
@@ -117,11 +112,6 @@ pub fn push_dec(out: &mut Vec<u8>, n: u64) {
         }
     }
     out.extend_from_slice(&digits[at..]);
-}
-
-/// Lowercases a byte slice into an owned vector (ASCII only).
-pub fn to_lower(s: &[u8]) -> Vec<u8> {
-    s.to_ascii_lowercase()
 }
 
 /// Renders bytes for human-readable reports: printable ASCII passes through,

@@ -108,11 +108,6 @@ impl HeaderField {
     pub fn is(&self, name: &[u8]) -> bool {
         ascii::eq_ignore_case(self.name_trimmed(), name)
     }
-
-    /// Case-insensitive match of the *strict* (untrimmed) name.
-    pub fn is_strict(&self, name: &[u8]) -> bool {
-        ascii::eq_ignore_case(self.name_raw(), name)
-    }
 }
 
 impl fmt::Display for HeaderField {
