@@ -19,8 +19,9 @@
 //! a side, so the profile whose policy deviates from §5 is the culprit.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use hdiff_diff::Finding;
+use hdiff_diff::{Culprits, Finding, Name};
 use hdiff_gen::AttackClass;
 
 use crate::parse::CookieView;
@@ -51,7 +52,7 @@ pub fn class_for_tag(tag: &str) -> Option<AttackClass> {
 }
 
 /// Which of the pair deviates from RFC 6265 for a given tag.
-fn culprits_for(tag: &str, a: &CookieProfile, b: &CookieProfile) -> BTreeSet<String> {
+fn culprits_for(tag: &str, a: &CookieProfile, b: &CookieProfile) -> Culprits {
     let deviates = |p: &CookieProfile| match tag {
         "shadow-precedence" => p.duplicates == Duplicates::FirstWins,
         "attr-smuggle" => p.split == ValueSplit::QuoteAware,
@@ -62,7 +63,7 @@ fn culprits_for(tag: &str, a: &CookieProfile, b: &CookieProfile) -> BTreeSet<Str
         "quoted-value" => p.quotes == QuotedValues::Strip,
         _ => false,
     };
-    [a, b].iter().filter(|p| deviates(p)).map(|p| p.name.to_string()).collect()
+    [a, b].iter().filter(|p| deviates(p)).map(|p| Name::intern(p.name)).collect()
 }
 
 fn strip_quotes(v: &str) -> &str {
@@ -86,7 +87,7 @@ fn inbound_names(view: &CookieView) -> Vec<&str> {
 
 struct PairDetector<'a> {
     uuid: u64,
-    origin: &'a str,
+    origin: &'a Arc<str>,
     pa: &'a CookieProfile,
     pb: &'a CookieProfile,
     a: &'a CookieView,
@@ -106,11 +107,11 @@ impl<'a> PairDetector<'a> {
         self.out.push(Finding {
             class,
             uuid: self.uuid,
-            origin: self.origin.to_string(),
-            front: Some(self.a.profile.to_string()),
-            back: Some(self.b.profile.to_string()),
+            origin: Arc::clone(self.origin),
+            front: Some(Name::intern(self.a.profile)),
+            back: Some(Name::intern(self.b.profile)),
             culprits: culprits_for(tag, self.pa, self.pb),
-            evidence: format!("cookie:{tag}: {detail}"),
+            evidence: format!("cookie:{tag}: {detail}").into(),
         });
     }
 
@@ -274,12 +275,13 @@ pub fn detect_cookie_case(
     views: &[CookieView],
 ) -> Vec<Finding> {
     assert_eq!(profiles.len(), views.len(), "one view per profile");
+    let origin: Arc<str> = origin.into();
     let mut out = Vec::new();
     for i in 0..views.len() {
         for j in i + 1..views.len() {
             let mut d = PairDetector {
                 uuid,
-                origin,
+                origin: &origin,
                 pa: &profiles[i],
                 pb: &profiles[j],
                 a: &views[i],
@@ -314,7 +316,7 @@ mod tests {
         findings
             .iter()
             .filter_map(|f| {
-                let rest = f.evidence.strip_prefix("cookie:")?;
+                let rest = f.evidence.as_text()?.strip_prefix("cookie:")?;
                 Some(rest[..rest.find(':')?].to_string())
             })
             .collect()
@@ -351,9 +353,9 @@ mod tests {
         assert!(!findings.is_empty());
         for f in &findings {
             assert!(f.is_pair());
-            assert!(f.evidence.starts_with("cookie:shadow-precedence:"), "{}", f.evidence);
+            assert!(f.evidence.to_string().starts_with("cookie:shadow-precedence:"), "{f}");
             // RFC 6265 mandates last-wins, so the first-wins side is at fault.
-            for c in &f.culprits {
+            for c in f.culprits.iter() {
                 assert!(
                     ["servlet-jar", "proxy-gateway", "rfc2109-agent"].contains(&c.as_str()),
                     "{c}"

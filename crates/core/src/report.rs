@@ -1,6 +1,6 @@
 //! Rendering of the paper's tables and figures as text.
 
-use hdiff_diff::RunSummary;
+use hdiff_diff::{Name, RunSummary};
 use hdiff_gen::{catalog, AttackClass};
 use hdiff_servers::ParserProfile;
 
@@ -78,7 +78,7 @@ pub fn render_table2(summary: &RunSummary) -> String {
     out.push('\n');
     for entry in catalog::catalog() {
         let origin = format!("catalog:{}", entry.id);
-        let findings = summary.findings.iter().filter(|f| f.origin == origin).count();
+        let findings = summary.findings.iter().filter(|f| *f.origin == *origin).count();
         let classes: Vec<String> = entry.classes.iter().map(ToString::to_string).collect();
         out.push_str(&format!(
             "{:<14} {:<22} {:<12} {:<9}\n",
@@ -141,7 +141,7 @@ pub fn render_exploits(report: &PipelineReport, limit: usize) -> String {
         }
         out.push_str(&format!("  evidence : {}\n", finding.evidence));
         if !finding.culprits.is_empty() {
-            let culprits: Vec<&str> = finding.culprits.iter().map(String::as_str).collect();
+            let culprits: Vec<&str> = finding.culprits.iter().map(Name::as_str).collect();
             out.push_str(&format!("  culprits : {}\n", culprits.join(", ")));
         }
         out.push_str("  payload  :\n");
@@ -165,7 +165,7 @@ pub fn render_findings_csv(summary: &RunSummary) -> String {
     }
     let mut out = String::from("class,uuid,origin,front,back,culprits,evidence\n");
     for f in &summary.findings {
-        let culprits: Vec<&str> = f.culprits.iter().map(String::as_str).collect();
+        let culprits: Vec<&str> = f.culprits.iter().map(Name::as_str).collect();
         out.push_str(&format!(
             "{},{},{},{},{},{},{}\n",
             f.class,
@@ -174,7 +174,7 @@ pub fn render_findings_csv(summary: &RunSummary) -> String {
             esc(f.front.as_deref().unwrap_or("")),
             esc(f.back.as_deref().unwrap_or("")),
             esc(&culprits.join(";")),
-            esc(&f.evidence),
+            esc(&f.evidence.to_string()),
         ));
     }
     out

@@ -28,15 +28,14 @@ pub enum DeviationKind {
     Repair,
 }
 
-/// One deviation record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One deviation record. Detection renders its evidence from the two
+/// interpretations (see [`crate::findings::Evidence`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deviation {
     /// The deviation kind.
     pub kind: DeviationKind,
     /// Attack class the deviation evidences.
     pub class: AttackClass,
-    /// Human-readable detail.
-    pub detail: String,
 }
 
 /// The RFC-strict baseline profile.
@@ -95,49 +94,26 @@ pub fn deviations(
             out.push(Deviation {
                 kind: DeviationKind::LenientAccept,
                 class: classify_reason(reason, bytes),
-                detail: format!("accepted message the baseline rejects ({reason})"),
             });
         }
-        (Outcome::Reject { reason, .. }, Outcome::Accept) => {
-            out.push(Deviation {
-                kind: DeviationKind::StrictReject,
-                class: AttackClass::Cpdos,
-                detail: format!("rejected message the baseline accepts ({reason})"),
-            });
+        (Outcome::Reject { .. }, Outcome::Accept) => {
+            out.push(Deviation { kind: DeviationKind::StrictReject, class: AttackClass::Cpdos });
         }
         (Outcome::Accept, Outcome::Accept) => {
             if implementation.framing != baseline.framing
                 || implementation.consumed != baseline.consumed
                 || implementation.body != baseline.body
             {
-                out.push(Deviation {
-                    kind: DeviationKind::Framing,
-                    class: AttackClass::Hrs,
-                    detail: format!(
-                        "framing differs from baseline ({:?} vs {:?}, consumed {} vs {})",
-                        implementation.framing,
-                        baseline.framing,
-                        implementation.consumed,
-                        baseline.consumed
-                    ),
-                });
+                out.push(Deviation { kind: DeviationKind::Framing, class: AttackClass::Hrs });
             }
             if implementation.host != baseline.host {
-                out.push(Deviation {
-                    kind: DeviationKind::Host,
-                    class: AttackClass::Hot,
-                    detail: "host identity differs from baseline".to_string(),
-                });
+                out.push(Deviation { kind: DeviationKind::Host, class: AttackClass::Hot });
             }
         }
         (Outcome::Reject { .. }, Outcome::Reject { .. }) => {}
     }
     if implementation.repaired_chunked {
-        out.push(Deviation {
-            kind: DeviationKind::Repair,
-            class: AttackClass::Hrs,
-            detail: "repaired malformed chunked framing".to_string(),
-        });
+        out.push(Deviation { kind: DeviationKind::Repair, class: AttackClass::Hrs });
     }
     out
 }

@@ -5,15 +5,16 @@
 //! attributes nonconformance to specific products (`culprits`) — the
 //! advantage over plain differential testing the paper highlights.
 
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use hdiff_gen::AttackClass;
 use hdiff_servers::fault::FaultKind;
-use hdiff_servers::{interpret, Outcome, ParserProfile};
+use hdiff_servers::{interpret, Interpretation, Outcome, ParserProfile};
 
 use crate::baseline::{deviations, strict_baseline, Deviation, DeviationKind};
-use crate::findings::Finding;
+use crate::findings::{Culprits, Evidence, Finding, FramingDeviation, HostViews};
+use crate::names::Name;
 use crate::syntax::SyntaxOracle;
 use crate::workflow::{CaseOutcome, FaultReaction};
 
@@ -103,6 +104,55 @@ pub fn detect_case(profiles: &[ParserProfile], outcome: &CaseOutcome) -> Vec<Fin
     detect_case_with_oracle(profiles, outcome, None)
 }
 
+/// What one case's findings share, each allocated once per case: the
+/// origin, every distinct reason text, and every distinct pair of host
+/// views.
+struct Shared<'a> {
+    origin_text: &'a str,
+    origin: Option<Arc<str>>,
+    texts: Vec<Arc<str>>,
+    views: Vec<(&'a [u8], &'a [u8], Arc<HostViews>)>,
+}
+
+impl<'a> Shared<'a> {
+    fn new(origin_text: &'a str) -> Shared<'a> {
+        Shared { origin_text, origin: None, texts: Vec::new(), views: Vec::new() }
+    }
+
+    fn origin(&mut self) -> Arc<str> {
+        let text = self.origin_text;
+        Arc::clone(self.origin.get_or_insert_with(|| text.into()))
+    }
+
+    fn text(&mut self, text: &str) -> Arc<str> {
+        if let Some(known) = self.texts.iter().find(|t| t.as_ref() == text) {
+            return Arc::clone(known);
+        }
+        let shared: Arc<str> = text.into();
+        self.texts.push(Arc::clone(&shared));
+        shared
+    }
+
+    fn host_views(
+        &mut self,
+        proxy: &'a [u8],
+        backend: &'a [u8],
+        oracle: Option<&SyntaxOracle>,
+    ) -> Arc<HostViews> {
+        if let Some((.., known)) = self.views.iter().find(|(p, b, _)| *p == proxy && *b == backend)
+        {
+            return Arc::clone(known);
+        }
+        let views = Arc::new(HostViews {
+            proxy: String::from_utf8_lossy(proxy).into(),
+            backend: String::from_utf8_lossy(backend).into(),
+            host_abnf: oracle.map(|o| [o.conforms("Host", proxy), o.conforms("Host", backend)]),
+        });
+        self.views.push((proxy, backend, Arc::clone(&views)));
+        views
+    }
+}
+
 /// [`detect_case`], with an optional grammar-conformance oracle.
 ///
 /// When an oracle is supplied, HoT findings are annotated with each
@@ -115,6 +165,7 @@ pub fn detect_case_with_oracle(
     oracle: Option<&SyntaxOracle>,
 ) -> Vec<Finding> {
     let baseline = interpret(strict_baseline(), &outcome.bytes);
+    let mut shared = Shared::new(&outcome.origin);
     let mut findings = Vec::new();
 
     // Detection is a pass over what the workflow *recorded* — it never
@@ -140,20 +191,22 @@ pub fn detect_case_with_oracle(
                     .map(|r| &r.interpretation)
             })
     };
-    let devs_of = |name: &str| -> Vec<Deviation> {
-        if !known(name) {
-            return Vec::new();
-        }
-        recorded(name).map(|i| deviations(i, &baseline, &outcome.bytes)).unwrap_or_default()
+    // An implementation's recorded interpretation (none for a name
+    // outside `profiles`) and its deviations from the baseline.
+    let single = |name| {
+        let interpretation = if known(name) { recorded(name) } else { None };
+        let devs =
+            interpretation.map(|i| deviations(i, &baseline, &outcome.bytes)).unwrap_or_default();
+        (name, interpretation, devs)
     };
 
     // Every implementation of the case — direct back-ends, then proxies
     // not already among them — with its deviations, worked out once.
-    let mut singles: Vec<(&str, Vec<Deviation>)> =
-        outcome.direct.iter().map(|(name, _)| (name.as_str(), devs_of(name))).collect();
+    let mut singles: Vec<(&str, Option<&Interpretation>, Vec<Deviation>)> =
+        outcome.direct.iter().map(|(name, _)| single(name.as_str())).collect();
     for chain in &outcome.chains {
-        if !singles.iter().any(|(name, _)| *name == chain.proxy) {
-            singles.push((chain.proxy.as_str(), devs_of(&chain.proxy)));
+        if !singles.iter().any(|(name, ..)| *name == chain.proxy) {
+            singles.push(single(&chain.proxy));
         }
     }
     // Whether an implementation deviates other than by strict rejection:
@@ -162,32 +215,39 @@ pub fn detect_case_with_oracle(
     let lenient = |name: &str| {
         singles
             .iter()
-            .find(|(n, _)| *n == name)
-            .is_some_and(|(_, devs)| devs.iter().any(|d| d.kind != DeviationKind::StrictReject))
+            .find(|(n, ..)| *n == name)
+            .is_some_and(|(.., devs)| devs.iter().any(|d| d.kind != DeviationKind::StrictReject))
     };
 
     // ---- Model 0: single-implementation deviations ------------------------
     // (covers both direct back-end runs and proxy interpretations).
-    for (name, devs) in &singles {
+    for (name, interpretation, devs) in &singles {
+        // Deviations come only from a recorded interpretation.
+        let Some(i) = interpretation else { continue };
         for dev in devs {
-            let attributable = matches!(
-                dev.kind,
-                DeviationKind::LenientAccept
-                    | DeviationKind::Framing
-                    | DeviationKind::Host
-                    | DeviationKind::Repair
-            );
-            if !attributable {
-                continue;
-            }
+            let name = Name::intern(name);
+            let evidence = match dev.kind {
+                DeviationKind::LenientAccept => {
+                    let Outcome::Reject { reason, .. } = &baseline.outcome else { continue };
+                    Evidence::LenientAccept { name, reason: shared.text(reason) }
+                }
+                DeviationKind::Framing => Evidence::Framing(Box::new(FramingDeviation {
+                    name,
+                    framing: [i.framing, baseline.framing],
+                    consumed: [i.consumed, baseline.consumed],
+                })),
+                DeviationKind::Host => Evidence::HostIdentity { name },
+                DeviationKind::Repair => Evidence::ChunkRepair { name },
+                DeviationKind::StrictReject => continue,
+            };
             findings.push(Finding {
                 class: dev.class,
                 uuid: outcome.uuid,
-                origin: outcome.origin.clone(),
+                origin: shared.origin(),
                 front: None,
                 back: None,
-                culprits: [name.to_string()].into_iter().collect(),
-                evidence: format!("{name}: {}", dev.detail),
+                culprits: [name].into_iter().collect(),
+                evidence,
             });
         }
     }
@@ -204,44 +264,43 @@ pub fn detect_case_with_oracle(
         for replay in &chain.replays {
             let Some(first_reply) = replay.replies.first() else { continue };
             let backend_lenient = lenient(&replay.backend);
+            // Names are interned only once the pair has a finding.
+            let proxy = || Name::intern(&chain.proxy);
+            let backend = || Name::intern(&replay.backend);
+            let pair = |class, origin, culprits, evidence| Finding {
+                class,
+                uuid: outcome.uuid,
+                origin,
+                front: Some(proxy()),
+                back: Some(backend()),
+                culprits,
+                evidence,
+            };
             let pair_culprits = || {
-                let mut culprits = BTreeSet::new();
+                let mut culprits = Culprits::default();
                 if proxy_lenient {
-                    culprits.insert(chain.proxy.clone());
+                    culprits.insert(proxy());
                 }
                 if backend_lenient {
-                    culprits.insert(replay.backend.clone());
+                    culprits.insert(backend());
                 }
                 culprits
             };
 
             // HoT: both accept, host views differ.
             if first_reply.interpretation.outcome.is_accept() {
-                let backend_host = &first_reply.interpretation.host;
-                if proxy_host.is_some() && backend_host.is_some() && proxy_host != backend_host {
-                    let mut evidence = format!(
-                        "host views differ: proxy sees {:?}, backend sees {:?}",
-                        String::from_utf8_lossy(proxy_host.as_deref().unwrap_or_default()),
-                        String::from_utf8_lossy(backend_host.as_deref().unwrap_or_default()),
-                    );
-                    if let Some(oracle) = oracle {
-                        evidence.push_str(&format!(
-                            "; Host ABNF: proxy view {}, backend view {}",
-                            oracle.host_label(proxy_host.as_deref().unwrap_or_default()),
-                            oracle.host_label(backend_host.as_deref().unwrap_or_default()),
+                if let (Some(proxy_view), Some(backend_view)) =
+                    (proxy_host, &first_reply.interpretation.host)
+                {
+                    if proxy_view != backend_view {
+                        let views = shared.host_views(proxy_view, backend_view, oracle);
+                        findings.push(pair(
+                            AttackClass::Hot,
+                            shared.origin(),
+                            [proxy(), backend()].into_iter().collect(),
+                            Evidence::HostViews(views),
                         ));
                     }
-                    findings.push(Finding {
-                        class: AttackClass::Hot,
-                        uuid: outcome.uuid,
-                        origin: outcome.origin.clone(),
-                        front: Some(chain.proxy.clone()),
-                        back: Some(replay.backend.clone()),
-                        culprits: [chain.proxy.clone(), replay.backend.clone()]
-                            .into_iter()
-                            .collect(),
-                        evidence,
-                    });
                 }
             }
 
@@ -249,35 +308,26 @@ pub fn detect_case_with_oracle(
             // different number of messages than the proxy sent.
             let backend_msgs = replay.replies.len();
             if backend_msgs != chain.forwarded_count {
-                findings.push(Finding {
-                    class: AttackClass::Hrs,
-                    uuid: outcome.uuid,
-                    origin: outcome.origin.clone(),
-                    front: Some(chain.proxy.clone()),
-                    back: Some(replay.backend.clone()),
-                    culprits: pair_culprits(),
-                    evidence: format!(
-                        "desync: proxy forwarded {} message(s), backend parsed {}",
-                        chain.forwarded_count, backend_msgs
-                    ),
-                });
+                findings.push(pair(
+                    AttackClass::Hrs,
+                    shared.origin(),
+                    pair_culprits(),
+                    Evidence::Desync { forwarded: chain.forwarded_count, parsed: backend_msgs },
+                ));
             } else if let (Some(len), true) =
                 (chain.forwarded_lens.first(), first_reply.interpretation.outcome.is_accept())
             {
                 // Same count but different boundary for message 1.
                 if first_reply.interpretation.consumed != *len {
-                    findings.push(Finding {
-                        class: AttackClass::Hrs,
-                        uuid: outcome.uuid,
-                        origin: outcome.origin.clone(),
-                        front: Some(chain.proxy.clone()),
-                        back: Some(replay.backend.clone()),
-                        culprits: pair_culprits(),
-                        evidence: format!(
-                            "boundary disagreement: forwarded message is {} bytes, backend consumed {}",
-                            len, first_reply.interpretation.consumed
-                        ),
-                    });
+                    findings.push(pair(
+                        AttackClass::Hrs,
+                        shared.origin(),
+                        pair_culprits(),
+                        Evidence::Boundary {
+                            forwarded: *len,
+                            consumed: first_reply.interpretation.consumed,
+                        },
+                    ));
                 }
             }
 
@@ -288,34 +338,23 @@ pub fn detect_case_with_oracle(
                     .iter()
                     .any(|needle| contains_ignore_case(reason, needle))
                 {
-                    findings.push(Finding {
-                        class: AttackClass::Hrs,
-                        uuid: outcome.uuid,
-                        origin: outcome.origin.clone(),
-                        front: Some(chain.proxy.clone()),
-                        back: Some(replay.backend.clone()),
-                        culprits: pair_culprits(),
-                        evidence: format!(
-                            "proxy accepted but backend rejected framing ({status} {reason})"
-                        ),
-                    });
+                    findings.push(pair(
+                        AttackClass::Hrs,
+                        shared.origin(),
+                        pair_culprits(),
+                        Evidence::FramingRejected { status: *status, reason: shared.text(reason) },
+                    ));
                 }
             }
 
             // CPDoS: the proxy cached an error response for this chain.
             if replay.cache_stored_error {
-                findings.push(Finding {
-                    class: AttackClass::Cpdos,
-                    uuid: outcome.uuid,
-                    origin: outcome.origin.clone(),
-                    front: Some(chain.proxy.clone()),
-                    back: Some(replay.backend.clone()),
-                    culprits: [chain.proxy.clone()].into_iter().collect(),
-                    evidence: format!(
-                        "error response ({}) stored in the {} cache",
-                        first_reply.response.status, chain.proxy
-                    ),
-                });
+                findings.push(pair(
+                    AttackClass::Cpdos,
+                    shared.origin(),
+                    [proxy()].into_iter().collect(),
+                    Evidence::CachedError { status: first_reply.response.status, proxy: proxy() },
+                ));
             }
         }
     }
@@ -337,6 +376,7 @@ mod tests {
     use hdiff_gen::TestCase;
     use hdiff_servers::products;
     use hdiff_wire::{Method, Request, Version};
+    use std::collections::BTreeSet;
 
     fn run(req: Request) -> Vec<Finding> {
         let w = Workflow::standard();
@@ -399,8 +439,7 @@ mod tests {
         let findings = run(b.build());
         let hrs: Vec<_> = findings.iter().filter(|f| f.class == AttackClass::Hrs).collect();
         assert!(!hrs.is_empty(), "{findings:?}");
-        let culprits: BTreeSet<_> = hrs.iter().flat_map(|f| f.culprits.iter().cloned()).collect();
-        assert!(culprits.contains("iis"), "{culprits:?}");
+        assert!(hrs.iter().any(|f| f.culprits.contains("iis")), "{hrs:?}");
     }
 
     #[test]
@@ -411,7 +450,7 @@ mod tests {
         let cpdos: BTreeSet<_> = findings
             .iter()
             .filter(|f| f.class == AttackClass::Cpdos)
-            .filter_map(|f| f.front.clone())
+            .filter_map(|f| f.front.as_deref())
             .collect();
         for proxy in ["nginx", "squid", "ats"] {
             assert!(cpdos.contains(proxy), "{proxy} missing from {cpdos:?}");
@@ -432,7 +471,7 @@ mod tests {
         let cpdos: BTreeSet<_> = findings
             .iter()
             .filter(|f| f.class == AttackClass::Cpdos)
-            .filter_map(|f| f.front.clone())
+            .filter_map(|f| f.front.as_deref())
             .collect();
         assert!(cpdos.contains("apache"), "{findings:?}");
     }
@@ -450,7 +489,7 @@ mod tests {
         let hrs_culprits: BTreeSet<_> = findings
             .iter()
             .filter(|f| f.class == AttackClass::Hrs)
-            .flat_map(|f| f.culprits.iter().cloned())
+            .flat_map(|f| f.culprits.iter().map(Name::as_str))
             .collect();
         assert!(hrs_culprits.contains("squid"), "{findings:?}");
         assert!(hrs_culprits.contains("haproxy"), "{findings:?}");

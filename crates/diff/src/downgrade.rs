@@ -43,6 +43,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use hdiff_gen::AttackClass;
 use hdiff_h2::{encode_client_connection, parse_client_connection, EncodeOptions, H2Request};
@@ -53,6 +54,7 @@ use hdiff_servers::{
 };
 
 use crate::findings::Finding;
+use crate::names::Name;
 use crate::protocol::{
     run_protocol_campaign, ProtoCase, ProtoExecution, Protocol, ProtocolCampaignOptions,
 };
@@ -266,7 +268,7 @@ pub fn run_downgrade_case_tcp(
 /// The class tag of a downgrade finding (`downgrade:<tag>: …`), when the
 /// finding came from [`detect_downgrade`].
 pub fn finding_tag(f: &Finding) -> Option<&str> {
-    f.evidence.strip_prefix("downgrade:")?.split(':').next()
+    f.evidence.as_text()?.strip_prefix("downgrade:")?.split(':').next()
 }
 
 /// First `host:` field value of an h1 byte stream (the host identity the
@@ -297,6 +299,7 @@ fn first_host(h1: &[u8]) -> Option<Vec<u8>> {
 /// implicated downgrade front and h1 back end (or two fronts, for the
 /// cross-front host disagreement).
 pub fn detect_downgrade(outcome: &DowngradeCaseOutcome) -> Vec<Finding> {
+    let origin: Arc<str> = outcome.origin.as_str().into();
     let mut findings = Vec::new();
     for chain in &outcome.chains {
         let notes: Vec<&str> =
@@ -317,6 +320,7 @@ pub fn detect_downgrade(outcome: &DowngradeCaseOutcome) -> Vec<Finding> {
                     findings.push(finding(
                         AttackClass::Hrs,
                         outcome,
+                        &origin,
                         &chain.front,
                         back,
                         format!(
@@ -342,6 +346,7 @@ pub fn detect_downgrade(outcome: &DowngradeCaseOutcome) -> Vec<Finding> {
                     findings.push(finding(
                         AttackClass::Hrs,
                         outcome,
+                        &origin,
                         &chain.front,
                         back,
                         format!(
@@ -366,6 +371,7 @@ pub fn detect_downgrade(outcome: &DowngradeCaseOutcome) -> Vec<Finding> {
                     findings.push(finding(
                         AttackClass::Hrs,
                         outcome,
+                        &origin,
                         &chain.front,
                         back,
                         format!(
@@ -396,6 +402,7 @@ pub fn detect_downgrade(outcome: &DowngradeCaseOutcome) -> Vec<Finding> {
                             findings.push(finding(
                                 AttackClass::Hot,
                                 outcome,
+                                &origin,
                                 &chain.front,
                                 back,
                                 format!(
@@ -433,6 +440,7 @@ pub fn detect_downgrade(outcome: &DowngradeCaseOutcome) -> Vec<Finding> {
                 findings.push(finding(
                     AttackClass::Hot,
                     outcome,
+                    &origin,
                     &a.front,
                     &b.front,
                     format!(
@@ -454,18 +462,20 @@ pub fn detect_downgrade(outcome: &DowngradeCaseOutcome) -> Vec<Finding> {
 fn finding(
     class: AttackClass,
     outcome: &DowngradeCaseOutcome,
+    origin: &Arc<str>,
     front: &str,
     back: &str,
     evidence: String,
 ) -> Finding {
+    let (front, back) = (Name::intern(front), Name::intern(back));
     Finding {
         class,
         uuid: outcome.uuid,
-        origin: outcome.origin.clone(),
-        front: Some(front.to_string()),
-        back: Some(back.to_string()),
-        culprits: [front.to_string(), back.to_string()].into_iter().collect(),
-        evidence,
+        origin: Arc::clone(origin),
+        front: Some(front),
+        back: Some(back),
+        culprits: [front, back].into_iter().collect(),
+        evidence: evidence.into(),
     }
 }
 
@@ -859,7 +869,7 @@ pub fn regen_h2_golden(dir: &Path) -> io::Result<Vec<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::findings::Culprits;
 
     fn run_vector(id: &str) -> (DowngradeCaseOutcome, Vec<Finding>) {
         let workflow = DowngradeWorkflow::standard();
@@ -993,7 +1003,7 @@ mod tests {
             origin: "h2:x".into(),
             front: None,
             back: None,
-            culprits: BTreeSet::new(),
+            culprits: Culprits::default(),
             evidence: "downgrade:cl-mismatch: declared=3 data=11".into(),
         };
         assert_eq!(finding_tag(&f), Some("cl-mismatch"));

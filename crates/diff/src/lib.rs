@@ -22,6 +22,8 @@
 //!   transports; the cookie workload (`hdiff-cookie`) is the first
 //!   non-HTTP instance.
 //! * [`srcheck`] — single-implementation SR-assertion checking.
+//! * [`findings`] and [`names`] — findings as compact, typed values over
+//!   a process-wide name table.
 //! * [`syntax`] — the grammar-conformance oracle over the compiled ABNF
 //!   matcher, annotating findings with per-view validity verdicts.
 //! * [`verdict`] — aggregation into Table I verdicts and Fig. 7 pair
@@ -40,6 +42,7 @@ pub mod findings;
 pub mod hmetrics;
 pub mod json;
 pub mod minimize;
+pub mod names;
 pub mod protocol;
 pub mod replay;
 pub mod runner;
@@ -60,11 +63,12 @@ pub use downgrade::{
     run_downgrade_case_tcp, seed_vectors, DowngradeCaseOutcome, DowngradeChain, DowngradeProtocol,
     DowngradeWorkflow, Frontend, H2Minimized, SeedVector, H2_UUID_BASE,
 };
-pub use findings::Finding;
+pub use findings::{Culprits, Evidence, Finding, FramingDeviation, HostViews};
 pub use hmetrics::HMetrics;
 pub use minimize::{
     ddmin_items, minimize, FindingContext, MinimizeOptions, MinimizeStats, Minimized,
 };
+pub use names::Name;
 pub use protocol::{
     run_protocol_campaign, ProtoCase, ProtoExecution, Protocol, ProtocolCampaignOptions,
     ProtocolSummary,
@@ -75,7 +79,7 @@ pub use runner::{
     MAX_RETRIES,
 };
 pub use shard::{shard_ranges, ShardError, ShardErrorKind, ShardSpec, ShardStat, ShardTopology};
-pub use srcheck::{check_assertions, check_host_conformance, SrViolation};
+pub use srcheck::{check_assertions, check_host_conformance, Expected, Observed, SrViolation};
 pub use syntax::SyntaxOracle;
 pub use telemetry_codec::{
     load_report, summary_to_json, trace_to_jsonl, write_summary, write_trace,

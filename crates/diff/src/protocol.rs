@@ -242,6 +242,7 @@ pub fn run_protocol_campaign(
 mod tests {
     use super::*;
     use crate::checkpoint;
+    use crate::findings::Culprits;
     use crate::transport::Transport::Sim;
     use hdiff_gen::AttackClass;
     use hdiff_servers::fault::FaultSession;
@@ -283,17 +284,17 @@ mod tests {
             let finding = Finding {
                 class: AttackClass::Hrs,
                 uuid,
-                origin: origin.to_string(),
+                origin: origin.into(),
                 front: None,
                 back: None,
-                culprits: BTreeSet::new(),
-                evidence: format!("fragile:parity{}: case {}", bytes[0] % 2, bytes[0]),
+                culprits: Culprits::default(),
+                evidence: format!("fragile:parity{}: case {}", bytes[0] % 2, bytes[0]).into(),
             };
             Ok(ProtoExecution { findings: vec![finding], digests: Vec::new() })
         }
 
         fn finding_tag(&self, f: &Finding) -> Option<String> {
-            let rest = f.evidence.strip_prefix("fragile:")?;
+            let rest = f.evidence.as_text()?.strip_prefix("fragile:")?;
             Some(rest[..rest.find(':')?].to_string())
         }
 

@@ -785,11 +785,11 @@ mod tests {
             .collect();
         assert!(!hot.is_empty());
         assert!(
-            hot.iter().all(|f| f.evidence.contains("Host ABNF")),
+            hot.iter().all(|f| f.evidence.to_string().contains("Host ABNF")),
             "oracle-run HoT pair findings must carry conformance verdicts: {hot:?}"
         );
         assert!(
-            hot.iter().any(|f| f.evidence.contains("proxy view invalid")),
+            hot.iter().any(|f| f.evidence.to_string().contains("proxy view invalid")),
             "the invalid-host catalog entries must be called out: {hot:?}"
         );
         assert!(
@@ -802,7 +802,7 @@ mod tests {
         assert!(plain
             .findings_of(AttackClass::Hot)
             .iter()
-            .all(|f| !f.evidence.contains("Host ABNF")));
+            .all(|f| !f.evidence.to_string().contains("Host ABNF")));
         assert!(!plain.sr_violations.iter().any(|v| v.sr_id == "rfc7230:host-abnf"));
     }
 

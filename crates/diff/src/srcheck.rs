@@ -5,25 +5,29 @@
 //! needed. A test case translated from an SR carries assertions; this
 //! module evaluates them against one product's behavior.
 
+use std::fmt;
+use std::sync::Arc;
+
 use hdiff_gen::{Assertion, TestCase};
 use hdiff_servers::{interpret, ParserProfile, Proxy};
 use hdiff_sr::{Modality, Role};
 
+use crate::names::Name;
 use crate::syntax::SyntaxOracle;
 
 /// One observed violation of an SR assertion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SrViolation {
     /// The implementation that violated the assertion.
-    pub implementation: String,
+    pub implementation: Name,
     /// The SR id.
-    pub sr_id: String,
+    pub sr_id: Name,
     /// Requirement strength (SHOULD violations are advisory).
     pub modality: Modality,
     /// What the SR expected.
-    pub expected: String,
+    pub expected: Expected,
     /// What was observed.
-    pub observed: String,
+    pub observed: Observed,
     /// True when the implementation rejected the message but with a
     /// different error code than the SR names (414 vs 431, …) — a
     /// code-level nit rather than a semantic violation.
@@ -35,6 +39,67 @@ impl SrViolation {
     /// (wrong-error-code-only mismatches are advisory).
     pub fn is_mandatory(&self) -> bool {
         self.modality.is_mandatory() && !self.code_mismatch_only
+    }
+}
+
+/// What an SR assertion expected; `Display` renders the text reports
+/// show.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Expected {
+    /// `status in [..]`: one of the assertion's allowed statuses, shared
+    /// by the violations of one assertion.
+    StatusIn(Arc<[u16]>),
+    /// `message not forwarded`.
+    NotForwarded,
+    /// `error responses not cached`.
+    ErrorsNotCached,
+    /// `400 for a Host field-value outside the Host production`.
+    HostRejected,
+}
+
+/// What an implementation did instead; `Display` renders the text
+/// reports show.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Observed {
+    /// `status {0}`.
+    Status(u16),
+    /// `message was forwarded`.
+    Forwarded,
+    /// `cache stores error responses`.
+    CachesErrors,
+    /// `accepted ({status}) despite invalid host {host:?}`, with the host
+    /// value as (lossy) UTF-8, shared by the case's violations.
+    AcceptedInvalidHost {
+        /// The status the implementation answered with.
+        status: u16,
+        /// The invalid Host field-value.
+        host: Arc<str>,
+    },
+}
+
+impl fmt::Display for Expected {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expected::StatusIn(allowed) => write!(f, "status in {:?}", &allowed[..]),
+            Expected::NotForwarded => f.write_str("message not forwarded"),
+            Expected::ErrorsNotCached => f.write_str("error responses not cached"),
+            Expected::HostRejected => {
+                f.write_str("400 for a Host field-value outside the Host production")
+            }
+        }
+    }
+}
+
+impl fmt::Display for Observed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Observed::Status(status) => write!(f, "status {status}"),
+            Observed::Forwarded => f.write_str("message was forwarded"),
+            Observed::CachesErrors => f.write_str("cache stores error responses"),
+            Observed::AcceptedInvalidHost { status, host } => {
+                write!(f, "accepted ({status}) despite invalid host {host:?}")
+            }
+        }
     }
 }
 
@@ -59,65 +124,71 @@ fn assertion_binds(assertion: &Assertion, profile: &ParserProfile) -> bool {
 
 /// Checks one test case's assertions against one implementation.
 pub fn check_assertions(profile: &ParserProfile, case: &TestCase) -> Vec<SrViolation> {
-    let bytes = case.request.to_bytes();
     let mut out = Vec::new();
-    for assertion in &case.assertions {
-        if !assertion_binds(assertion, profile) {
-            continue;
-        }
-        let i = interpret(profile, &bytes);
-        let status = i.outcome.status();
+    check_case(std::slice::from_ref(profile), case, &mut out);
+    out
+}
 
-        // Status expectation.
-        if !assertion.expect.allowed_status.is_empty()
-            && !assertion.expect.allowed_status.contains(&status)
-        {
-            let expected_error = assertion.expect.allowed_status.iter().all(|c| *c >= 400);
-            let code_mismatch_only = expected_error && status >= 400;
-            out.push(SrViolation {
-                implementation: profile.name.clone(),
-                sr_id: assertion.sr_id.clone(),
-                modality: assertion.modality,
-                expected: format!("status in {:?}", assertion.expect.allowed_status),
-                observed: format!("status {status}"),
-                code_mismatch_only,
-            });
-        }
-
-        // Forwarding expectation (proxies only).
-        if assertion.expect.must_not_forward && profile.is_proxy() {
-            let proxy = Proxy::new(profile.clone());
-            let r = proxy.forward(&bytes);
-            if r.action.forwarded().is_some() {
-                out.push(SrViolation {
-                    implementation: profile.name.clone(),
-                    sr_id: assertion.sr_id.clone(),
-                    modality: assertion.modality,
-                    expected: "message not forwarded".to_string(),
-                    observed: "message was forwarded".to_string(),
-                    code_mismatch_only: false,
-                });
+/// Checks `case`'s assertions against each of `profiles` in turn,
+/// appending the violations to `out`. An assertion's allowed statuses are
+/// copied once, for the first violation of it, and shared by the rest.
+fn check_case(profiles: &[ParserProfile], case: &TestCase, out: &mut Vec<SrViolation>) {
+    let bytes = case.request.to_bytes();
+    let mut allowed: Vec<Option<Arc<[u16]>>> = vec![None; case.assertions.len()];
+    for profile in profiles {
+        let implementation = Name::intern(&profile.name);
+        for (assertion, shared) in case.assertions.iter().zip(&mut allowed) {
+            if !assertion_binds(assertion, profile) {
+                continue;
             }
-        }
+            let violation = |expected, observed, code_mismatch_only| SrViolation {
+                implementation,
+                sr_id: Name::intern(&assertion.sr_id),
+                modality: assertion.modality,
+                expected,
+                observed,
+                code_mismatch_only,
+            };
+            let i = interpret(profile, &bytes);
+            let status = i.outcome.status();
 
-        // Cache expectation (proxies only): the profile must not be
-        // *willing* to store error responses for this request shape.
-        if assertion.expect.must_not_cache && profile.is_proxy() {
-            if let Some(b) = &profile.proxy {
-                if b.cache.enabled && b.cache.store_errors {
-                    out.push(SrViolation {
-                        implementation: profile.name.clone(),
-                        sr_id: assertion.sr_id.clone(),
-                        modality: assertion.modality,
-                        expected: "error responses not cached".to_string(),
-                        observed: "cache stores error responses".to_string(),
-                        code_mismatch_only: false,
-                    });
+            // Status expectation.
+            let statuses = &assertion.expect.allowed_status;
+            if !statuses.is_empty() && !statuses.contains(&status) {
+                let expected_error = statuses.iter().all(|c| *c >= 400);
+                let code_mismatch_only = expected_error && status >= 400;
+                let statuses = shared.get_or_insert_with(|| statuses.as_slice().into());
+                out.push(violation(
+                    Expected::StatusIn(Arc::clone(statuses)),
+                    Observed::Status(status),
+                    code_mismatch_only,
+                ));
+            }
+
+            // Forwarding expectation (proxies only).
+            if assertion.expect.must_not_forward && profile.is_proxy() {
+                let proxy = Proxy::new(profile.clone());
+                let r = proxy.forward(&bytes);
+                if r.action.forwarded().is_some() {
+                    out.push(violation(Expected::NotForwarded, Observed::Forwarded, false));
+                }
+            }
+
+            // Cache expectation (proxies only): the profile must not be
+            // *willing* to store error responses for this request shape.
+            if assertion.expect.must_not_cache && profile.is_proxy() {
+                if let Some(b) = &profile.proxy {
+                    if b.cache.enabled && b.cache.store_errors {
+                        out.push(violation(
+                            Expected::ErrorsNotCached,
+                            Observed::CachesErrors,
+                            false,
+                        ));
+                    }
                 }
             }
         }
     }
-    out
 }
 
 /// Grammar-conformance checking against the adapted `Host` production.
@@ -133,6 +204,7 @@ pub fn check_host_conformance(
     profiles: &[ParserProfile],
     cases: &[TestCase],
 ) -> Vec<SrViolation> {
+    let sr_id = Name::intern("rfc7230:host-abnf");
     let mut out = Vec::new();
     for case in cases {
         let Some(host) = case.request.host() else { continue };
@@ -140,21 +212,22 @@ pub fn check_host_conformance(
             continue;
         }
         let bytes = case.request.to_bytes();
+        let mut shared_host: Option<Arc<str>> = None;
         for profile in profiles {
             let i = interpret(profile, &bytes);
             if !i.outcome.is_accept() {
                 continue;
             }
+            let host = shared_host.get_or_insert_with(|| String::from_utf8_lossy(host).into());
             out.push(SrViolation {
-                implementation: profile.name.clone(),
-                sr_id: "rfc7230:host-abnf".to_string(),
+                implementation: Name::intern(&profile.name),
+                sr_id,
                 modality: Modality::Must,
-                expected: "400 for a Host field-value outside the Host production".to_string(),
-                observed: format!(
-                    "accepted ({}) despite invalid host {:?}",
-                    i.outcome.status(),
-                    String::from_utf8_lossy(host)
-                ),
+                expected: Expected::HostRejected,
+                observed: Observed::AcceptedInvalidHost {
+                    status: i.outcome.status(),
+                    host: Arc::clone(host),
+                },
                 code_mismatch_only: false,
             });
         }
@@ -167,11 +240,8 @@ pub fn check_host_conformance(
 pub fn check_all(profiles: &[ParserProfile], cases: &[TestCase]) -> Vec<SrViolation> {
     let mut out = Vec::new();
     for case in cases {
-        if case.assertions.is_empty() {
-            continue;
-        }
-        for p in profiles {
-            out.extend(check_assertions(p, case));
+        if !case.assertions.is_empty() {
+            check_case(profiles, case, &mut out);
         }
     }
     out
@@ -211,7 +281,7 @@ mod tests {
         let iis = check_assertions(&product(ProductId::Iis), &case);
         assert_eq!(iis.len(), 1, "{iis:?}");
         assert!(iis[0].is_mandatory());
-        assert!(iis[0].observed.contains("200"));
+        assert_eq!(iis[0].observed, Observed::Status(200));
 
         let apache = check_assertions(&product(ProductId::Apache), &case);
         assert!(apache.is_empty(), "{apache:?}");
@@ -232,7 +302,7 @@ mod tests {
         let case = sr_case(Request::get("h1.com"), Role::Cache, RoleAction::NotCache);
         let v = check_assertions(&product(ProductId::Varnish), &case);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].observed.contains("stores error"));
+        assert_eq!(v[0].observed.to_string(), "cache stores error responses");
     }
 
     #[test]

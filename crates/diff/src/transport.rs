@@ -46,6 +46,8 @@
 //! pipelined batch to every backend and flags response-attribution
 //! disagreements — the on-the-wire symptom of request smuggling.
 
+use std::sync::Arc;
+
 use hdiff_gen::AttackClass;
 use hdiff_net::{
     attribute_responses, compare_attribution, AsyncListener, AsyncTestbed, ExchangeOutput,
@@ -389,11 +391,11 @@ fn divergence(uuid: u64, origin: &str, label: &str, evidence: &str) -> Finding {
     Finding {
         class: AttackClass::Hrs,
         uuid,
-        origin: origin.to_string(),
+        origin: origin.into(),
         front: None,
         back: None,
-        culprits: std::iter::once(format!("transport:{label}")).collect(),
-        evidence: evidence.to_string(),
+        culprits: [format!("transport:{label}")].into_iter().collect(),
+        evidence: evidence.into(),
     }
 }
 
@@ -463,6 +465,7 @@ pub fn pipelined_desync_findings(
             .map(|(name, ex)| (name, attribute_responses(&ex.response, requests.len())))
             .collect();
 
+    let origin: Arc<str> = origin.into();
     let mut out = Vec::new();
     for i in 0..attributions.len() {
         for j in i + 1..attributions.len() {
@@ -472,11 +475,11 @@ pub fn pipelined_desync_findings(
                 out.push(Finding {
                     class: AttackClass::Hrs,
                     uuid,
-                    origin: origin.to_string(),
+                    origin: Arc::clone(&origin),
                     front: None,
                     back: None,
-                    culprits: [a_name.clone(), b_name.clone()].into_iter().collect(),
-                    evidence: signal.describe(),
+                    culprits: [a_name, b_name].into_iter().collect(),
+                    evidence: signal.describe().into(),
                 });
             }
         }
@@ -600,7 +603,8 @@ mod tests {
         for f in &findings {
             assert_eq!(f.class, AttackClass::Hrs);
             assert_eq!(f.culprits.len(), 2);
-            assert!(f.evidence.contains("attribution disagreement"), "{}", f.evidence);
+            let evidence = f.evidence.to_string();
+            assert!(evidence.contains("attribution disagreement"), "{evidence}");
         }
     }
 

@@ -6,11 +6,12 @@ use hdiff_gen::AttackClass;
 use hdiff_servers::ParserProfile;
 
 use crate::findings::Finding;
+use crate::names::Name;
 
 /// The proxy×back-end pair sets per attack class (Figure 7).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PairMatrix {
-    pairs: BTreeMap<AttackClass, BTreeSet<(String, String)>>,
+    pairs: BTreeMap<AttackClass, BTreeSet<(Name, Name)>>,
 }
 
 impl PairMatrix {
@@ -18,8 +19,8 @@ impl PairMatrix {
     pub fn from_findings(findings: &[Finding]) -> PairMatrix {
         let mut m = PairMatrix::default();
         for f in findings {
-            if let Some((front, back)) = f.pair() {
-                m.pairs.entry(f.class).or_default().insert((front.to_string(), back.to_string()));
+            if let (Some(front), Some(back)) = (f.front, f.back) {
+                m.pairs.entry(f.class).or_default().insert((front, back));
             }
         }
         m
@@ -27,7 +28,10 @@ impl PairMatrix {
 
     /// Pairs for one class.
     pub fn pairs(&self, class: AttackClass) -> Vec<(String, String)> {
-        self.pairs.get(&class).map(|s| s.iter().cloned().collect()).unwrap_or_default()
+        self.pairs
+            .get(&class)
+            .map(|s| s.iter().map(|(f, b)| (f.to_string(), b.to_string())).collect())
+            .unwrap_or_default()
     }
 
     /// Number of pairs for one class.
@@ -37,14 +41,15 @@ impl PairMatrix {
 
     /// Whether a specific pair is affected by a class.
     pub fn contains(&self, class: AttackClass, front: &str, back: &str) -> bool {
-        self.pairs.get(&class).is_some_and(|s| s.contains(&(front.to_string(), back.to_string())))
+        let (Some(front), Some(back)) = (Name::get(front), Name::get(back)) else { return false };
+        self.pairs.get(&class).is_some_and(|s| s.contains(&(front, back)))
     }
 
     /// Distinct front-ends affected per class.
     pub fn fronts(&self, class: AttackClass) -> BTreeSet<String> {
         self.pairs
             .get(&class)
-            .map(|s| s.iter().map(|(f, _)| f.clone()).collect())
+            .map(|s| s.iter().map(|(f, _)| f.to_string()).collect())
             .unwrap_or_default()
     }
 }
@@ -72,11 +77,19 @@ impl Verdicts {
         for p in profiles {
             table.entry(p.name.clone()).or_default();
         }
+        let mut mark = |name: &str, class: AttackClass| match table.get_mut(name) {
+            Some(classes) => {
+                classes.insert(class);
+            }
+            None => {
+                table.insert(name.to_string(), BTreeSet::from([class]));
+            }
+        };
         for f in findings {
             match f.class {
                 AttackClass::Hrs => {
-                    for c in &f.culprits {
-                        table.entry(c.clone()).or_default().insert(AttackClass::Hrs);
+                    for c in f.culprits.iter() {
+                        mark(&c, AttackClass::Hrs);
                     }
                 }
                 AttackClass::Hot => {
@@ -85,19 +98,14 @@ impl Verdicts {
                     // implementation resolves differently, so only pair
                     // findings mark products.
                     if let Some((front, back)) = f.pair() {
-                        table.entry(front.to_string()).or_default().insert(AttackClass::Hot);
-                        table.entry(back.to_string()).or_default().insert(AttackClass::Hot);
+                        mark(front, AttackClass::Hot);
+                        mark(back, AttackClass::Hot);
                     }
                 }
                 AttackClass::Cpdos => {
-                    if let Some(front) = &f.front {
-                        if is_proxy(front) {
-                            table.entry(front.clone()).or_default().insert(AttackClass::Cpdos);
-                        }
-                    }
-                    for c in &f.culprits {
-                        if is_proxy(c) {
-                            table.entry(c.clone()).or_default().insert(AttackClass::Cpdos);
+                    for name in f.front.into_iter().chain(f.culprits.iter()) {
+                        if is_proxy(&name) {
+                            mark(&name, AttackClass::Cpdos);
                         }
                     }
                 }
@@ -130,7 +138,6 @@ impl Verdicts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet as Set;
 
     fn finding(
         class: AttackClass,
@@ -142,9 +149,9 @@ mod tests {
             class,
             uuid: 1,
             origin: "test".into(),
-            front: front.map(String::from),
-            back: back.map(String::from),
-            culprits: culprits.iter().map(|s| s.to_string()).collect::<Set<_>>(),
+            front: front.map(Name::from),
+            back: back.map(Name::from),
+            culprits: culprits.iter().copied().collect(),
             evidence: "e".into(),
         }
     }

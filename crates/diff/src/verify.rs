@@ -51,8 +51,8 @@ pub fn verify_finding(
         }
         // Single-implementation findings: re-derive the deviation.
         (_, None) => {
-            let name = finding.culprits.iter().next().cloned().unwrap_or_default();
-            match lookup(&name) {
+            let name = finding.culprits.iter().next().map_or("", |n| n.as_str());
+            match lookup(name) {
                 Some(profile) => {
                     let b = hdiff_servers::interpret(&baseline_profile(), &bytes);
                     let i = hdiff_servers::interpret(&profile, &bytes);
