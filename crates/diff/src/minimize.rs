@@ -24,6 +24,7 @@
 //! the campaign runner. Minimization is fully deterministic: same input,
 //! predicate, and options give the same minimized bytes, byte for byte.
 
+use std::borrow::Cow;
 use std::panic::{self, AssertUnwindSafe};
 
 use hdiff_servers::fault::{FaultInjector, FaultPlan, FaultSession};
@@ -135,74 +136,30 @@ where
     T: Clone,
     P: Fn(&[T]) -> bool,
 {
-    let mut stats = MinimizeStats { original_len: items.len(), ..MinimizeStats::default() };
-    let check = |candidate: &[T], stats: &mut MinimizeStats| -> bool {
-        if stats.attempts >= opts.max_attempts {
-            return false;
-        }
-        stats.attempts += 1;
-        match panic::catch_unwind(AssertUnwindSafe(|| predicate(candidate))) {
-            Ok(true) => {
-                stats.accepted += 1;
-                true
-            }
-            Ok(false) => false,
-            Err(_) => {
-                stats.quarantined += 1;
-                false
-            }
-        }
-    };
-    if !check(items, &mut stats) {
-        stats.minimized_len = items.len();
-        return (items.to_vec(), stats);
+    let mut m = Minimizer { predicate: &predicate, opts, stats: MinimizeStats::default() };
+    m.stats.original_len = items.len();
+    let mut kept = items.to_vec();
+    if m.check(items) {
+        kept = m.ddmin(kept, &|kept| Cow::Borrowed(kept));
     }
-    let mut atoms = items.to_vec();
-    if check(&[], &mut stats) {
-        stats.minimized_len = 0;
-        return (Vec::new(), stats);
-    }
-    let mut n = 2usize.min(atoms.len());
-    while atoms.len() >= 2 && stats.attempts < opts.max_attempts {
-        let chunk = atoms.len().div_ceil(n);
-        let mut reduced = false;
-        let mut start = 0usize;
-        while start < atoms.len() && stats.attempts < opts.max_attempts {
-            let end = (start + chunk).min(atoms.len());
-            let complement: Vec<T> =
-                atoms[..start].iter().chain(atoms[end..].iter()).cloned().collect();
-            if check(&complement, &mut stats) {
-                atoms = complement;
-                n = n.saturating_sub(1).max(2).min(atoms.len().max(2));
-                reduced = true;
-                break;
-            }
-            start = end;
-        }
-        if !reduced {
-            if chunk <= 1 {
-                break;
-            }
-            n = (n * 2).min(atoms.len());
-        }
-    }
-    stats.minimized_len = atoms.len();
-    (atoms, stats)
+    m.stats.minimized_len = kept.len();
+    (kept, m.stats)
 }
 
-struct Minimizer<'a> {
-    predicate: &'a dyn Fn(&[u8]) -> bool,
+/// The budgeted, quarantining ddmin state over a predicate on `[T]`.
+struct Minimizer<'a, T> {
+    predicate: &'a dyn Fn(&[T]) -> bool,
     opts: &'a MinimizeOptions,
     stats: MinimizeStats,
 }
 
-impl Minimizer<'_> {
+impl<T: Clone> Minimizer<'_, T> {
     fn exhausted(&self) -> bool {
         self.stats.attempts >= self.opts.max_attempts
     }
 
     /// One budgeted, quarantined predicate call.
-    fn check(&mut self, candidate: &[u8]) -> bool {
+    fn check(&mut self, candidate: &[T]) -> bool {
         if self.exhausted() {
             return false;
         }
@@ -223,11 +180,11 @@ impl Minimizer<'_> {
     /// ddmin proper: removes complement chunks of `atoms` while the
     /// assembled candidate keeps satisfying the predicate, re-chunking
     /// finer on failure. Returns the minimal surviving atom list.
-    fn ddmin(
+    fn ddmin<A: Clone>(
         &mut self,
-        mut atoms: Vec<Vec<u8>>,
-        assemble: &dyn Fn(&[Vec<u8>]) -> Vec<u8>,
-    ) -> Vec<Vec<u8>> {
+        mut atoms: Vec<A>,
+        assemble: &dyn Fn(&[A]) -> Cow<'_, [T]>,
+    ) -> Vec<A> {
         if atoms.is_empty() {
             return atoms;
         }
@@ -242,7 +199,7 @@ impl Minimizer<'_> {
             let mut start = 0usize;
             while start < atoms.len() && !self.exhausted() {
                 let end = (start + chunk).min(atoms.len());
-                let complement: Vec<Vec<u8>> =
+                let complement: Vec<A> =
                     atoms[..start].iter().chain(atoms[end..].iter()).cloned().collect();
                 if self.check(&assemble(&complement)) {
                     atoms = complement;
@@ -261,7 +218,9 @@ impl Minimizer<'_> {
         }
         atoms
     }
+}
 
+impl Minimizer<'_, u8> {
     /// Header-line granularity: ddmin over the header lines after the
     /// request line, keeping request line, blank line, and body fixed.
     /// Skipped for candidates without an HTTP-shaped head.
@@ -287,7 +246,7 @@ impl Minimizer<'_> {
             out.extend_from_slice(&suffix);
             out
         };
-        let kept = self.ddmin(lines, &assemble);
+        let kept = self.ddmin(lines, &|kept| Cow::Owned(assemble(kept)));
         assemble(&kept)
     }
 
@@ -299,8 +258,7 @@ impl Minimizer<'_> {
             return current;
         }
         let atoms: Vec<Vec<u8>> = current.chunks(width).map(<[u8]>::to_vec).collect();
-        let assemble = |kept: &[Vec<u8>]| kept.concat();
-        let kept = self.ddmin(atoms, &assemble);
+        let kept = self.ddmin(atoms, &|kept| Cow::Owned(kept.concat()));
         let candidate = kept.concat();
         if candidate.len() < current.len() {
             candidate
@@ -367,8 +325,16 @@ impl<'a> FindingContext<'a> {
         detect_case_with_oracle(self.profiles, &outcome, self.oracle)
     }
 
-    /// Minimizes the bytes behind `finding`: the predicate is "some
-    /// finding with the same class, front, and back is still detected".
+    /// Whether `bytes` still reproduce `finding`: some finding with the
+    /// same class, front, and back is detected on them.
+    pub fn reproduces(&self, finding: &Finding, bytes: &[u8]) -> bool {
+        self.findings_for(finding.uuid, &finding.origin, bytes)
+            .iter()
+            .any(|f| f.class == finding.class && f.front == finding.front && f.back == finding.back)
+    }
+
+    /// Minimizes the bytes behind `finding` while it
+    /// [reproduces](FindingContext::reproduces).
     pub fn minimize_finding(
         &self,
         finding: &Finding,
@@ -376,15 +342,7 @@ impl<'a> FindingContext<'a> {
         opts: &MinimizeOptions,
     ) -> Minimized {
         let _span = hdiff_obs::span("stage.minimize");
-        minimize(
-            bytes,
-            |candidate| {
-                self.findings_for(finding.uuid, &finding.origin, candidate).iter().any(|f| {
-                    f.class == finding.class && f.front == finding.front && f.back == finding.back
-                })
-            },
-            opts,
-        )
+        minimize(bytes, |candidate| self.reproduces(finding, candidate), opts)
     }
 }
 

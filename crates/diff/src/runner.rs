@@ -13,7 +13,11 @@
 //! [`drive`] is the one driver, generic over the case type and the
 //! function that runs one attempt of a case: [`DiffEngine`] passes the h1
 //! attempt, [`crate::run_protocol_campaign`] a seed workload's
-//! `Protocol::execute`; both fold records through [`fold_records`].
+//! `Protocol::execute`; both fold records through [`fold_records`]. The
+//! stream fuzzer keeps its own serial feedback loop but executes every
+//! candidate through [`run_case`], so each workload's cases run under one
+//! quarantine and telemetry policy (`case` span, `case.quarantined`,
+//! `case.net-error`).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -415,13 +419,13 @@ impl DiffEngine {
 /// What one attempt at a case produced: the per-case runner's input for
 /// its retry decision and the [`CaseRecord`] fields of the same names.
 #[derive(Debug, Default)]
-pub(crate) struct Attempt {
-    pub(crate) findings: Vec<Finding>,
-    pub(crate) degradations: Vec<DegradationFinding>,
+pub struct Attempt {
+    pub findings: Vec<Finding>,
+    pub degradations: Vec<DegradationFinding>,
     /// Faults that fired; a transient one makes the runner retry.
-    pub(crate) fault_events: Vec<FaultEvent>,
-    pub(crate) budget_exhausted: bool,
-    pub(crate) replayed: bool,
+    pub fault_events: Vec<FaultEvent>,
+    pub budget_exhausted: bool,
+    pub replayed: bool,
 }
 
 /// The settings a campaign runs under: [`DiffEngine`]'s fields of the
@@ -484,7 +488,7 @@ pub(crate) fn drive<C: Sync, E: fmt::Display>(
 /// [`CaseError::Io`]; transient faults retry up to [`MAX_RETRIES`] times,
 /// then map to their [`CaseError`]; truncation and garbling faults are
 /// behavioral and surface as degradation findings instead.
-fn run_case<C, E: fmt::Display>(
+pub fn run_case<C, E: fmt::Display>(
     case: &C,
     uuid: u64,
     injector: &FaultInjector,

@@ -3,8 +3,8 @@
 //! Each iteration draws an energy-weighted parent (and a second parent
 //! for splices) from the corpus, mutates it into a candidate stream,
 //! executes the stream's effective bytes through the full Fig. 6
-//! workflow on the configured transport, and scores it with a two-part
-//! fitness signal:
+//! workflow on the configured transport (under the campaign's per-case
+//! runner, [`run_case`]), and scores it with a two-part fitness signal:
 //!
 //! 1. **grammar coverage delta** — alternation arms the candidate's
 //!    freshly generated material touched (generator-side
@@ -26,15 +26,16 @@
 //! `hdiff_diff::schedule`), so a session is a pure function of
 //! `(seed, iteration budget, transport)` — invariant across `--threads`.
 
-use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use hdiff_abnf::Grammar;
 use hdiff_diff::minimize::{ddmin_items, minimize, MinimizeOptions, MinimizeStats};
 use hdiff_diff::replay::behavior_digests;
+use hdiff_diff::runner::{run_case, Attempt};
 use hdiff_diff::{
-    detect_case, schedule, Finding, FindingContext, ReplayBundle, Transport, Workflow, STEP_BUDGET,
+    detect_case, schedule, CaseError, Finding, FindingContext, ReplayBundle, Transport, Workflow,
 };
 use hdiff_gen::{AbnfGenerator, CoverageMap, GenOptions, GrammarCoverage};
 use hdiff_servers::fault::{FaultInjector, FaultPlan, FaultSession};
@@ -61,6 +62,16 @@ pub const FRESH_RULES: [(&str, &[u8]); 6] = [
 /// Base of the uuid range fuzz cases occupy, far above campaign uuids.
 pub const FUZZ_UUID_BASE: u64 = 0xfa22_0000_0000_0000;
 
+/// Corpus capacity.
+const CORPUS_CAP: usize = 256;
+/// Candidates per scheduling batch. Fixed independently of the thread
+/// count so the candidate sequence is thread-invariant.
+const BATCH: usize = 8;
+/// Predicate-call budget for stream minimization at promotion.
+const MINIMIZE_ATTEMPTS: usize = 256;
+/// Promotion ceiling per session (counted when hit, never silent).
+const MAX_PROMOTIONS: usize = 16;
+
 /// How long the loop runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuzzBudget {
@@ -85,15 +96,6 @@ pub struct FuzzOptions {
     pub threads: usize,
     /// Transport streams execute over.
     pub transport: Transport,
-    /// Corpus capacity.
-    pub corpus_cap: usize,
-    /// Candidates per scheduling batch. Fixed independently of
-    /// `threads` so the candidate sequence is thread-invariant.
-    pub batch: usize,
-    /// Predicate-call budget for stream minimization at promotion.
-    pub minimize_attempts: usize,
-    /// Promotion ceiling per session (counted when hit, never silent).
-    pub max_promotions: usize,
     /// Directory promoted bundles (and their stream sidecars) are
     /// written to.
     pub promote_dir: Option<PathBuf>,
@@ -113,10 +115,6 @@ impl Default for FuzzOptions {
             budget: FuzzBudget::Iters(256),
             threads: 0,
             transport: Transport::Sim,
-            corpus_cap: 256,
-            batch: 8,
-            minimize_attempts: 256,
-            max_promotions: 16,
             promote_dir: None,
             seed_corpus: None,
         }
@@ -242,9 +240,10 @@ impl FuzzReport {
 /// `*.stream` sidecars parse as full connection streams; `*.json`
 /// replay bundles whose stem has no sidecar contribute their request
 /// bytes as single-request streams (the sidecar, when present, is the
-/// richer form of the same case). Files load in sorted name order and
-/// unreadable entries are skipped with a diagnostic, never a panic —
-/// a corpus directory is operator input.
+/// richer form of the same case). Files load in sorted name order, and
+/// unreadable entries and streams that are not
+/// [well formed](Stream::well_formed) are skipped with a diagnostic,
+/// never a panic — a corpus directory is operator input.
 fn load_seed_corpus(dir: &std::path::Path) -> Vec<Stream> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -271,7 +270,10 @@ fn load_seed_corpus(dir: &std::path::Path) -> Vec<Stream> {
             _ => Ok(None),
         };
         match loaded {
-            Ok(Some(stream)) => streams.push(stream),
+            Ok(Some(stream)) if stream.well_formed() => streams.push(stream),
+            Ok(Some(_)) => {
+                eprintln!("skipping seed corpus entry {}: malformed stream", path.display())
+            }
             Ok(None) => {}
             Err(e) => eprintln!("skipping seed corpus entry {}: {e}", path.display()),
         }
@@ -288,15 +290,6 @@ pub struct FuzzEngine {
     grammar: Grammar,
 }
 
-/// What one executed candidate came back with.
-struct ExecResult {
-    digests: Vec<(String, u64)>,
-    findings: Vec<Finding>,
-    quarantined: bool,
-    net_error: bool,
-    telemetry: hdiff_obs::CaseTelemetry,
-}
-
 /// A candidate awaiting execution: the stream, its parent (if any), and
 /// the generator-side coverage gain attributed at creation.
 struct Candidate {
@@ -306,6 +299,9 @@ struct Candidate {
     op: &'static str,
     uuid: u64,
     origin: String,
+    /// The execution's behavior digests, set by [`FuzzEngine::attempt`]
+    /// (at most once: a fault-free session never retries).
+    digests: OnceLock<Vec<(String, u64)>>,
 }
 
 impl FuzzEngine {
@@ -369,7 +365,7 @@ impl FuzzEngine {
         });
         tele.add(&build_tel);
         let mut mutator = StreamMutator::new(opts.seed ^ 0x5_7e4a, pool);
-        let mut corpus = Corpus::new(opts.corpus_cap);
+        let mut corpus = Corpus::new(CORPUS_CAP);
 
         let mut execs = 0u64;
         let mut quarantined = 0u64;
@@ -390,7 +386,7 @@ impl FuzzEngine {
             FuzzBudget::Seconds(_) => None,
         };
         let threads = schedule::effective_threads(opts.threads);
-        let batch_cap = opts.batch.max(1);
+        let injector = FaultInjector::new(FaultPlan::disabled());
 
         // Seed streams: corpus-loaded artifacts first (they carry known
         // divergences), then every pool template as a single-request
@@ -432,104 +428,82 @@ impl FuzzEngine {
             // mutated candidates. Serial and RNG-driven — identical for
             // every thread count.
             let room = match target {
-                Some(t) => (t - execs).min(batch_cap as u64) as usize,
-                None => batch_cap,
+                Some(t) => (t - execs).min(BATCH as u64) as usize,
+                None => BATCH,
             };
             let mut batch: Vec<Candidate> = Vec::with_capacity(room);
             while batch.len() < room {
                 let exec_idx = execs + batch.len() as u64;
                 let uuid = FUZZ_UUID_BASE + 1 + exec_idx;
-                let origin = format!("fuzz:{}:{}", opts.seed, exec_idx);
-                if let Some(stream) = pending_seeds.first().cloned() {
-                    pending_seeds.remove(0);
-                    batch.push(Candidate {
-                        stream,
-                        parent: None,
-                        gen_gain: 0,
-                        op: "seed",
-                        uuid,
-                        origin,
-                    });
-                    continue;
-                }
-                if corpus.is_empty() {
+                let (stream, parent, gen_gain, op) = if !pending_seeds.is_empty() {
+                    (pending_seeds.remove(0), None, 0, "seed")
+                } else if corpus.is_empty() {
                     // Every seed quarantined (pathological profile set):
                     // fall back to a pool template.
-                    batch.push(Candidate {
-                        stream: Stream::single(mutator.pool().requests[0].clone()),
-                        parent: None,
-                        gen_gain: 0,
-                        op: "seed",
-                        uuid,
-                        origin,
-                    });
-                    continue;
-                }
-                let parent = corpus.pick(&mut rng);
-                let parent_id = parent.id;
-                let parent_stream = parent.stream.clone();
-                let other = corpus.pick(&mut rng).stream.clone();
-                let ((mut stream, op), mut_tel) =
-                    recorder.case(uuid, || mutator.mutate(&parent_stream, &other));
-                tele.add(&mut_tel);
-                // Fresh-material operator: a quarter of candidates get a
-                // grammar-generated header value spliced in; the
-                // alternation arms that generation touched are the
-                // candidate's gen-side coverage claim. The rule table
-                // mixes the attack-relevant fields (Host, the framing
-                // headers) with the arm-rich ones (Via, TE) so the
-                // session keeps finding cold grammar regions.
-                let mut gen_gain = 0usize;
-                if rng.gen_bool(0.25) {
-                    let (rule, header) = FRESH_RULES[rng.gen_range(0..FRESH_RULES.len())];
-                    let (value, gen_tel) = recorder.case(uuid, || gen.generate(rule));
-                    tele.add(&gen_tel);
-                    if let Some(value) = value {
-                        let req = rng.gen_range(0..stream.requests.len());
-                        let line = [header, &value, b"\r\n"].concat();
-                        inject_line(&mut stream.requests[req].bytes, &line);
-                        stream.requests[req].repair_delivery();
-                        let before = summary_points(&global_cov);
-                        if let Some(cov) = gen.coverage() {
-                            global_cov.merge(cov);
+                    (Stream::single(mutator.pool().requests[0].clone()), None, 0, "seed")
+                } else {
+                    let parent = corpus.pick(&mut rng);
+                    let parent_id = parent.id;
+                    let parent_stream = parent.stream.clone();
+                    let other = corpus.pick(&mut rng).stream.clone();
+                    let ((mut stream, op), mut_tel) =
+                        recorder.case(uuid, || mutator.mutate(&parent_stream, &other));
+                    tele.add(&mut_tel);
+                    // Fresh-material operator: a quarter of candidates get
+                    // a grammar-generated header value spliced in; the
+                    // alternation arms that generation touched are the
+                    // candidate's gen-side coverage claim. The rule table
+                    // mixes the attack-relevant fields (Host, the framing
+                    // headers) with the arm-rich ones (Via, TE) so the
+                    // session keeps finding cold grammar regions.
+                    let mut gen_gain = 0usize;
+                    if rng.gen_bool(0.25) {
+                        let (rule, header) = FRESH_RULES[rng.gen_range(0..FRESH_RULES.len())];
+                        let (value, gen_tel) = recorder.case(uuid, || gen.generate(rule));
+                        tele.add(&gen_tel);
+                        if let Some(value) = value {
+                            let req = rng.gen_range(0..stream.requests.len());
+                            let line = [header, &value, b"\r\n"].concat();
+                            inject_line(&mut stream.requests[req].bytes, &line);
+                            stream.requests[req].repair_delivery();
+                            let before = summary_points(&global_cov);
+                            if let Some(cov) = gen.coverage() {
+                                global_cov.merge(cov);
+                            }
+                            gen_gain = summary_points(&global_cov) - before;
                         }
-                        gen_gain = summary_points(&global_cov) - before;
                     }
-                }
-                batch.push(Candidate {
-                    stream,
-                    parent: Some(parent_id),
-                    gen_gain,
-                    op,
-                    uuid,
-                    origin,
-                });
+                    (stream, Some(parent_id), gen_gain, op)
+                };
+                let origin = format!("fuzz:{}:{}", opts.seed, exec_idx);
+                let digests = OnceLock::new();
+                batch.push(Candidate { stream, parent, gen_gain, op, uuid, origin, digests });
             }
             if batch.is_empty() {
                 break;
             }
 
-            // Execute the batch across workers; results come back in
-            // batch order regardless of scheduling.
-            let results: Vec<ExecResult> =
-                schedule::run_stealing(&batch, threads.min(batch.len()), |c| {
-                    self.execute(c, recorder)
-                });
+            // Execute the batch across workers, each candidate through
+            // the campaign's per-case runner; records come back in batch
+            // order regardless of scheduling.
+            let attempt = |c: &Candidate, session: &FaultSession| self.attempt(c, session);
+            let records = schedule::run_stealing(&batch, threads.min(batch.len()), |c| {
+                run_case(c, c.uuid, &injector, recorder, &attempt)
+            });
 
-            // Score serially, in batch order.
-            for (cand, result) in batch.iter().zip(results.iter()) {
+            // Score serially, in batch order. A budget-exhausted
+            // execution is still scored.
+            for (cand, record) in batch.iter().zip(&records) {
                 execs += 1;
                 tele.count("fuzz.execs", 1);
                 tele.count(&format!("fuzz.op.{}", cand.op), 1);
-                tele.add(&result.telemetry);
-                if result.quarantined {
+                tele.add(&record.telemetry);
+                if record.quarantined {
                     quarantined += 1;
-                    tele.count("fuzz.quarantined", 1);
                     continue;
                 }
-                if result.net_error {
+                if matches!(record.error, Some(CaseError::Io(_))) {
                     net_errors += 1;
-                    tele.count("fuzz.net-error", 1);
                     continue;
                 }
 
@@ -546,7 +520,7 @@ impl FuzzEngine {
                 let cov_gain = cand.gen_gain + (summary_points(&global_cov) - before);
 
                 let mut new_views = 0u64;
-                for (label, digest) in &result.digests {
+                for (label, digest) in cand.digests.get().into_iter().flatten() {
                     if seen_views.insert((label.clone(), *digest)) {
                         new_views += 1;
                     }
@@ -557,7 +531,7 @@ impl FuzzEngine {
                 }
 
                 let mut fresh_classes: Vec<(String, Finding)> = Vec::new();
-                for f in &result.findings {
+                for f in &record.findings {
                     let key = class_key(f);
                     if seen_classes.insert(key.clone()) {
                         fresh_classes.push((key, f.clone()));
@@ -577,7 +551,7 @@ impl FuzzEngine {
                 }
 
                 for (key, finding) in fresh_classes {
-                    if promoted.len() >= opts.max_promotions {
+                    if promoted.len() >= MAX_PROMOTIONS {
                         tele.count("fuzz.promote.skipped", 1);
                         continue;
                     }
@@ -614,48 +588,28 @@ impl FuzzEngine {
         }
     }
 
-    /// Executes one candidate stream's effective bytes through the
-    /// workflow on the configured transport, under `catch_unwind`, in a
-    /// case scope under the session's switches.
-    fn execute(&self, cand: &Candidate, recorder: hdiff_obs::Recorder) -> ExecResult {
-        let (outcome, telemetry) = recorder.case(cand.uuid, || {
-            let _span = hdiff_obs::span("stage.fuzz-exec");
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                let injector = FaultInjector::new(FaultPlan::disabled());
-                let session = FaultSession::new(&injector, cand.uuid, 0, STEP_BUDGET);
-                let outcome = self.workflow.execute(
-                    self.opts.transport,
-                    cand.uuid,
-                    cand.origin.clone(),
-                    cand.stream.effective_bytes(),
-                    &session,
-                );
-                outcome.map(|outcome| {
-                    let digests = behavior_digests(&outcome);
-                    let findings = detect_case(&self.profiles, &outcome);
-                    (digests, findings)
-                })
-            }))
-        });
-        match outcome {
-            Ok(Ok((digests, findings))) => {
-                ExecResult { digests, findings, quarantined: false, net_error: false, telemetry }
-            }
-            Ok(Err(_net)) => ExecResult {
-                digests: Vec::new(),
-                findings: Vec::new(),
-                quarantined: false,
-                net_error: true,
-                telemetry,
-            },
-            Err(_panic) => ExecResult {
-                digests: Vec::new(),
-                findings: Vec::new(),
-                quarantined: true,
-                net_error: false,
-                telemetry,
-            },
-        }
+    /// One execution of a candidate, run by [`run_case`]: its effective
+    /// bytes through the workflow on the configured transport, then
+    /// detection. The behavior digests go to the candidate's slot.
+    fn attempt(
+        &self,
+        cand: &Candidate,
+        session: &FaultSession,
+    ) -> Result<Attempt, hdiff_net::NetError> {
+        let _span = hdiff_obs::span("stage.fuzz-exec");
+        let outcome = self.workflow.execute(
+            self.opts.transport,
+            cand.uuid,
+            cand.origin.clone(),
+            cand.stream.effective_bytes(),
+            session,
+        )?;
+        let _ = cand.digests.set(behavior_digests(&outcome));
+        Ok(Attempt {
+            findings: detect_case(&self.profiles, &outcome),
+            budget_exhausted: outcome.budget_exhausted,
+            ..Attempt::default()
+        })
     }
 
     /// Minimizes the triggering stream and records the candidate golden
@@ -669,16 +623,12 @@ impl FuzzEngine {
         key: &str,
     ) -> (Stream, ReplayBundle, MinimizeStats) {
         let opts = MinimizeOptions {
-            max_attempts: self.opts.minimize_attempts,
+            max_attempts: MINIMIZE_ATTEMPTS,
             byte_pass_limit: 0,
             chunk_width: 16,
         };
         let ctx = FindingContext::new(&self.workflow, &self.profiles);
-        let predicate = |s: &Stream| {
-            ctx.findings_for(cand.uuid, &cand.origin, &s.effective_bytes()).iter().any(|f| {
-                f.class == finding.class && f.front == finding.front && f.back == finding.back
-            })
-        };
+        let predicate = |s: &Stream| ctx.reproduces(finding, &s.effective_bytes());
         let (stream, shrink) = minimize_stream(&cand.stream, predicate, &opts);
         let bundle = ReplayBundle::record(
             &bundle_name(key),

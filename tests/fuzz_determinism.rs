@@ -67,3 +67,11 @@ fn promoted_bundles_and_counters_are_reproducible() {
     // timings are not).
     assert_eq!(a.telemetry.counters, b.telemetry.counters);
 }
+
+#[test]
+fn every_execution_runs_as_one_runner_case() {
+    for threads in [1, 4] {
+        let r = session(0x7a11, 120, threads);
+        assert_eq!(r.telemetry.spans["case"].count, r.execs, "{threads} thread(s)");
+    }
+}

@@ -152,3 +152,33 @@ fn seed_corpus_reloads_promoted_artifacts_and_stays_deterministic() {
     assert_eq!(a.divergence_classes, b.divergence_classes);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn malformed_seed_corpus_streams_are_skipped() {
+    use hdiff::fuzz::{Delivery, Stream, StreamRequest};
+
+    let dir = std::env::temp_dir().join(format!("hdiff-fuzz-malformed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("corpus dir");
+    // A stream with no requests, and one segmented past its request's end.
+    std::fs::write(dir.join("a.stream"), Stream { requests: Vec::new() }.to_json()).unwrap();
+    let past_end = Stream {
+        requests: vec![StreamRequest {
+            bytes: b"GET / HTTP/1.1\r\nHost: a\r\n\r\n".to_vec(),
+            delivery: Delivery::Segmented(vec![999]),
+            pipelined: false,
+        }],
+    };
+    std::fs::write(dir.join("b.stream"), past_end.to_json()).unwrap();
+    let r = FuzzEngine::standard(FuzzOptions {
+        seed: 3,
+        budget: FuzzBudget::Iters(60),
+        threads: 1,
+        seed_corpus: Some(dir.clone()),
+        ..FuzzOptions::default()
+    })
+    .run();
+    assert_eq!(r.execs, 60);
+    assert_eq!(r.telemetry.counters.get("fuzz.seed-corpus.loaded"), None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
