@@ -318,22 +318,14 @@ fn charge_each(faults: Option<&FaultSession<'_>>, raw: Vec<ServerReply>) -> Vec<
 
 /// Campaign telemetry for one exchange, emitted from the case thread
 /// (the event loop itself records nothing): the RTT and timeout
-/// observations plus the pool counters [`hdiff_net::ConnPool`] emits.
+/// observations. Whether the exchange found a warm pooled connection
+/// depends on timing, not on the case, so the pool counters stay in
+/// [`hdiff_net::ReactorStats`].
 fn observe_async_exchange(ex: Option<&ExchangeOutput>) {
     let Some(e) = ex else { return };
     hdiff_obs::observe("net.exchange.rtt", e.rtt_ns);
     if e.timed_out {
         hdiff_obs::count("net.exchange.timeout", 1);
-    }
-    if e.reused {
-        hdiff_obs::count("net.pool.hit", 1);
-    } else {
-        hdiff_obs::count("net.pool.miss", 1);
-        hdiff_obs::count("net.conn.open", 1);
-    }
-    if e.retried {
-        hdiff_obs::count("net.pool.evict", 1);
-        hdiff_obs::count("net.conn.open", 1);
     }
 }
 

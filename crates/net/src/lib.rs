@@ -16,15 +16,15 @@
 //!   pipelined request accounting and per-connection teardown records),
 //!   proxy hops relaying each forwarded message over a fresh upstream
 //!   connection, responders (the Fig. 6 echo and the h2 fronts), and the
-//!   client side of every exchange (whole, segmented or truncated sends).
+//!   client side of every exchange (whole, segmented or truncated sends),
+//!   `hdiff probe`'s exchanges with a live server included. No code
+//!   outside the reactor opens a socket.
 //! * [`testbed`] — [`testbed::AsyncTestbed`]: a campaign's profiles on
 //!   one reactor, and [`testbed::FrontTestbed`]: the h2 downgrade fronts.
 //! * [`server`], [`proxy`] — the origin and proxy roles' logs, listener
 //!   configuration and fault effects.
 //! * [`h2front`] — [`h2front::H2FrontLog`]: what an HTTP/2 (h2c, prior
 //!   knowledge) downgrade front did with one client connection.
-//! * [`pool`] — [`pool::ConnPool`]: the keep-alive client `hdiff probe`
-//!   points at a live server.
 //! * [`desync`] — splitting a response stream back into per-request
 //!   responses and comparing two implementations' attributions; a
 //!   disagreement is the wire-level desync signal.
@@ -50,7 +50,6 @@
 pub mod desync;
 pub mod error;
 pub mod h2front;
-pub mod pool;
 pub mod proxy;
 pub mod reactor;
 pub mod server;
@@ -60,7 +59,6 @@ pub mod timeout;
 pub use desync::{attribute_responses, compare_attribution, DesyncSignal, ResponseAttribution};
 pub use error::{NetError, NetErrorKind};
 pub use h2front::H2FrontLog;
-pub use pool::{ConnPool, NetClientConfig, PoolStats};
 pub use proxy::{NetProxyConfig, ProxyConnLog};
 pub use reactor::{
     AsyncListener, DriveOutput, DriveSpec, ExchangeOutput, ExchangeSpec, FaultEffect, Job,

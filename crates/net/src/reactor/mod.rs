@@ -2083,8 +2083,7 @@ impl Reactor {
     }
 
     /// Drains the logs of an origin listener's connections that no
-    /// exchange paired with (for example those of an outside keep-alive
-    /// client such as [`crate::ConnPool`]).
+    /// exchange paired with (unpaired exchanges, or an outside client).
     pub fn take_server_logs(&self, id: ListenerId) -> Vec<ConnectionLog> {
         let (ack, rx) = channel();
         self.send(Cmd::TakeServerLogs { id, ack });

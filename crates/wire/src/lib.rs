@@ -11,9 +11,11 @@
 //! * [`HeaderField`] — one raw header line; the *name* may legitimately
 //!   contain trailing whitespace or control bytes, because that is precisely
 //!   the kind of input HDiff tests.
-//! * [`parse`] — an RFC 7230-strict reference parser used as the baseline
-//!   oracle (simulated products apply their own lenient interpretations on
-//!   top of the raw bytes).
+//! * [`parse`] — an RFC 7230-strict request and response parser. Detection
+//!   does not use it: the strict baseline that attributes deviations is a
+//!   `hdiff-servers` profile. [`parse_request`] is the test oracle for
+//!   [`Request::to_bytes`]; [`parse_response`] frames the responses the
+//!   socket layer and `hdiff probe` read.
 //! * [`chunked`] — chunked transfer-coding encoder and a decoder with
 //!   configurable error-recovery semantics, mirroring the "message repair"
 //!   behaviors the paper exploits (§IV-B *Bad chunk-size value*).

@@ -1,11 +1,15 @@
 //! RFC 7230-strict reference parser.
 //!
-//! This parser is the conformance oracle: it accepts exactly what the RFC
-//! grammar and its MUST-level requirements allow, and reports a precise
-//! [`ParseError`] otherwise. Simulated products (in `hdiff-servers`) layer
-//! configurable leniency on top of the same raw bytes; diffing their
-//! interpretation against this parser tells HDiff *which side* of a semantic
-//! gap deviates from the specification.
+//! It accepts exactly what the RFC grammar and its MUST-level requirements
+//! allow, and reports a precise [`ParseError`] otherwise. It is not the
+//! oracle detection uses: HDiff decides which side of a semantic gap
+//! deviates by interpreting the bytes under the strict baseline profile
+//! (`diff::baseline::baseline_profile()` through `servers::interpret`),
+//! next to the product profiles. [`parse_request`] is the test oracle for
+//! [`Request::to_bytes`](crate::Request::to_bytes) (`tests/properties.rs`,
+//! `crates/wire/tests/wire_properties.rs`); [`parse_response`] frames the
+//! responses that the socket layer's drive jobs and desync attribution,
+//! and `hdiff probe <host:port>`, read.
 //!
 //! The parser also reports `consumed` — how many input bytes belong to the
 //! parsed message. Disagreement about `consumed` between two implementations

@@ -9,8 +9,8 @@
 //! hdiff findings [--csv]     every finding (text or CSV)
 //! hdiff probe <file>         interpret a raw request file under all ten
 //!                            product models and the strict baseline
-//! hdiff probe <host:port>    send a catalog vector to a live server and
-//!                            pretty-print the raw response
+//! hdiff probe <host:port>    sweep the Table II catalog against a live
+//!                            server, one connection per request
 //! hdiff replay [--all] <p>   re-execute recorded replay bundles and diff
 //!                            verdicts + behavior digests
 //! hdiff golden regen <dir>   rebuild the minimized golden bundle corpus
@@ -498,7 +498,8 @@ fn print_help() {
          \x20 report <path>    profile a recorded summary JSON or JSONL trace\n\
          \x20 exploits         exploit write-ups with payloads\n\
          \x20 probe <file>     interpret a raw request under all products\n\
-         \x20 probe <host:port>   send a catalog vector to a live server\n\
+         \x20 probe <host:port>   sweep the Table II catalog against a live\n\
+         \x20                  server, one connection per request\n\
          \x20 probe --protocol h2 <host:port>  sweep the h2 downgrade seed\n\
          \x20                  corpus against a live h2c endpoint\n\
          \x20 replay [--all] [--transport T] <p>  re-execute replay bundle(s),\n\
@@ -844,79 +845,133 @@ fn run_worker_cli(args: &[String]) -> ExitCode {
 
 /// `hdiff probe <host:port>` exit code: the TCP connection never opened.
 const PROBE_EXIT_CONNECT: u8 = 2;
-/// `hdiff probe <host:port>` exit code: the server accepted but the read
-/// timed out with nothing arriving.
+/// `hdiff probe <host:port>` exit code: the server accepted but no vector
+/// drew a response before the read timeout.
 const PROBE_EXIT_TIMEOUT: u8 = 3;
 /// `hdiff probe <host:port>` exit code: the live server's response status
 /// class diverges from the RFC-strict baseline's interpretation.
 const PROBE_EXIT_DIVERGENCE: u8 = 4;
 
-/// Repetitions per catalog vector in the live-probe sweep — enough for
-/// stable p50/p99 quantiles without hammering the target.
+/// Repetitions per catalog vector in the live-probe sweep.
 const PROBE_REPS: usize = 8;
 
-/// Sweeps the entire Table II catalog against a live `host:port`,
-/// reusing one pooled keep-alive connection across vectors (reconnecting
-/// only when the server closes it), and reports per-vector RTT p50/p99
-/// plus agreement with the RFC-strict baseline's interpretation.
-/// Transient connect failures are retried with backoff; terminal
-/// outcomes map to distinct exit codes so scripts can branch: 0 = every
-/// answered vector agrees with the strict baseline,
-/// [`PROBE_EXIT_CONNECT`], [`PROBE_EXIT_TIMEOUT`],
-/// [`PROBE_EXIT_DIVERGENCE`].
-fn probe_live(target: &str) -> ExitCode {
-    use hdiff::net::{io_timeout, ConnPool, NetClientConfig};
-    use std::io::ErrorKind;
-    use std::net::ToSocketAddrs;
-    use std::time::Instant;
+/// Connect failures the first exchange retries, with doubling backoff.
+const PROBE_RETRIES: u32 = 3;
 
-    const RETRIES: u32 = 3;
+/// The target of a live probe, reached through the reactor. Every
+/// exchange opens a fresh connection, writes one request stream, sends
+/// FIN and reads to EOF (or the read deadline): the exchange every
+/// tcp-async campaign case makes, so no repetition reads bytes an
+/// earlier request left on a connection.
+struct LiveTarget {
+    addr: std::net::SocketAddr,
+    reactor: hdiff::net::Reactor,
+    /// Whether an exchange has connected yet.
+    reached: bool,
+}
 
-    let addr = match target.to_socket_addrs().map(|mut a| a.next()) {
-        Ok(Some(addr)) => addr,
-        _ => {
+impl LiveTarget {
+    /// Resolves `target` (exit 2 when it does not resolve) and starts
+    /// the reactor.
+    fn open(target: &str) -> Result<LiveTarget, ExitCode> {
+        use std::net::ToSocketAddrs;
+
+        let Ok(Some(addr)) = target.to_socket_addrs().map(|mut a| a.next()) else {
             eprintln!("cannot resolve {target}");
-            return ExitCode::from(PROBE_EXIT_CONNECT);
+            return Err(ExitCode::from(PROBE_EXIT_CONNECT));
+        };
+        let reactor = hdiff::net::Reactor::spawn().map_err(|e| {
+            eprintln!("cannot probe {target}: {e}");
+            ExitCode::FAILURE
+        })?;
+        Ok(LiveTarget { addr, reactor, reached: false })
+    }
+
+    /// Exchanges `bytes` with the target. The first exchange is the
+    /// reachability check: while it cannot connect it is retried with
+    /// backoff, and after [`PROBE_RETRIES`] retries the probe exits 2.
+    fn exchange(&mut self, bytes: &[u8]) -> Result<hdiff::net::ExchangeOutput, ExitCode> {
+        use hdiff::net::{io_timeout, ExchangeSpec, Job, JobOutput, NetErrorKind, SendMode};
+
+        let mut attempt = 0u32;
+        loop {
+            let spec = ExchangeSpec {
+                addr: self.addr,
+                bytes: bytes.to_vec(),
+                mode: SendMode::Whole,
+                read_timeout: io_timeout() / 4,
+                pair: None,
+                fault: None,
+                warm: false,
+            };
+            let out = match self.reactor.run(vec![Job::Exchange(spec)]).pop() {
+                Some(JobOutput::Exchange(out)) => out,
+                _ => hdiff::net::ExchangeOutput::default(),
+            };
+            match out.error.as_ref().filter(|e| e.kind == NetErrorKind::Connect) {
+                Some(e) if !self.reached && attempt < PROBE_RETRIES => {
+                    attempt += 1;
+                    let backoff = io_timeout() / 4 * (1 << attempt);
+                    eprintln!("attempt {attempt} failed ({e}); retrying in {backoff:?}");
+                    std::thread::sleep(backoff);
+                }
+                Some(e) if !self.reached => {
+                    eprintln!("cannot connect to {} after {attempt} retries: {e}", self.addr);
+                    return Err(ExitCode::from(PROBE_EXIT_CONNECT));
+                }
+                _ => {
+                    self.reached = true;
+                    return Ok(out);
+                }
+            }
         }
+    }
+}
+
+/// What a live sweep saw, vector by vector.
+#[derive(Default)]
+struct ProbeTally {
+    answered: usize,
+    silent: usize,
+    divergent: usize,
+}
+
+impl ProbeTally {
+    /// Prints the totals and maps them to the exit code: 0 = every
+    /// answered vector agrees, [`PROBE_EXIT_DIVERGENCE`] when one does
+    /// not, [`PROBE_EXIT_TIMEOUT`] when none was answered.
+    fn finish(&self) -> ExitCode {
+        println!(
+            "\n{} vectors answered, {} silent, {} divergent",
+            self.answered, self.silent, self.divergent
+        );
+        if self.divergent > 0 {
+            ExitCode::from(PROBE_EXIT_DIVERGENCE)
+        } else if self.answered == 0 {
+            eprintln!("no vector drew a response before the read timeout");
+            ExitCode::from(PROBE_EXIT_TIMEOUT)
+        } else {
+            ExitCode::SUCCESS
+        }
+    }
+}
+
+/// Sweeps the entire Table II catalog against a live `host:port`,
+/// [`PROBE_REPS`] exchanges per vector, and reports each vector's median
+/// RTT plus agreement with the RFC-strict baseline's interpretation.
+fn probe_live(target: &str) -> ExitCode {
+    let mut server = match LiveTarget::open(target) {
+        Ok(server) => server,
+        Err(code) => return code,
     };
-    let catalog = hdiff::gen::catalog::catalog();
-    if catalog.is_empty() {
-        eprintln!("catalog is empty");
-        return ExitCode::FAILURE;
-    }
-    // One pooled keep-alive connection serves the whole sweep; a vector
-    // the server answers slowly (or not at all) costs one quarter of the
-    // shared timeout instead of the full 500ms default.
-    let config = NetClientConfig { read_timeout: io_timeout() / 4, ..NetClientConfig::default() };
-    let mut pool = ConnPool::with_config(addr, 1, config);
-
-    // Fail fast (with retries) if the target is not accepting at all.
-    let mut attempt = 0u32;
-    loop {
-        match pool.request(b"GET / HTTP/1.1\r\nHost: probe\r\n\r\n") {
-            Ok(_) => break,
-            Err(e) if e.kind() == ErrorKind::ConnectionRefused && attempt < RETRIES => {
-                attempt += 1;
-                let backoff = io_timeout() / 4 * (1 << attempt);
-                eprintln!("attempt {attempt} failed ({e}); retrying in {backoff:?}");
-                std::thread::sleep(backoff);
-            }
-            Err(e) if e.kind() == ErrorKind::ConnectionRefused => {
-                eprintln!("cannot connect to {target} after {attempt} retries: {e}");
-                return ExitCode::from(PROBE_EXIT_CONNECT);
-            }
-            // Reachable but not speaking framed HTTP to the warmup probe:
-            // the sweep itself will classify each vector.
-            Err(_) => break,
-        }
-    }
-
-    println!("probing {target}: full catalog sweep, {PROBE_REPS} reps/vector over one keep-alive connection\n");
-    println!("{:<26} {:<6} {:>9} {:>9} {:<8} verdict", "vector", "reps", "p50", "p99", "status");
-    let mut divergences = 0usize;
-    let mut answered = 0usize;
-    let mut silent = 0usize;
-    for entry in &catalog {
+    let baseline = hdiff::servers::ParserProfile::strict("baseline");
+    println!(
+        "probing {target}: full catalog sweep, {PROBE_REPS} reps/vector, \
+         one connection per request\n"
+    );
+    println!("{:<26} {:<6} {:>9} {:<8} verdict", "vector", "reps", "median", "status");
+    let mut tally = ProbeTally::default();
+    for entry in &hdiff::gen::catalog::catalog() {
         for (idx, (request, _note)) in entry.requests.iter().enumerate() {
             let bytes = request.to_bytes();
             let label = if entry.requests.len() == 1 {
@@ -927,125 +982,85 @@ fn probe_live(target: &str) -> ExitCode {
             let mut rtts_ns: Vec<u64> = Vec::with_capacity(PROBE_REPS);
             let mut last_status: Option<u16> = None;
             for _ in 0..PROBE_REPS {
-                let started = Instant::now();
-                match pool.request(&bytes) {
+                let out = match server.exchange(&bytes) {
+                    Ok(out) => out,
+                    Err(code) => return code,
+                };
+                match hdiff::wire::parse_response(&out.response) {
                     Ok(parsed) => {
-                        rtts_ns
-                            .push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                        rtts_ns.push(out.rtt_ns);
                         last_status = Some(parsed.status.as_u16());
                     }
                     // No framed answer (timeout, close, garbage): one
                     // attempt is the observation; repeating would spend
-                    // the timeout budget seven more times for nothing.
+                    // the read timeout seven more times for nothing.
                     Err(_) => break,
                 }
             }
-            let baseline = hdiff::servers::interpret(
-                &hdiff::servers::ParserProfile::strict("baseline"),
-                &bytes,
-            );
-            let expected = baseline.outcome.status();
+            let expected = hdiff::servers::interpret(&baseline, &bytes).outcome.status();
             let verdict = match last_status {
                 Some(live) if live / 100 == expected / 100 => {
-                    answered += 1;
+                    tally.answered += 1;
                     "agrees".to_string()
                 }
                 Some(_) => {
-                    answered += 1;
-                    divergences += 1;
+                    tally.answered += 1;
+                    tally.divergent += 1;
                     format!("DIVERGES (baseline {expected})")
                 }
                 None => {
-                    silent += 1;
+                    tally.silent += 1;
                     "no framed response".to_string()
                 }
             };
             println!(
-                "{:<26} {:<6} {:>9} {:>9} {:<8} {}",
+                "{:<26} {:<6} {:>9} {:<8} {}",
                 label,
                 rtts_ns.len(),
-                quantile_ms(&mut rtts_ns, 50),
-                quantile_ms(&mut rtts_ns, 99),
+                median_ms(&mut rtts_ns),
                 last_status.map_or_else(|| "-".to_string(), |s| s.to_string()),
                 verdict,
             );
         }
     }
-    let stats = pool.stats();
-    println!(
-        "\n{} vectors answered, {} silent, {} divergent; pool: {} reuse hits, {} connects, {} evictions",
-        answered, silent, divergences, stats.hits, stats.misses, stats.evictions
-    );
-    if divergences > 0 {
-        ExitCode::from(PROBE_EXIT_DIVERGENCE)
-    } else if answered == 0 {
-        eprintln!("no vector produced a framed response before the timeout");
-        ExitCode::from(PROBE_EXIT_TIMEOUT)
-    } else {
-        ExitCode::SUCCESS
-    }
+    tally.finish()
 }
 
 /// Sweeps the h2 downgrade seed corpus against a live cleartext HTTP/2
-/// (prior knowledge) endpoint: each vector is one client connection
-/// (write, FIN, read to EOF), and the per-stream response statuses are
-/// compared — by status class — against what each modeled front-end
-/// profile predicts (200 echo when the request downgrades, the reject
-/// status otherwise). A target whose behavior matches no modeled front
-/// on some vector is a divergence. Exit codes mirror the h1 probe:
-/// 0 = every answered vector matches at least one front,
-/// [`PROBE_EXIT_CONNECT`], [`PROBE_EXIT_TIMEOUT`],
-/// [`PROBE_EXIT_DIVERGENCE`].
+/// (prior knowledge) endpoint, one exchange per vector, and compares the
+/// per-stream response statuses, by status class, with what each modeled
+/// front-end profile predicts (200 echo when the request downgrades, the
+/// reject status otherwise). A target whose behavior matches no modeled
+/// front on some vector is a divergence. Exit codes as the h1 probe.
 fn probe_live_h2(target: &str) -> ExitCode {
     use hdiff::h2::{encode_client_connection, parse_server_connection, EncodeOptions};
-    use hdiff::net::io_timeout;
-    use std::io::{Read, Write};
-    use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 
-    let addr = match target.to_socket_addrs().map(|mut a| a.next()) {
-        Ok(Some(addr)) => addr,
-        _ => {
-            eprintln!("cannot resolve {target}");
-            return ExitCode::from(PROBE_EXIT_CONNECT);
-        }
+    let mut server = match LiveTarget::open(target) {
+        Ok(server) => server,
+        Err(code) => return code,
     };
     let fronts = hdiff::servers::fronts();
     let vectors = hdiff::diff::seed_vectors();
     println!("probing {target}: {} h2 downgrade vectors (h2c prior knowledge)\n", vectors.len());
     println!("{:<24} {:<10} verdict", "vector", "statuses");
-    let mut answered = 0usize;
-    let mut silent = 0usize;
-    let mut divergent = 0usize;
-    let mut connect_failures = 0usize;
+    let mut tally = ProbeTally::default();
     for vector in &vectors {
         let bytes = encode_client_connection(&vector.requests, &EncodeOptions::default());
-        let raw = match TcpStream::connect(addr) {
-            Ok(mut stream) => {
-                let _ = stream.set_read_timeout(Some(io_timeout()));
-                let mut raw = Vec::new();
-                if stream.write_all(&bytes).is_ok() {
-                    let _ = stream.shutdown(Shutdown::Write);
-                    let _ = stream.read_to_end(&mut raw);
-                }
-                raw
-            }
-            Err(e) => {
-                eprintln!("cannot connect to {target}: {e}");
-                connect_failures += 1;
-                continue;
-            }
+        let out = match server.exchange(&bytes) {
+            Ok(out) => out,
+            Err(code) => return code,
         };
-        let live: Vec<u16> = match parse_server_connection(&raw) {
+        let live: Vec<u16> = match parse_server_connection(&out.response) {
             Ok(responses) if !responses.is_empty() => {
                 responses.iter().map(|(_, r)| r.status).collect()
             }
             _ => {
-                silent += 1;
+                tally.silent += 1;
                 println!("{:<24} {:<10} no h2 response frames", vector.id, "-");
                 continue;
             }
         };
-        answered += 1;
+        tally.answered += 1;
         let class_signature =
             |statuses: &[u16]| -> Vec<u16> { statuses.iter().map(|s| s / 100).collect() };
         let predicted = |front: &hdiff::servers::DowngradeProfile| -> Vec<u16> {
@@ -1069,34 +1084,23 @@ fn probe_live_h2(target: &str) -> ExitCode {
             .collect();
         let statuses = live.iter().map(u16::to_string).collect::<Vec<_>>().join(",");
         if matches.is_empty() {
-            divergent += 1;
+            tally.divergent += 1;
             println!("{:<24} {:<10} DIVERGES (matches no modeled front)", vector.id, statuses);
         } else {
             println!("{:<24} {:<10} matches {}", vector.id, statuses, matches.join("/"));
         }
     }
-    println!("\n{answered} vectors answered, {silent} silent, {divergent} divergent");
-    if connect_failures == vectors.len() {
-        ExitCode::from(PROBE_EXIT_CONNECT)
-    } else if divergent > 0 {
-        ExitCode::from(PROBE_EXIT_DIVERGENCE)
-    } else if answered == 0 {
-        eprintln!("no vector produced h2 response frames before the timeout");
-        ExitCode::from(PROBE_EXIT_TIMEOUT)
-    } else {
-        ExitCode::SUCCESS
-    }
+    tally.finish()
 }
 
-/// Formats the `pct`-th percentile of `rtts_ns` (sorting in place) as
-/// milliseconds, `-` when no samples arrived.
-fn quantile_ms(rtts_ns: &mut [u64], pct: usize) -> String {
+/// Formats the median of `rtts_ns` (sorting in place) as milliseconds,
+/// `-` when no samples arrived.
+fn median_ms(rtts_ns: &mut [u64]) -> String {
     if rtts_ns.is_empty() {
         return "-".to_string();
     }
     rtts_ns.sort_unstable();
-    let idx = (rtts_ns.len() * pct / 100).min(rtts_ns.len() - 1);
-    format!("{:.3}ms", rtts_ns[idx] as f64 / 1e6)
+    format!("{:.3}ms", rtts_ns[rtts_ns.len() / 2] as f64 / 1e6)
 }
 
 /// Interprets raw request bytes under every product and the baseline.

@@ -1,5 +1,6 @@
 //! Campaign telemetry acceptance: counter totals and span counts must be
-//! byte-for-byte identical whatever the thread count, a campaign resumed
+//! byte-for-byte identical whatever the thread count, on either
+//! transport, a campaign resumed
 //! from a checkpoint must not double-count the cases already executed,
 //! and the JSONL trace must order events replay-stably so two runs of the
 //! same corpus produce the same event sequence (durations aside).
@@ -7,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use hdiff::diff::{
-    load_report, trace_to_jsonl, write_summary, write_trace, DiffEngine, RunSummary,
+    load_report, trace_to_jsonl, write_summary, write_trace, DiffEngine, RunSummary, Transport,
 };
 use hdiff::gen::{catalog, Origin, TestCase};
 
@@ -71,6 +72,36 @@ fn counter_totals_and_span_counts_are_thread_invariant() {
         assert!(cases.iter().any(|c| c.uuid == uuid), "unknown uuid {uuid:#x}");
         assert!(ns > 0);
     }
+}
+
+#[test]
+fn tcp_async_summaries_are_thread_invariant() {
+    if !hdiff::net::reactor::sys::supported() {
+        eprintln!("skipping: no epoll backend on this target");
+        return;
+    }
+    // A loaded box can stall a loopback read past the 500ms default, and
+    // a timed-out exchange changes the case; widen the timeout unless the
+    // caller chose one (it caches on first use, and no other test here
+    // opens a socket).
+    if std::env::var(hdiff::net::IO_TIMEOUT_ENV).is_err() {
+        std::env::set_var(hdiff::net::IO_TIMEOUT_ENV, "2000");
+    }
+    let cases = catalog_cases();
+    let run = |threads: usize| {
+        let mut engine = engine(threads);
+        engine.transport = Transport::TcpAsync;
+        engine.run(&cases)
+    };
+    let one = run(1);
+    let four = run(4);
+
+    assert_eq!(one.errors, 0, "tcp-async campaign hit terminal errors");
+    assert_eq!(one, four, "a tcp-async summary must not depend on the thread count");
+    assert_eq!(one.telemetry.merged.counters, four.telemetry.merged.counters);
+    assert_eq!(span_counts(&one), span_counts(&four));
+    let rtt = one.telemetry.merged.hists.get("net.exchange.rtt").expect("exchange RTT histogram");
+    assert!(rtt.count > cases.len() as u64, "every case makes several exchanges");
 }
 
 #[test]
