@@ -9,7 +9,8 @@
 
 use std::io;
 
-use hdiff_diff::{Finding, Fnv, ProtoCase, ProtoExecution, Protocol};
+use hdiff_diff::minimize::{ddmin_items, MinimizeOptions};
+use hdiff_diff::{reproduces, Finding, Fnv, ProtoCase, ProtoExecution, Protocol};
 
 use crate::cases::{seed_vectors, CookieCase};
 use crate::detect::detect_cookie_case;
@@ -111,94 +112,45 @@ impl Protocol for CookieProtocol {
         evidence_tag(f)
     }
 
+    /// ddmin over the lines, then over each `set:`/`cookie:` line's
+    /// `;`-segments, then over each segment's value, character by
+    /// character (the case is text, so a candidate never splits one).
     fn minimize(&self, bytes: &[u8], target: &Finding) -> Vec<u8> {
-        let Some(tag) = evidence_tag(target) else { return bytes.to_vec() };
-        let reproduces = |cand: &[u8]| {
-            self.run(target.uuid, &target.origin, cand).findings.iter().any(|f| {
-                f.class == target.class
-                    && f.front == target.front
-                    && f.back == target.back
-                    && evidence_tag(f).as_deref() == Some(tag.as_str())
-            })
+        let encode = |lines: &[String]| (lines.join("\n") + "\n").into_bytes();
+        let holds = |lines: &[String]| {
+            let exec = self.run(target.uuid, &target.origin, &encode(lines));
+            reproduces(self, target, &exec.findings)
         };
-        if !reproduces(bytes) {
-            return bytes.to_vec();
-        }
-
-        let mut lines: Vec<String> =
-            String::from_utf8_lossy(bytes).lines().map(|l| l.to_string()).collect();
-        let encode = |ls: &[String]| {
-            let mut s = ls.join("\n");
-            s.push('\n');
-            s.into_bytes()
-        };
-
-        let mut budget = 512usize;
-        loop {
-            let mut improved = false;
-
-            // Pass 1: drop whole lines.
-            let mut i = 0;
-            while i < lines.len() && budget > 0 {
+        let lines: Vec<String> =
+            String::from_utf8_lossy(bytes).lines().map(str::to_string).collect();
+        let mut opts = MinimizeOptions::default();
+        let (mut lines, stats) = ddmin_items(&lines, holds, &opts);
+        opts.max_attempts -= stats.attempts;
+        for i in 0..lines.len() {
+            let Some((prefix, value)) = split_header_line(&lines[i]) else { continue };
+            let line = |segs: &[String]| format!("{prefix}:{}", segs.join(";"));
+            let holds_segs = |segs: &[String]| {
                 let mut cand = lines.clone();
-                cand.remove(i);
-                budget -= 1;
-                if reproduces(&encode(&cand)) {
-                    lines = cand;
-                    improved = true;
-                } else {
-                    i += 1;
-                }
+                cand[i] = line(segs);
+                holds(&cand)
+            };
+            let segs: Vec<String> = value.split(';').map(str::to_string).collect();
+            let (mut segs, stats) = ddmin_items(&segs, holds_segs, &opts);
+            opts.max_attempts -= stats.attempts;
+            for j in 0..segs.len() {
+                let Some((name, value)) = segs[j].split_once('=') else { continue };
+                let (name, value) = (name.to_string(), value.chars().collect::<Vec<_>>());
+                let seg = |v: &[char]| format!("{name}={}", v.iter().collect::<String>());
+                let holds_value = |v: &[char]| {
+                    let mut cand = segs.clone();
+                    cand[j] = seg(v);
+                    holds_segs(&cand)
+                };
+                let (kept, stats) = ddmin_items(&value, holds_value, &opts);
+                opts.max_attempts -= stats.attempts;
+                segs[j] = seg(&kept);
             }
-
-            // Pass 2: drop `;`-segments inside header-value lines.
-            for i in 0..lines.len() {
-                let Some((prefix, value)) = split_header_line(&lines[i]) else { continue };
-                let mut segs: Vec<String> = value.split(';').map(|s| s.to_string()).collect();
-                let mut j = 0;
-                while segs.len() > 1 && j < segs.len() && budget > 0 {
-                    let mut cand_segs = segs.clone();
-                    cand_segs.remove(j);
-                    let mut cand = lines.clone();
-                    cand[i] = format!("{prefix}:{}", cand_segs.join(";"));
-                    budget -= 1;
-                    if reproduces(&encode(&cand)) {
-                        segs = cand_segs;
-                        lines = cand;
-                        improved = true;
-                    } else {
-                        j += 1;
-                    }
-                }
-            }
-
-            // Pass 3: halve pair values inside segments (one shrink
-            // per line per fixpoint round).
-            for i in 0..lines.len() {
-                let Some((prefix, value)) = split_header_line(&lines[i]) else { continue };
-                let segs: Vec<String> = value.split(';').map(|s| s.to_string()).collect();
-                for (j, seg) in segs.iter().enumerate() {
-                    let Some((n, v)) = seg.split_once('=') else { continue };
-                    if v.len() <= 1 || budget == 0 {
-                        continue;
-                    }
-                    let half = &v[..v.len() / 2];
-                    let mut cand_segs = segs.clone();
-                    cand_segs[j] = format!("{n}={half}");
-                    let mut cand = lines.clone();
-                    cand[i] = format!("{prefix}:{}", cand_segs.join(";"));
-                    budget -= 1;
-                    if reproduces(&encode(&cand)) {
-                        lines = cand;
-                        improved = true;
-                        break;
-                    }
-                }
-            }
-
-            if !improved || budget == 0 {
-                break;
-            }
+            lines[i] = line(&segs);
         }
         encode(&lines)
     }
@@ -277,10 +229,7 @@ mod tests {
         assert!(minimized.len() < bytes.len(), "{}", String::from_utf8_lossy(&minimized));
         // The target finding survives on the minimized bytes.
         let again = p.execute(42, "cookie:kitchen-sink", &minimized).unwrap();
-        assert!(again.findings.iter().any(|f| f.class == target.class
-            && f.front == target.front
-            && f.back == target.back
-            && evidence_tag(f).as_deref() == Some("shadow-precedence")));
+        assert!(reproduces(&p, &target, &again.findings));
         // The unrelated lang cookie and $Version line are gone.
         let text = String::from_utf8_lossy(&minimized);
         assert!(!text.contains("lang="), "{text}");

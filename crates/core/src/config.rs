@@ -14,17 +14,11 @@ pub struct HdiffConfig {
     pub abnf_seeds: usize,
     /// Mutants derived from each seed.
     pub mutants_per_seed: usize,
-    /// Mutation rounds per mutant (the paper keeps this small).
-    pub mutation_rounds: usize,
-    /// Include the Table II attack-vector catalog in the corpus.
-    pub include_catalog: bool,
     /// RNG seed (full determinism per seed).
     pub seed: u64,
     /// Worker threads for the differential engine; `0` means one per
     /// available core (`std::thread::available_parallelism`).
     pub threads: usize,
-    /// ABNF generator recursion depth cap (the paper uses 7).
-    pub max_gen_depth: usize,
     /// Fault-injection rate in percent (0 disables the fault campaign).
     pub fault_rate: u8,
     /// Bias the ABNF generator toward grammar alternations it has not
@@ -61,11 +55,8 @@ impl HdiffConfig {
             sr_variants: 3,
             abnf_seeds: 120,
             mutants_per_seed: 6,
-            mutation_rounds: 2,
-            include_catalog: true,
             seed: 0x4844_6966_6621,
             threads: 0,
-            max_gen_depth: 7,
             fault_rate: 0,
             coverage_guided: false,
             transport: Transport::Sim,
@@ -83,11 +74,8 @@ impl HdiffConfig {
             sr_variants: 2,
             abnf_seeds: 20,
             mutants_per_seed: 2,
-            mutation_rounds: 2,
-            include_catalog: true,
             seed: 0x4844_6966_6621,
             threads: 2,
-            max_gen_depth: 7,
             fault_rate: 0,
             coverage_guided: false,
             transport: Transport::Sim,
@@ -106,19 +94,15 @@ impl HdiffConfig {
         format!(
             concat!(
                 "{{\"sr_variants\":{},\"abnf_seeds\":{},\"mutants_per_seed\":{},",
-                "\"mutation_rounds\":{},\"include_catalog\":{},\"seed\":{},\"threads\":{},",
-                "\"max_gen_depth\":{},\"fault_rate\":{},\"coverage_guided\":{},",
+                "\"seed\":{},\"threads\":{},\"fault_rate\":{},\"coverage_guided\":{},",
                 "\"transport\":\"{}\",\"telemetry\":{},\"shards\":{},",
                 "\"fleet_chaos\":{},\"checkpoint_every\":{},\"protocol\":\"{}\"}}"
             ),
             self.sr_variants,
             self.abnf_seeds,
             self.mutants_per_seed,
-            self.mutation_rounds,
-            self.include_catalog,
             self.seed,
             self.threads,
-            self.max_gen_depth,
             self.fault_rate,
             self.coverage_guided,
             self.transport,
@@ -149,14 +133,8 @@ impl HdiffConfig {
         config.sr_variants = usize_field("sr_variants", config.sr_variants)?;
         config.abnf_seeds = usize_field("abnf_seeds", config.abnf_seeds)?;
         config.mutants_per_seed = usize_field("mutants_per_seed", config.mutants_per_seed)?;
-        config.mutation_rounds = usize_field("mutation_rounds", config.mutation_rounds)?;
         config.threads = usize_field("threads", config.threads)?;
-        config.max_gen_depth = usize_field("max_gen_depth", config.max_gen_depth)?;
         config.checkpoint_every = usize_field("checkpoint_every", config.checkpoint_every)?;
-        if let Some(v) = root.get("include_catalog") {
-            config.include_catalog =
-                v.as_bool().ok_or_else(|| bad("config include_catalog must be a bool"))?;
-        }
         if let Some(v) = root.get("coverage_guided") {
             config.coverage_guided =
                 v.as_bool().ok_or_else(|| bad("config coverage_guided must be a bool"))?;
@@ -212,7 +190,7 @@ mod tests {
         let quick = HdiffConfig::quick();
         assert!(full.abnf_seeds > quick.abnf_seeds);
         assert_eq!(HdiffConfig::default().abnf_seeds, full.abnf_seeds);
-        assert_eq!(full.max_gen_depth, 7, "the paper's depth cap");
+        assert_eq!(hdiff_gen::GenOptions::default().max_depth, 7, "the paper's depth cap");
         assert_eq!(full.shards, 0, "default stays in-process");
     }
 

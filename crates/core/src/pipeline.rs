@@ -90,11 +90,7 @@ impl HDiff {
             let _stage = hdiff_obs::span("stage.sr-translate");
             let gen = AbnfGenerator::new(
                 analysis.grammar.clone(),
-                GenOptions {
-                    max_depth: self.config.max_gen_depth,
-                    seed: self.config.seed,
-                    ..GenOptions::default()
-                },
+                GenOptions { seed: self.config.seed, ..GenOptions::default() },
             );
             let mut translator = SrTranslator::new(gen);
             translator.variants = self.config.sr_variants;
@@ -110,7 +106,6 @@ impl HDiff {
         let mut gen = AbnfGenerator::new(
             analysis.grammar.clone(),
             GenOptions {
-                max_depth: self.config.max_gen_depth,
                 seed: self.config.seed ^ 0xabcd,
                 coverage_guided: self.config.coverage_guided,
                 ..GenOptions::default()
@@ -118,7 +113,6 @@ impl HDiff {
         );
         gen.enable_coverage();
         let mut mutator = MutationEngine::new(self.config.seed ^ 0x5eed);
-        mutator.rounds = self.config.mutation_rounds;
         let gen_stage = hdiff_obs::span("stage.generate");
         let hosts = gen.generate_many("Host", self.config.abnf_seeds);
         // Matcher-side coverage feed: re-match each generated host so the
@@ -206,18 +200,16 @@ impl HDiff {
         }
 
         // 3. The Table II catalog.
-        if self.config.include_catalog {
-            for entry in catalog::catalog() {
-                for (req, note) in &entry.requests {
-                    cases.push(TestCase {
-                        uuid: next_uuid,
-                        request: req.clone(),
-                        assertions: Vec::new(),
-                        origin: Origin::Catalog(entry.id.to_string()),
-                        note: note.clone(),
-                    });
-                    next_uuid += 1;
-                }
+        for entry in catalog::catalog() {
+            for (req, note) in &entry.requests {
+                cases.push(TestCase {
+                    uuid: next_uuid,
+                    request: req.clone(),
+                    assertions: Vec::new(),
+                    origin: Origin::Catalog(entry.id.to_string()),
+                    note: note.clone(),
+                });
+                next_uuid += 1;
             }
         }
         let coverage = gen.take_coverage().map(|c| c.summary());

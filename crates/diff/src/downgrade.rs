@@ -54,9 +54,10 @@ use hdiff_servers::{
 };
 
 use crate::findings::Finding;
+use crate::minimize::{ddmin_items, MinimizeOptions};
 use crate::names::Name;
 use crate::protocol::{
-    run_protocol_campaign, ProtoCase, ProtoExecution, Protocol, ProtocolCampaignOptions,
+    reproduces, run_protocol_campaign, ProtoCase, ProtoExecution, Protocol, ProtocolCampaignOptions,
 };
 use crate::replay::{Fnv, ReplayBundle};
 use crate::transport::Transport;
@@ -651,115 +652,14 @@ pub fn seed_vectors() -> Vec<SeedVector> {
 }
 
 // ---------------------------------------------------------------------------
-// Minimization
-// ---------------------------------------------------------------------------
-
-/// Result of minimizing an h2 case against a finding predicate.
-#[derive(Debug, Clone)]
-pub struct H2Minimized {
-    /// The minimized request list (still triggers the finding).
-    pub requests: Vec<H2Request>,
-    /// Candidate executions tried.
-    pub attempts: usize,
-    /// Candidates that kept the finding and were accepted.
-    pub accepted: usize,
-}
-
-/// Greedy structural minimization at the h2-request level: drop whole
-/// requests, drop headers one at a time, then shrink bodies — keeping
-/// every candidate that still reproduces a finding with the `target`'s
-/// (class, tag, front, back). Deterministic; candidates are re-encoded
-/// with canonical [`EncodeOptions`].
-pub fn minimize_h2_case(
-    workflow: &DowngradeWorkflow,
-    requests: &[H2Request],
-    target: &Finding,
-) -> H2Minimized {
-    const MAX_ATTEMPTS: usize = 2000;
-    let mut attempts = 0usize;
-    let mut accepted = 0usize;
-    let tag = finding_tag(target).map(str::to_string);
-    let reproduces = |reqs: &[H2Request], attempts: &mut usize| -> bool {
-        if reqs.is_empty() {
-            return false;
-        }
-        *attempts += 1;
-        let bytes = encode_client_connection(reqs, &EncodeOptions::default());
-        let outcome = workflow.run_bytes(target.uuid, &target.origin, &bytes);
-        detect_downgrade(&outcome).iter().any(|f| {
-            f.class == target.class
-                && finding_tag(f).map(str::to_string) == tag
-                && f.front == target.front
-                && f.back == target.back
-        })
-    };
-
-    let mut cur = requests.to_vec();
-    loop {
-        let mut changed = false;
-
-        // Whole requests.
-        let mut i = 0;
-        while cur.len() > 1 && i < cur.len() && attempts < MAX_ATTEMPTS {
-            let mut cand = cur.clone();
-            cand.remove(i);
-            if reproduces(&cand, &mut attempts) {
-                cur = cand;
-                accepted += 1;
-                changed = true;
-            } else {
-                i += 1;
-            }
-        }
-
-        // Individual headers.
-        for r in 0..cur.len() {
-            let mut h = 0;
-            while h < cur[r].headers.len() && attempts < MAX_ATTEMPTS {
-                let mut cand = cur.clone();
-                cand[r].headers.remove(h);
-                if reproduces(&cand, &mut attempts) {
-                    cur = cand;
-                    accepted += 1;
-                    changed = true;
-                } else {
-                    h += 1;
-                }
-            }
-        }
-
-        // Bodies: clear, else halve repeatedly.
-        for r in 0..cur.len() {
-            while !cur[r].body.is_empty() && attempts < MAX_ATTEMPTS {
-                let mut cand = cur.clone();
-                let len = cand[r].body.len();
-                cand[r].body.truncate(if len <= 4 { 0 } else { len / 2 });
-                if reproduces(&cand, &mut attempts) {
-                    cur = cand;
-                    accepted += 1;
-                    changed = true;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        if !changed || attempts >= MAX_ATTEMPTS {
-            break;
-        }
-    }
-    H2Minimized { requests: cur, attempts, accepted }
-}
-
-// ---------------------------------------------------------------------------
 // The Protocol instance
 // ---------------------------------------------------------------------------
 
 /// The h2 downgrade surface as a [`Protocol`] workload: the seed vectors
 /// become the seed corpus, the downgrade matrix + [`detect_downgrade`] +
-/// [`downgrade_digests`] become the execution, and [`minimize_h2_case`]
-/// minimizes at the h2-request level behind the byte-level trait
-/// surface. Built for `sim`, cases run through
+/// [`downgrade_digests`] become the execution, and minimization works on
+/// the parsed h2 request list behind the byte-level trait surface. Built
+/// for `sim`, cases run through
 /// [`DowngradeWorkflow::run_bytes`]; built for `tcp-async`, the instance
 /// owns one [`FrontTestbed`] that every campaign worker shares, and cases
 /// run through [`run_downgrade_case_tcp`]. Minimization and bundle
@@ -829,19 +729,40 @@ impl Protocol for DowngradeProtocol {
         finding_tag(f).map(str::to_string)
     }
 
+    /// ddmin over the request list, then over each request's headers,
+    /// then over its body bytes, with candidates re-encoded canonically
+    /// and run on the sim. encode(parse(encode(x))) is byte-identical
+    /// (the h2 codec round trips), so going through bytes loses nothing.
     fn minimize(&self, bytes: &[u8], target: &Finding) -> Vec<u8> {
-        // The structural minimizer works on the parsed request list;
-        // encode(parse(encode(x))) is byte-identical (the h2 codec round
-        // trips), so going through bytes loses nothing.
-        match parse_client_connection(bytes) {
-            Ok(conn) => {
-                let requests: Vec<H2Request> =
-                    conn.requests.into_iter().map(|p| p.request).collect();
-                let minimized = minimize_h2_case(&self.workflow, &requests, target);
-                encode_client_connection(&minimized.requests, &EncodeOptions::default())
-            }
-            Err(_) => bytes.to_vec(),
+        let Ok(conn) = parse_client_connection(bytes) else { return bytes.to_vec() };
+        let encode = |reqs: &[H2Request]| encode_client_connection(reqs, &EncodeOptions::default());
+        let holds = |reqs: &[H2Request]| {
+            let outcome = self.workflow.run_bytes(target.uuid, &target.origin, &encode(reqs));
+            reproduces(self, target, &detect_downgrade(&outcome))
+        };
+        let requests: Vec<H2Request> = conn.requests.into_iter().map(|p| p.request).collect();
+        let mut opts = MinimizeOptions::default();
+        let (mut cur, stats) = ddmin_items(&requests, holds, &opts);
+        opts.max_attempts -= stats.attempts;
+        for r in 0..cur.len() {
+            let headers = |h: &[hdiff_h2::Header]| {
+                let mut cand = cur.clone();
+                cand[r].headers = h.to_vec();
+                holds(&cand)
+            };
+            let (kept, stats) = ddmin_items(&cur[r].headers, headers, &opts);
+            opts.max_attempts -= stats.attempts;
+            cur[r].headers = kept;
+            let body = |b: &[u8]| {
+                let mut cand = cur.clone();
+                cand[r].body = b.to_vec();
+                holds(&cand)
+            };
+            let (kept, stats) = ddmin_items(&cur[r].body, body, &opts);
+            opts.max_attempts -= stats.attempts;
+            cur[r].body = kept;
         }
+        encode(&cur)
     }
 
     fn record_bundle(
@@ -975,24 +896,24 @@ mod tests {
 
     #[test]
     fn minimizer_strips_inert_headers() {
-        let workflow = DowngradeWorkflow::standard();
+        let p = DowngradeProtocol::standard();
         let mut requests =
             seed_vectors().into_iter().find(|v| v.id == "cl-short").unwrap().requests;
         for i in 0..6 {
             requests[0] = requests[0].clone().with_header(&format!("x-noise-{i}"), "padding");
         }
         let bytes = encode_client_connection(&requests, &EncodeOptions::default());
-        let outcome = workflow.run_bytes(7, "h2:cl-short", &bytes);
-        let target = detect_downgrade(&outcome).into_iter().next().unwrap();
-        let min = minimize_h2_case(&workflow, &requests, &target);
-        assert!(min.accepted > 0);
+        let target = p.execute(7, "h2:cl-short", &bytes).unwrap().findings.remove(0);
+        let minimized = p.minimize(&bytes, &target);
+        assert!(minimized.len() < bytes.len());
+        let min = parse_client_connection(&minimized).unwrap().requests.remove(0).request;
         assert!(
-            !min.requests[0].headers.iter().any(|h| h.name.starts_with(b"x-noise")),
+            !min.headers.iter().any(|h| h.name.starts_with(b"x-noise")),
             "noise headers survived: {:?}",
-            min.requests[0].headers
+            min.headers
         );
         // The lying content-length must survive: it is the finding.
-        assert!(min.requests[0].header("content-length").is_some());
+        assert!(min.header("content-length").is_some());
     }
 
     #[test]

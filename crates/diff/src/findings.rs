@@ -48,6 +48,13 @@ impl Finding {
             _ => None,
         }
     }
+
+    /// Whether `other` shows the same divergence: the same class, front
+    /// and back. A minimizer keeps a candidate only while the finding it
+    /// shrinks reproduces in this sense.
+    pub fn same_divergence(&self, other: &Finding) -> bool {
+        self.class == other.class && self.front == other.front && self.back == other.back
+    }
 }
 
 impl fmt::Display for Finding {

@@ -13,10 +13,11 @@
 //!   as predicates over `HMetrics`/chain outcomes.
 //! * [`downgrade`] — the h2→h1 downgrade-desync model: each front end's
 //!   reconstructed HTTP/1.1 stream diffed against every back end's
-//!   interpretation of it, with its own seed corpus, request-level
-//!   minimizer, and replay-bundle integration.
+//!   interpretation of it, with its own seed corpus and replay-bundle
+//!   integration, shrinking cases through [`ddmin_items`].
 //! * [`protocol`] — the protocol-generic campaign core: the [`Protocol`]
-//!   trait (seed corpus + execution + detection + minimize) and the
+//!   trait (seed corpus + execution + detection + minimize), the one
+//!   reproduction check every seed workload's minimizer uses, and the
 //!   seed-corpus entry into the campaign driver. [`downgrade`]'s
 //!   `DowngradeProtocol` puts the h2 surface behind it on both
 //!   transports; the cookie workload (`hdiff-cookie`) is the first
@@ -59,9 +60,9 @@ pub mod workflow;
 pub use baseline::{deviations, Deviation, DeviationKind};
 pub use detect::{detect_case, detect_case_with_oracle, detect_degradation, DegradationFinding};
 pub use downgrade::{
-    detect_downgrade, downgrade_digests, finding_tag, minimize_h2_case, regen_h2_golden,
-    run_downgrade_case_tcp, seed_vectors, DowngradeCaseOutcome, DowngradeChain, DowngradeProtocol,
-    DowngradeWorkflow, Frontend, H2Minimized, SeedVector, H2_UUID_BASE,
+    detect_downgrade, downgrade_digests, finding_tag, regen_h2_golden, run_downgrade_case_tcp,
+    seed_vectors, DowngradeCaseOutcome, DowngradeChain, DowngradeProtocol, DowngradeWorkflow,
+    Frontend, SeedVector, H2_UUID_BASE,
 };
 pub use findings::{Culprits, Evidence, Finding, FramingDeviation, HostViews};
 pub use hmetrics::HMetrics;
@@ -70,8 +71,8 @@ pub use minimize::{
 };
 pub use names::Name;
 pub use protocol::{
-    run_protocol_campaign, ProtoCase, ProtoExecution, Protocol, ProtocolCampaignOptions,
-    ProtocolSummary,
+    reproduces, run_protocol_campaign, ProtoCase, ProtoExecution, Protocol,
+    ProtocolCampaignOptions, ProtocolSummary,
 };
 pub use replay::{Fnv, ReplayBundle, ReplayReport};
 pub use runner::{

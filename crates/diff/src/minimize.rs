@@ -116,11 +116,12 @@ where
     Minimized { bytes: current, stats: m.stats }
 }
 
-/// Zeller-style ddmin over an arbitrary atom sequence — the
-/// stream-level entry point: callers minimizing a multi-request
-/// connection stream pass the requests as atoms and a predicate over
-/// the surviving subsequence, then shrink each surviving atom's bytes
-/// with [`minimize`]. Same contract as [`minimize`]: the predicate must
+/// Zeller-style ddmin over an arbitrary atom sequence — the structured
+/// entry point: a caller whose case has structure (a fuzz stream's
+/// requests, an h2 case's requests and headers, a cookie case's lines
+/// and `;`-segments) passes one level's parts as atoms and a predicate
+/// over the surviving subsequence, then shrinks each surviving part one
+/// level down. Same contract as [`minimize`]: the predicate must
 /// hold on the full sequence (otherwise it is returned unchanged with
 /// `stats.attempts == 1`), every predicate call runs under
 /// `catch_unwind` (a panicking candidate is counted as quarantined and
@@ -326,11 +327,11 @@ impl<'a> FindingContext<'a> {
     }
 
     /// Whether `bytes` still reproduce `finding`: some finding with the
-    /// same class, front, and back is detected on them.
+    /// [same divergence](Finding::same_divergence) is detected on them.
     pub fn reproduces(&self, finding: &Finding, bytes: &[u8]) -> bool {
         self.findings_for(finding.uuid, &finding.origin, bytes)
             .iter()
-            .any(|f| f.class == finding.class && f.front == finding.front && f.back == finding.back)
+            .any(|f| f.same_divergence(finding))
     }
 
     /// Minimizes the bytes behind `finding` while it
@@ -484,8 +485,6 @@ mod tests {
         assert!(out.bytes.len() * 2 <= bytes.len(), "{}", String::from_utf8_lossy(&out.bytes));
         // The minimized case still trips the same detector pair.
         let again = ctx.findings_for(77, "catalog:dual-host", &out.bytes);
-        assert!(again
-            .iter()
-            .any(|f| f.class == hot.class && f.front == hot.front && f.back == hot.back));
+        assert!(again.iter().any(|f| f.same_divergence(hot)));
     }
 }

@@ -92,9 +92,10 @@ pub trait Protocol: Sync {
     fn finding_tag(&self, f: &Finding) -> Option<String>;
 
     /// Structurally minimizes `bytes` while the `target` finding keeps
-    /// reproducing (same class, tag, front, back). Must return bytes
-    /// that still trigger the finding; returning the input unchanged is
-    /// always sound.
+    /// reproducing (see [`reproduces`]), one level of the case's
+    /// structure at a time through [`crate::minimize::ddmin_items`],
+    /// under one attempt budget. Must return bytes that still trigger
+    /// the finding; returning the input unchanged is always sound.
     fn minimize(&self, bytes: &[u8], target: &Finding) -> Vec<u8>;
 
     /// Freezes `bytes` as a replay bundle. The default executes the case
@@ -138,6 +139,16 @@ impl ReplayBundle {
             .unwrap_or_else(|e| panic!("{} replay cannot execute: {e}", p.name()));
         self.report(&exec.findings, &exec.digests)
     }
+}
+
+/// Whether `findings` reproduce `target` for workload `p`: one of them
+/// shows the [same divergence](Finding::same_divergence) under the same
+/// [`Protocol::finding_tag`]. Every seed workload's minimizer keeps a
+/// candidate only while this holds; it is a free function so that no
+/// workload can loosen it.
+pub fn reproduces(p: &dyn Protocol, target: &Finding, findings: &[Finding]) -> bool {
+    let tag = p.finding_tag(target);
+    findings.iter().any(|f| f.same_divergence(target) && p.finding_tag(f) == tag)
 }
 
 /// Options for [`run_protocol_campaign`].
@@ -329,6 +340,16 @@ mod tests {
             (&four.run.findings, &four.classes, &four.run.quarantined)
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_finding_under_another_tag_does_not_reproduce() {
+        let fragile = Fragile { panics_at: u8::MAX, fails_at: Vec::new() };
+        let finding = |case| fragile.execute(BASE, "fragile:c", &[case]).unwrap().findings;
+        let (even, odd, even_again) = (finding(0), finding(1), finding(2));
+        assert!(even[0].same_divergence(&odd[0]), "same class, front and back");
+        assert!(!reproduces(&fragile, &even[0], &odd), "parity1 is another tag");
+        assert!(reproduces(&fragile, &even[0], &even_again));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! [`crate::json`] (request bytes hex-encoded so arbitrary octets
 //! survive). The checked-in `tests/golden/` corpus — one minimized bundle
 //! per Table II catalog vector, built by [`regen_golden`] — is the
-//! regression gate: `hdiff replay --all tests/golden` must stay green.
+//! regression gate: `hdiff replay tests/golden` must stay green.
 
 use std::io;
 use std::path::{Path, PathBuf};

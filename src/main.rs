@@ -11,8 +11,8 @@
 //!                            product models and the strict baseline
 //! hdiff probe <host:port>    sweep the Table II catalog against a live
 //!                            server, one connection per request
-//! hdiff replay [--all] <p>   re-execute recorded replay bundles and diff
-//!                            verdicts + behavior digests
+//! hdiff replay <p>           re-execute one replay bundle or a directory
+//!                            of them; diff verdicts + behavior digests
 //! hdiff golden regen <dir>   rebuild the minimized golden bundle corpus
 //! hdiff run --protocol h2    downgrade-desync campaign: h2 seed vectors
 //!                            through the downgrade front ends
@@ -64,7 +64,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--iters", true),
     ("--seed-corpus", true),
     ("--min-novel", true),
-    ("--all", false),
     ("--shard", true),
     ("--checkpoint", true),
     ("--config", true),
@@ -135,7 +134,7 @@ fn check_flags(args: &[String], command: &str, workload: &str) -> Result<(), Str
             ]],
             &["http"],
         ),
-        "replay" => (&[&["--all", "--transport"]], &["http"]),
+        "replay" => (&[&["--transport"]], &["http"]),
         "worker" => (
             &[&[
                 "--shard",
@@ -364,7 +363,7 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
                 .map(|(_, a)| a)
             else {
                 return Err(
-                    "usage: hdiff replay [--all] [--transport sim|tcp-async] <bundle.json | directory>"
+                    "usage: hdiff replay [--transport sim|tcp-async] <bundle.json | directory>"
                         .to_string(),
                 );
             };
@@ -502,7 +501,7 @@ fn print_help() {
          \x20                  server, one connection per request\n\
          \x20 probe --protocol h2 <host:port>  sweep the h2 downgrade seed\n\
          \x20                  corpus against a live h2c endpoint\n\
-         \x20 replay [--all] [--transport T] <p>  re-execute replay bundle(s),\n\
+         \x20 replay [--transport T] <p>  re-execute replay bundle(s),\n\
          \x20                  diff verdicts\n\
          \x20 golden regen <dir>  rebuild the minimized golden corpus\n\
          \x20 golden regen-h2 <dir>  rebuild the golden h2 downgrade bundles\n\

@@ -7,9 +7,10 @@ use std::process::{Command, Output};
 
 #[test]
 fn unused_and_unknown_flags_exit_1_naming_the_flag() {
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["run", "--quick", "--no-such-flag", "7"], "unknown flag --no-such-flag"),
         (&["run", "--frontend", "h2"], "unknown flag --frontend"),
+        (&["replay", "--all", "tests/golden"], "unknown flag --all"),
         (&["run", "--protocol", "h2", "--fault-rate", "40"], "--fault-rate"),
         (&["run", "--protocol", "cookie", "--shards", "2"], "--shards"),
         (&["run", "--protocol", "h2", "--checkpoint-every", "4"], "--checkpoint-every"),

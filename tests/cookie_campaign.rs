@@ -1,8 +1,8 @@
 //! End-to-end gate for the cookie workload behind the protocol-generic
 //! campaign core: same seed corpus ⇒ identical findings regardless of
-//! worker count, promoted bundles are protocol-keyed and re-verify via
-//! `replay_protocol`, and a misrouted classic replay fails loudly
-//! instead of silently mis-executing.
+//! worker count, promoted bundles are protocol-keyed, re-verify via
+//! `replay_protocol` and hold pinned reproducers, and a misrouted
+//! classic replay fails loudly instead of silently mis-executing.
 
 use std::process::Command;
 
@@ -28,6 +28,46 @@ fn cookie_campaign_is_deterministic_across_thread_counts() {
         // The whole summary, per-case telemetry shape included.
         assert_eq!(run.run, base.run, "threads={threads}");
     }
+}
+
+/// The reproducer each divergence class minimizes to, in promotion
+/// order: the cookie counterpart of the golden h2 corpus. A change to
+/// the minimizer or to a profile that moves one fails here.
+const PINNED: [(&str, &str); 7] = [
+    ("cookie-shadow-precedence", "set: sid=\nset: sid=e\n"),
+    ("cookie-attr-smuggle", "set: token=\";Secure\"\n"),
+    ("cookie-attr-case", "set: Path=; HTTPONLY\n"),
+    ("cookie-expires-leniency", "set: sid=; Expires=6-Nov-94 8:9:3\n"),
+    ("cookie-domain-scope", "set: sid=; Domain=e.com\n"),
+    ("cookie-version-legacy", "cookie: $Path=\n"),
+    ("cookie-quoted-value", "cookie: token=\"\"\n"),
+];
+
+#[test]
+fn promoted_cookie_reproducers_are_pinned_at_any_thread_count() {
+    let promote = |threads: usize| {
+        let dir = std::env::temp_dir()
+            .join(format!("hdiff-cookie-pinned-{}-{threads}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ProtocolCampaignOptions { threads, promote_dir: Some(dir.clone()) };
+        let promoted = run_protocol_campaign(&CookieProtocol::standard(), &opts).unwrap().promoted;
+        let bundles: Vec<(String, Vec<u8>, Vec<u8>)> = promoted
+            .iter()
+            .map(|path| {
+                let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(path).unwrap(), ReplayBundle::load(path).unwrap().request)
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        bundles
+    };
+    let one = promote(1);
+    assert!(one == promote(8), "the bundles differ between 1 and 8 threads");
+    let requests: Vec<(&str, &str)> = one
+        .iter()
+        .map(|(name, _, request)| (name.as_str(), std::str::from_utf8(request).unwrap()))
+        .collect();
+    assert_eq!(requests, PINNED);
 }
 
 #[test]
