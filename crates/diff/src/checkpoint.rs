@@ -276,6 +276,8 @@ fn read_record(v: &Json) -> io::Result<CaseRecord> {
             .iter()
             .map(read_degradation)
             .collect::<io::Result<_>>()?,
+        // Not persisted (see `CaseRecord::accepts`).
+        accepts: None,
         telemetry: v
             .get("telemetry")
             .map(crate::telemetry_codec::read_telemetry)
@@ -408,6 +410,7 @@ mod tests {
                     error: Some(CaseError::Io("reset persisted".into())),
                     findings: vec![finding],
                     degradations: vec![degradation],
+                    accepts: None,
                     telemetry: {
                         let mut t = hdiff_obs::Telemetry::default();
                         t.record_span("case", 1234);
@@ -428,6 +431,7 @@ mod tests {
                     error: Some(CaseError::Panic("injected parser panic".into())),
                     findings: Vec::new(),
                     degradations: Vec::new(),
+                    accepts: None,
                     telemetry: CaseTelemetry::default(),
                 },
             ),

@@ -175,26 +175,10 @@ pub fn detect_case_with_oracle(
     // deviation, and a crash-prone profile only panics inside the
     // workflow step, where the runner's quarantine can catch it.
     let known = |name: &str| profiles.iter().any(|p| p.name == name);
-    let recorded = |name: &str| {
-        outcome
-            .direct
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, replies)| replies.first())
-            .map(|r| &r.interpretation)
-            .or_else(|| {
-                outcome
-                    .chains
-                    .iter()
-                    .find(|c| c.proxy == name)
-                    .and_then(|c| c.proxy_results.first())
-                    .map(|r| &r.interpretation)
-            })
-    };
     // An implementation's recorded interpretation (none for a name
     // outside `profiles`) and its deviations from the baseline.
     let single = |name| {
-        let interpretation = if known(name) { recorded(name) } else { None };
+        let interpretation = if known(name) { outcome.recorded(name) } else { None };
         let devs =
             interpretation.map(|i| deviations(i, &baseline, &outcome.bytes)).unwrap_or_default();
         (name, interpretation, devs)

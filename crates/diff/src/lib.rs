@@ -80,7 +80,9 @@ pub use runner::{
     MAX_RETRIES,
 };
 pub use shard::{shard_ranges, ShardError, ShardErrorKind, ShardSpec, ShardStat, ShardTopology};
-pub use srcheck::{check_assertions, check_host_conformance, Expected, Observed, SrViolation};
+pub use srcheck::{
+    check_assertions, check_host_conformance, AcceptSet, Expected, Observed, SrViolation,
+};
 pub use syntax::SyntaxOracle;
 pub use telemetry_codec::{
     load_report, summary_to_json, trace_to_jsonl, write_summary, write_trace,

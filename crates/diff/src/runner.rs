@@ -34,7 +34,7 @@ use crate::detect::{detect_case_with_oracle, detect_degradation, DegradationFind
 use crate::findings::Finding;
 use crate::schedule;
 use crate::shard::{ShardError, ShardTopology};
-use crate::srcheck::{check_all, check_host_conformance, SrViolation};
+use crate::srcheck::{check_all, host_conformance, AcceptSet, SrViolation};
 use crate::syntax::SyntaxOracle;
 use crate::transport::Transport;
 use crate::verdict::{PairMatrix, Verdicts};
@@ -99,6 +99,11 @@ pub struct CaseRecord {
     pub findings: Vec<Finding>,
     /// Degradation divergences from the final attempt.
     pub degradations: Vec<DegradationFinding>,
+    /// Which engine profiles accepted the case's first message, as the
+    /// final attempt recorded it; `None` when that is unknown. Never
+    /// persisted: a record read back from a checkpoint has none, and the
+    /// SR checks interpret such a case again.
+    pub accepts: Option<AcceptSet>,
     /// Everything the case recorded through `hdiff_obs` while it ran
     /// (spans, counters, histograms — and trace events when tracing),
     /// holding only the metrics the case touched. Travels with the record
@@ -238,7 +243,7 @@ pub struct DiffEngine {
     pub stop_after_chunks: Option<usize>,
     /// Optional grammar-conformance oracle. When set, HoT findings carry
     /// per-view `Host` validity verdicts and the summary includes
-    /// [`check_host_conformance`] violations.
+    /// [`crate::check_host_conformance`] violations.
     pub syntax_oracle: Option<SyntaxOracle>,
     /// Grammar coverage reached while generating the corpus, carried into
     /// every [`RunSummary`] this engine produces. The engine itself never
@@ -347,16 +352,25 @@ impl DiffEngine {
     /// Table I verdicts, grammar coverage). Every run ends here, and so
     /// does the fleet supervisor merging per-shard checkpoints, so its
     /// result is identical to running `cases` directly.
+    ///
+    /// Host conformance reads the accept set each record holds and
+    /// interprets only the cases without one (faulted, quarantined, or
+    /// read back from a checkpoint), so the violations do not depend on
+    /// how the campaign ran.
     pub fn summarize_records(
         &self,
         cases: &[TestCase],
         completed: BTreeMap<u64, CaseRecord>,
     ) -> RunSummary {
+        // The accept sets in corpus order, kept past the fold that
+        // consumes the records.
+        let accepts: Vec<Option<AcceptSet>> =
+            cases.iter().map(|c| completed.get(&c.uuid).and_then(|r| r.accepts)).collect();
         let mut summary =
             fold_records(cases, |c| c.uuid, completed, &self.base_telemetry, self.transport);
         summary.sr_violations = check_all(&self.profiles, cases);
         if let Some(oracle) = &self.syntax_oracle {
-            summary.sr_violations.extend(check_host_conformance(oracle, &self.profiles, cases));
+            summary.sr_violations.extend(host_conformance(oracle, &self.profiles, cases, &accepts));
         }
         summary.verdicts = Verdicts::from_findings(&summary.findings, &self.profiles);
         summary.coverage = self.grammar_coverage;
@@ -410,6 +424,7 @@ impl DiffEngine {
             replayed: outcome.chains.iter().any(|c| !c.replays.is_empty()),
             findings: detect_case_with_oracle(&self.profiles, &outcome, oracle),
             degradations: detect_degradation(&outcome),
+            accepts: AcceptSet::recorded(&self.profiles, &outcome),
             budget_exhausted: outcome.budget_exhausted,
             fault_events: outcome.fault_events,
         })
@@ -422,6 +437,7 @@ impl DiffEngine {
 pub struct Attempt {
     pub findings: Vec<Finding>,
     pub degradations: Vec<DegradationFinding>,
+    pub accepts: Option<AcceptSet>,
     /// Faults that fired; a transient one makes the runner retry.
     pub fault_events: Vec<FaultEvent>,
     pub budget_exhausted: bool,
@@ -545,6 +561,7 @@ pub fn run_case<C, E: fmt::Display>(
             record.replayed = done.replayed;
             record.findings = done.findings;
             record.degradations = done.degradations;
+            record.accepts = done.accepts;
             return record;
         }
     });

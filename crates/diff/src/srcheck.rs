@@ -5,15 +5,19 @@
 //! needed. A test case translated from an SR carries assertions; this
 //! module evaluates them against one product's behavior.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::num::NonZeroU16;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use hdiff_gen::{Assertion, TestCase};
-use hdiff_servers::{interpret, ParserProfile, Proxy};
+use hdiff_servers::{interpret, Interpretation, Outcome, ParserProfile};
 use hdiff_sr::{Modality, Role};
 
 use crate::names::Name;
 use crate::syntax::SyntaxOracle;
+use crate::workflow::CaseOutcome;
 
 /// One observed violation of an SR assertion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +72,7 @@ pub enum Observed {
     /// `cache stores error responses`.
     CachesErrors,
     /// `accepted ({status}) despite invalid host {host:?}`, with the host
-    /// value as (lossy) UTF-8, shared by the case's violations.
+    /// value as (lossy) UTF-8, shared by every violation naming it.
     AcceptedInvalidHost {
         /// The status the implementation answered with.
         status: u16,
@@ -118,8 +122,46 @@ fn roles_of(profile: &ParserProfile) -> Vec<Role> {
     roles
 }
 
-fn assertion_binds(assertion: &Assertion, profile: &ParserProfile) -> bool {
-    roles_of(profile).into_iter().any(|r| assertion.role.applies_to(r))
+/// [`interpret`], with a parser that panics read as no interpretation.
+/// SR checks run after the campaign, outside the per-case quarantine, so
+/// a crash-prone profile contributes no violation instead of ending the
+/// run.
+fn interpret_guarded(profile: &ParserProfile, bytes: &[u8]) -> Option<Interpretation> {
+    panic::catch_unwind(AssertUnwindSafe(|| interpret(profile, bytes))).ok()
+}
+
+/// Which of an engine's profiles accepted a case's first message, as the
+/// campaign recorded it: bit `i` stands for profile `i`. The top bit marks
+/// the set as known, so a set is never zero and `Option<AcceptSet>` takes
+/// two bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AcceptSet(NonZeroU16);
+
+impl AcceptSet {
+    /// How many profiles a set can describe.
+    const CAPACITY: usize = 15;
+
+    /// The set `outcome` recorded over `profiles`, read from each
+    /// profile's [`CaseOutcome::recorded`] interpretation. `None` when a
+    /// profile recorded none or there are more than 15 profiles.
+    /// Interprets nothing.
+    pub fn recorded(profiles: &[ParserProfile], outcome: &CaseOutcome) -> Option<AcceptSet> {
+        if profiles.len() > Self::CAPACITY {
+            return None;
+        }
+        let mut bits = 1u16 << Self::CAPACITY;
+        for (i, profile) in profiles.iter().enumerate() {
+            if outcome.recorded(&profile.name)?.outcome.is_accept() {
+                bits |= 1 << i;
+            }
+        }
+        NonZeroU16::new(bits).map(AcceptSet)
+    }
+
+    /// Whether profile `i` accepted.
+    pub fn accepts(self, i: usize) -> bool {
+        i < Self::CAPACITY && self.0.get() & (1 << i) != 0
+    }
 }
 
 /// Checks one test case's assertions against one implementation.
@@ -130,15 +172,23 @@ pub fn check_assertions(profile: &ParserProfile, case: &TestCase) -> Vec<SrViola
 }
 
 /// Checks `case`'s assertions against each of `profiles` in turn,
-/// appending the violations to `out`. An assertion's allowed statuses are
+/// appending the violations to `out`. Each profile the assertions bind
+/// interprets the request once; an assertion's allowed statuses are
 /// copied once, for the first violation of it, and shared by the rest.
 fn check_case(profiles: &[ParserProfile], case: &TestCase, out: &mut Vec<SrViolation>) {
     let bytes = case.request.to_bytes();
     let mut allowed: Vec<Option<Arc<[u16]>>> = vec![None; case.assertions.len()];
     for profile in profiles {
+        let roles = roles_of(profile);
+        let binds = |assertion: &Assertion| roles.iter().any(|r| assertion.role.applies_to(*r));
+        if !case.assertions.iter().any(binds) {
+            continue;
+        }
+        let Some(i) = interpret_guarded(profile, &bytes) else { continue };
+        let status = i.outcome.status();
         let implementation = Name::intern(&profile.name);
         for (assertion, shared) in case.assertions.iter().zip(&mut allowed) {
-            if !assertion_binds(assertion, profile) {
+            if !binds(assertion) {
                 continue;
             }
             let violation = |expected, observed, code_mismatch_only| SrViolation {
@@ -149,8 +199,6 @@ fn check_case(profiles: &[ParserProfile], case: &TestCase, out: &mut Vec<SrViola
                 observed,
                 code_mismatch_only,
             };
-            let i = interpret(profile, &bytes);
-            let status = i.outcome.status();
 
             // Status expectation.
             let statuses = &assertion.expect.allowed_status;
@@ -165,13 +213,10 @@ fn check_case(profiles: &[ParserProfile], case: &TestCase, out: &mut Vec<SrViola
                 ));
             }
 
-            // Forwarding expectation (proxies only).
-            if assertion.expect.must_not_forward && profile.is_proxy() {
-                let proxy = Proxy::new(profile.clone());
-                let r = proxy.forward(&bytes);
-                if r.action.forwarded().is_some() {
-                    out.push(violation(Expected::NotForwarded, Observed::Forwarded, false));
-                }
+            // Forwarding expectation (proxies only): a proxy forwards
+            // exactly the messages it accepts.
+            if assertion.expect.must_not_forward && profile.is_proxy() && i.outcome.is_accept() {
+                out.push(violation(Expected::NotForwarded, Observed::Forwarded, false));
             }
 
             // Cache expectation (proxies only): the profile must not be
@@ -198,34 +243,60 @@ fn check_case(profiles: &[ParserProfile], case: &TestCase, out: &mut Vec<SrViola
 /// "invalid" verdict; any implementation that *accepts* such a request
 /// violates the requirement. Requests without a Host header, with a
 /// syntactically valid one, or where the oracle has no verdict produce
-/// nothing.
+/// nothing. Every invalid-Host case is interpreted under each profile;
+/// a campaign's summary reads instead the accept sets its records hold
+/// ([`crate::DiffEngine::summarize_records`]).
 pub fn check_host_conformance(
     oracle: &SyntaxOracle,
     profiles: &[ParserProfile],
     cases: &[TestCase],
 ) -> Vec<SrViolation> {
+    host_conformance(oracle, profiles, cases, &[])
+}
+
+/// [`check_host_conformance`], reading which profiles accepted
+/// `cases[i]` from `recorded[i]` when the campaign recorded that, and
+/// interpreting the case under every profile otherwise (a `None` entry,
+/// or none at all). Each distinct Host value is judged once, and its
+/// text allocated once for every violation that names it.
+pub(crate) fn host_conformance(
+    oracle: &SyntaxOracle,
+    profiles: &[ParserProfile],
+    cases: &[TestCase],
+    recorded: &[Option<AcceptSet>],
+) -> Vec<SrViolation> {
     let sr_id = Name::intern("rfc7230:host-abnf");
+    let names: Vec<Name> = profiles.iter().map(|p| Name::intern(&p.name)).collect();
+    // Host value → its text when the value is invalid.
+    let mut judged: HashMap<&[u8], Option<Arc<str>>> = HashMap::new();
     let mut out = Vec::new();
-    for case in cases {
+    for (at, case) in cases.iter().enumerate() {
         let Some(host) = case.request.host() else { continue };
-        if oracle.conforms("Host", host) != Some(false) {
-            continue;
-        }
-        let bytes = case.request.to_bytes();
-        let mut shared_host: Option<Arc<str>> = None;
-        for profile in profiles {
-            let i = interpret(profile, &bytes);
-            if !i.outcome.is_accept() {
+        let invalid = judged.entry(host).or_insert_with(|| {
+            let invalid = oracle.conforms("Host", host) == Some(false);
+            invalid.then(|| String::from_utf8_lossy(host).into())
+        });
+        let Some(host) = invalid else { continue };
+        let set = recorded.get(at).copied().flatten();
+        let mut bytes = None;
+        for (i, (profile, &implementation)) in profiles.iter().zip(&names).enumerate() {
+            let accepted = match set {
+                Some(set) => set.accepts(i),
+                None => {
+                    let bytes = bytes.get_or_insert_with(|| case.request.to_bytes());
+                    interpret_guarded(profile, bytes).is_some_and(|r| r.outcome.is_accept())
+                }
+            };
+            if !accepted {
                 continue;
             }
-            let host = shared_host.get_or_insert_with(|| String::from_utf8_lossy(host).into());
             out.push(SrViolation {
-                implementation: Name::intern(&profile.name),
+                implementation,
                 sr_id,
                 modality: Modality::Must,
                 expected: Expected::HostRejected,
                 observed: Observed::AcceptedInvalidHost {
-                    status: i.outcome.status(),
+                    status: Outcome::Accept.status(),
                     host: Arc::clone(host),
                 },
                 code_mismatch_only: false,
@@ -323,6 +394,74 @@ mod tests {
 
         let clean = TestCase::generated(2, Request::get("example.com"), "clean host");
         assert!(check_host_conformance(&oracle, &products, &[clean]).is_empty());
+    }
+
+    #[test]
+    fn a_proxy_forwards_exactly_the_messages_it_accepts() {
+        // What lets the must-not-forward check read the interpretation
+        // instead of forwarding.
+        for entry in hdiff_gen::catalog::catalog() {
+            for (request, note) in &entry.requests {
+                let bytes = request.to_bytes();
+                for profile in hdiff_servers::proxies() {
+                    let accepted = interpret(&profile, &bytes).outcome.is_accept();
+                    let proxy = hdiff_servers::Proxy::new(profile.clone());
+                    let forwarded = proxy.forward(&bytes).action.forwarded().is_some();
+                    assert_eq!(forwarded, accepted, "{} on {} ({note})", profile.name, entry.id);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_parser_contributes_no_violation() {
+        let mut crashd = ParserProfile::strict("crashd");
+        crashd.always_panic = true;
+        let mut b = Request::builder();
+        b.header("Host", "h1.com, h2.com");
+        let case = sr_case(b.build(), Role::Recipient, RoleAction::Respond(400));
+        assert!(check_assertions(&crashd, &case).is_empty());
+
+        // Without a recorded accept set every profile is interpreted; the
+        // panicking one drops out and the others still report.
+        let grammar = hdiff_analyzer::DocumentAnalyzer::with_default_inputs()
+            .analyze(&hdiff_corpus::core_documents())
+            .grammar;
+        let oracle = crate::syntax::SyntaxOracle::new(&grammar);
+        let mut profiles = hdiff_servers::products();
+        let reference = check_host_conformance(&oracle, &profiles, std::slice::from_ref(&case));
+        assert!(!reference.is_empty());
+        profiles.insert(0, crashd);
+        let with_crashd = check_host_conformance(&oracle, &profiles, &[case]);
+        assert_eq!(with_crashd, reference);
+    }
+
+    #[test]
+    fn host_conformance_reads_a_recorded_set_instead_of_interpreting() {
+        let grammar = hdiff_analyzer::DocumentAnalyzer::with_default_inputs()
+            .analyze(&hdiff_corpus::core_documents())
+            .grammar;
+        let oracle = crate::syntax::SyntaxOracle::new(&grammar);
+        let products = hdiff_servers::products();
+        let mut b = Request::builder();
+        b.header("Host", "h1.com, h2.com");
+        let case = TestCase::generated(1, b.build(), "comma-joined hosts");
+        let outcome = crate::workflow::Workflow::standard().run_case(&case);
+        let set = AcceptSet::recorded(&products, &outcome).expect("every product recorded one");
+        let cases = std::slice::from_ref(&case);
+        let recorded = host_conformance(&oracle, &products, cases, &[Some(set)]);
+        assert!(!recorded.is_empty());
+        assert_eq!(recorded, check_host_conformance(&oracle, &products, cases));
+
+        // A set stands for what the campaign saw: a known set naming no
+        // accepting profile yields no violation.
+        let none = AcceptSet(NonZeroU16::new(1 << AcceptSet::CAPACITY).unwrap());
+        assert!(host_conformance(&oracle, &products, cases, &[Some(none)]).is_empty());
+        // An outcome that recorded nothing has no set.
+        let mut silenced = outcome;
+        silenced.direct.clear();
+        silenced.chains.clear();
+        assert_eq!(AcceptSet::recorded(&products, &silenced), None);
     }
 
     #[test]

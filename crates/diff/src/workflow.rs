@@ -32,7 +32,9 @@ use hdiff_net::{AsyncTestbed, NetError};
 use hdiff_servers::cache::StoreDecision;
 use hdiff_servers::fault::{FaultEvent, FaultKind, FaultSession, FaultStage};
 use hdiff_servers::response_path::{relay_response, RelayAction};
-use hdiff_servers::{ParserProfile, Proxy, ProxyResult, Server, ServerReply, ORIGIN_HOP};
+use hdiff_servers::{
+    Interpretation, ParserProfile, Proxy, ProxyResult, Server, ServerReply, ORIGIN_HOP,
+};
 
 use crate::transport::{run_owned_tcp_async, Transport};
 
@@ -108,6 +110,20 @@ pub struct CaseOutcome {
     pub fault_events: Vec<FaultEvent>,
     /// Whether the per-case step budget ran out mid-case.
     pub budget_exhausted: bool,
+}
+
+impl CaseOutcome {
+    /// The interpretation the implementation `name` recorded of the
+    /// case's first message: its first direct reply as a back-end, else
+    /// its first result as a proxy. `None` when it recorded none: it is
+    /// not in the testbed, or a fault silenced it before it parsed.
+    pub fn recorded(&self, name: &str) -> Option<&Interpretation> {
+        let direct = self.direct.iter().find(|(n, _)| n == name);
+        direct.and_then(|(_, replies)| replies.first()).map(|r| &r.interpretation).or_else(|| {
+            let chain = self.chains.iter().find(|c| c.proxy == name);
+            chain.and_then(|c| c.proxy_results.first()).map(|r| &r.interpretation)
+        })
+    }
 }
 
 /// The workflow driver.

@@ -7,7 +7,7 @@
 use std::sync::Once;
 
 use hdiff::diff::{
-    DiffEngine, FindingContext, MinimizeOptions, Workflow, MAX_RETRIES, STEP_BUDGET,
+    DiffEngine, FindingContext, MinimizeOptions, SyntaxOracle, Workflow, MAX_RETRIES, STEP_BUDGET,
 };
 use hdiff::gen::{catalog, Origin, TestCase};
 use hdiff::servers::fault::{FaultInjector, FaultKind, FaultPlan, FaultSession, FaultStage};
@@ -82,6 +82,30 @@ fn campaign_with_panicking_profile_completes_with_quarantine_and_retries() {
     for uuid in &summary.quarantined {
         assert!(cases.iter().any(|c| c.uuid == *uuid));
     }
+}
+
+#[test]
+fn sr_checks_leave_out_the_panicking_profile_instead_of_panicking() {
+    // `hdiff run` always sets the syntax oracle, whose Host checks run
+    // after the campaign: the panicking profile must drop out there too.
+    quiet_panics();
+    let cases = catalog_cases();
+    let grammar = hdiff::analyzer::DocumentAnalyzer::with_default_inputs()
+        .analyze(&hdiff::corpus::core_documents())
+        .grammar;
+    let oracle = SyntaxOracle::new(&grammar);
+    let mut engine = hostile_engine(0xca);
+    engine.syntax_oracle = Some(oracle.clone());
+    let summary = engine.run(&cases);
+    assert_eq!(summary.cases, cases.len());
+    assert!(!summary.quarantined.is_empty(), "panicking cases are quarantined");
+
+    let mut calm = DiffEngine::new(hdiff::servers::proxies(), hdiff::servers::backends());
+    calm.fault_plan = FaultPlan::new(0xca, 20);
+    calm.syntax_oracle = Some(oracle);
+    let reference = calm.run(&cases).sr_violations;
+    assert!(!reference.is_empty(), "some product accepts an invalid catalog Host");
+    assert_eq!(summary.sr_violations, reference);
 }
 
 #[test]
