@@ -10,7 +10,7 @@
 use std::sync::LazyLock;
 
 use hdiff_gen::AttackClass;
-use hdiff_servers::{interpret, Interpretation, Outcome, ParserProfile};
+use hdiff_servers::{interpret, Interpretation, Outcome, ParserProfile, RejectReason};
 
 /// What kind of deviation from the baseline was observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,34 +50,57 @@ pub(crate) fn strict_baseline() -> &'static ParserProfile {
     &BASELINE
 }
 
-/// Classifies a baseline rejection reason (plus the message bytes) into
-/// the attack class a lenient acceptance of it evidences.
-fn classify_reason(reason: &str, bytes: &[u8]) -> AttackClass {
-    let r = reason.to_ascii_lowercase();
-    let lower: Vec<u8> = bytes.to_ascii_lowercase();
-    let has = |needle: &[u8]| lower.windows(needle.len()).any(|w| w == needle);
-
-    if r.contains("content-length")
-        || r.contains("transfer")
-        || r.contains("chunk")
-        || r.contains("body")
-    {
-        return AttackClass::Hrs;
-    }
-    if r.contains("host") {
-        return AttackClass::Hot;
-    }
-    if r.contains("version") || r.contains("expect") || r.contains("0.9") {
-        return AttackClass::Cpdos;
-    }
-    // Generic reasons (whitespace before colon, invalid header name):
-    // decide by what the message is actually smuggling.
-    if has(b"transfer-encoding") || has(b"content-length") {
-        AttackClass::Hrs
-    } else if has(b"host") {
-        AttackClass::Hot
-    } else {
-        AttackClass::Cpdos
+/// Classifies a baseline rejection (plus the message bytes) into the
+/// attack class a lenient acceptance of it evidences.
+fn classify_reason(reason: &RejectReason, bytes: &[u8]) -> AttackClass {
+    use RejectReason as R;
+    match reason {
+        // Content-Length, Transfer-Encoding, chunked and body rules. An
+        // expectation on a bodyless request is judged as a body rule.
+        R::InvalidContentLength(_)
+        | R::DifferingContentLengthList
+        | R::UnparseableContentLength(_)
+        | R::MultipleContentLength
+        | R::DifferingContentLength
+        | R::UnknownTransferCoding(_)
+        | R::EmptyTransferEncoding
+        | R::FinalCodingNotChunked
+        | R::ChunkedAppliedTwice
+        | R::ChunkedUnder10
+        | R::ClWithTe
+        | R::BodyOnGetHead
+        | R::ExpectOnBodyless
+        | R::BodyShorterThanCl
+        | R::Chunked(_) => AttackClass::Hrs,
+        R::MultipleHost | R::MissingHost | R::BadHost(_) | R::HostMismatch | R::InvalidHost => {
+            AttackClass::Hot
+        }
+        R::InvalidVersion
+        | R::Http09Unsupported
+        | R::MajorVersionUnsupported
+        | R::UnknownExpectation => AttackClass::Cpdos,
+        // Generic reasons (whitespace before colon, invalid header name):
+        // decide by what the message is actually smuggling.
+        R::NoRequestLineTerminator
+        | R::MalformedRequestLine
+        | R::InvalidMethod
+        | R::HeaderSectionUnterminated
+        | R::HeaderSectionTooLarge
+        | R::ObsFold
+        | R::LeadingWhitespace
+        | R::HeaderLineWithoutColon
+        | R::WhitespaceBeforeColon
+        | R::InvalidHeaderName => {
+            let has =
+                |needle: &[u8]| bytes.windows(needle.len()).any(|w| w.eq_ignore_ascii_case(needle));
+            if has(b"transfer-encoding") || has(b"content-length") {
+                AttackClass::Hrs
+            } else if has(b"host") {
+                AttackClass::Hot
+            } else {
+                AttackClass::Cpdos
+            }
+        }
     }
 }
 
@@ -126,9 +149,118 @@ pub fn deviations_from_strict(profile: &ParserProfile, bytes: &[u8]) -> Vec<Devi
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hdiff_servers::{product, ProductId};
+    use hdiff_wire::uri::HostError;
+    use hdiff_wire::{ByteView, ChunkedError};
+
+    /// Every reject reason the engine gives, the quoting ones quoting
+    /// words the text searches looked for.
+    pub(crate) fn every_reason() -> Vec<RejectReason> {
+        use RejectReason as R;
+        let quote = |text: &str| ByteView::from(text.as_bytes());
+        let mut reasons = vec![
+            R::NoRequestLineTerminator,
+            R::MalformedRequestLine,
+            R::InvalidMethod,
+            R::InvalidVersion,
+            R::Http09Unsupported,
+            R::MajorVersionUnsupported,
+            R::HeaderSectionUnterminated,
+            R::HeaderSectionTooLarge,
+            R::ObsFold,
+            R::LeadingWhitespace,
+            R::HeaderLineWithoutColon,
+            R::WhitespaceBeforeColon,
+            R::InvalidHeaderName,
+            R::MultipleHost,
+            R::MissingHost,
+            R::HostMismatch,
+            R::InvalidHost,
+            R::InvalidContentLength(quote("host 0.9")),
+            R::DifferingContentLengthList,
+            R::UnparseableContentLength(quote("expect")),
+            R::MultipleContentLength,
+            R::DifferingContentLength,
+            R::UnknownTransferCoding(quote("host")),
+            R::EmptyTransferEncoding,
+            R::FinalCodingNotChunked,
+            R::ChunkedAppliedTwice,
+            R::ChunkedUnder10,
+            R::ClWithTe,
+            R::BodyOnGetHead,
+            R::UnknownExpectation,
+            R::ExpectOnBodyless,
+            R::BodyShorterThanCl,
+        ];
+        for reason in [
+            "empty host value",
+            "comma in host value",
+            "at sign in host value",
+            "slash in host value",
+        ] {
+            reasons.push(R::BadHost(HostError { reason }));
+        }
+        for error in [
+            ChunkedError::InvalidSize(b"host".to_vec()),
+            ChunkedError::SizeOverflow(b"1".to_vec()),
+            ChunkedError::InvalidExtension(b";version".to_vec()),
+            ChunkedError::Truncated,
+            ChunkedError::MissingDataCrlf,
+            ChunkedError::NulInData,
+        ] {
+            reasons.push(R::Chunked(error));
+        }
+        reasons
+    }
+
+    /// The text search [`classify_reason`] replaced.
+    fn old_classify_reason(reason: &str, bytes: &[u8]) -> AttackClass {
+        let r = reason.to_ascii_lowercase();
+        let lower: Vec<u8> = bytes.to_ascii_lowercase();
+        let has = |needle: &[u8]| lower.windows(needle.len()).any(|w| w == needle);
+        if r.contains("content-length")
+            || r.contains("transfer")
+            || r.contains("chunk")
+            || r.contains("body")
+        {
+            return AttackClass::Hrs;
+        }
+        if r.contains("host") {
+            return AttackClass::Hot;
+        }
+        if r.contains("version") || r.contains("expect") || r.contains("0.9") {
+            return AttackClass::Cpdos;
+        }
+        if has(b"transfer-encoding") || has(b"content-length") {
+            AttackClass::Hrs
+        } else if has(b"host") {
+            AttackClass::Hot
+        } else {
+            AttackClass::Cpdos
+        }
+    }
+
+    #[test]
+    fn every_reason_classifies_as_its_text_did() {
+        let messages: [&[u8]; 4] = [
+            b"GET / HTTP/1.1\r\n\r\n",
+            b"GET / HTTP/1.1\r\nHOST: h\r\n\r\n",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n",
+            b"POST / HTTP/1.1\r\nHost: h\r\ncontent-LENGTH: 3\r\n\r\n",
+        ];
+        for reason in every_reason() {
+            for bytes in messages {
+                assert_eq!(
+                    classify_reason(&reason, bytes),
+                    old_classify_reason(&reason.to_string(), bytes),
+                    "{reason:?} on {:?}",
+                    String::from_utf8_lossy(bytes)
+                );
+            }
+        }
+    }
 
     #[test]
     fn iis_ws_colon_is_a_lenient_hrs_deviation() {

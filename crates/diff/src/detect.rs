@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use hdiff_gen::AttackClass;
 use hdiff_servers::fault::FaultKind;
-use hdiff_servers::{interpret, Interpretation, Outcome, ParserProfile};
+use hdiff_servers::{interpret, Interpretation, Outcome, ParserProfile, RejectReason};
 
 use crate::baseline::{deviations, strict_baseline, Deviation, DeviationKind};
 use crate::findings::{Culprits, Evidence, Finding, FramingDeviation, HostViews};
@@ -105,18 +105,18 @@ pub fn detect_case(profiles: &[ParserProfile], outcome: &CaseOutcome) -> Vec<Fin
 }
 
 /// What one case's findings share, each allocated once per case: the
-/// origin, every distinct reason text, and every distinct pair of host
-/// views.
+/// origin, the text of every distinct reject reason, and every distinct
+/// pair of host views.
 struct Shared<'a> {
     origin_text: &'a str,
     origin: Option<Arc<str>>,
-    texts: Vec<Arc<str>>,
+    reasons: Vec<(&'a RejectReason, Arc<str>)>,
     views: Vec<(&'a [u8], &'a [u8], Arc<HostViews>)>,
 }
 
 impl<'a> Shared<'a> {
     fn new(origin_text: &'a str) -> Shared<'a> {
-        Shared { origin_text, origin: None, texts: Vec::new(), views: Vec::new() }
+        Shared { origin_text, origin: None, reasons: Vec::new(), views: Vec::new() }
     }
 
     fn origin(&mut self) -> Arc<str> {
@@ -124,13 +124,14 @@ impl<'a> Shared<'a> {
         Arc::clone(self.origin.get_or_insert_with(|| text.into()))
     }
 
-    fn text(&mut self, text: &str) -> Arc<str> {
-        if let Some(known) = self.texts.iter().find(|t| t.as_ref() == text) {
+    /// The rendered text of `reason`.
+    fn reason(&mut self, reason: &'a RejectReason) -> Arc<str> {
+        if let Some((_, known)) = self.reasons.iter().find(|(r, _)| *r == reason) {
             return Arc::clone(known);
         }
-        let shared: Arc<str> = text.into();
-        self.texts.push(Arc::clone(&shared));
-        shared
+        let text: Arc<str> = reason.to_string().into();
+        self.reasons.push((reason, Arc::clone(&text)));
+        text
     }
 
     fn host_views(
@@ -213,7 +214,7 @@ pub fn detect_case_with_oracle(
             let evidence = match dev.kind {
                 DeviationKind::LenientAccept => {
                     let Outcome::Reject { reason, .. } = &baseline.outcome else { continue };
-                    Evidence::LenientAccept { name, reason: shared.text(reason) }
+                    Evidence::LenientAccept { name, reason: shared.reason(reason) }
                 }
                 DeviationKind::Framing => Evidence::Framing(Box::new(FramingDeviation {
                     name,
@@ -318,15 +319,15 @@ pub fn detect_case_with_oracle(
             // HRS: framing-related rejection of a forwarded message the
             // proxy accepted.
             if let Outcome::Reject { status, reason } = &first_reply.interpretation.outcome {
-                if ["content-length", "transfer", "chunk", "body shorter"]
-                    .iter()
-                    .any(|needle| contains_ignore_case(reason, needle))
-                {
+                if is_framing_reject(reason) {
                     findings.push(pair(
                         AttackClass::Hrs,
                         shared.origin(),
                         pair_culprits(),
-                        Evidence::FramingRejected { status: *status, reason: shared.text(reason) },
+                        Evidence::FramingRejected {
+                            status: *status,
+                            reason: shared.reason(reason),
+                        },
                     ));
                 }
             }
@@ -346,11 +347,25 @@ pub fn detect_case_with_oracle(
     findings
 }
 
-/// Whether `haystack` contains the lowercase ASCII `needle` in any ASCII
-/// case: `haystack.to_ascii_lowercase().contains(needle)` without the
-/// lowercased copy.
-fn contains_ignore_case(haystack: &str, needle: &str) -> bool {
-    haystack.as_bytes().windows(needle.len()).any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+/// Whether a rejection is on framing grounds: a Content-Length,
+/// Transfer-Encoding or chunked rule, or a body shorter than announced.
+fn is_framing_reject(reason: &RejectReason) -> bool {
+    matches!(
+        reason,
+        RejectReason::InvalidContentLength(_)
+            | RejectReason::DifferingContentLengthList
+            | RejectReason::UnparseableContentLength(_)
+            | RejectReason::MultipleContentLength
+            | RejectReason::DifferingContentLength
+            | RejectReason::UnknownTransferCoding(_)
+            | RejectReason::EmptyTransferEncoding
+            | RejectReason::FinalCodingNotChunked
+            | RejectReason::ChunkedAppliedTwice
+            | RejectReason::ChunkedUnder10
+            | RejectReason::ClWithTe
+            | RejectReason::BodyShorterThanCl
+            | RejectReason::Chunked(_)
+    )
 }
 
 #[cfg(test)]
@@ -477,5 +492,16 @@ mod tests {
             .collect();
         assert!(hrs_culprits.contains("squid"), "{findings:?}");
         assert!(hrs_culprits.contains("haproxy"), "{findings:?}");
+    }
+
+    #[test]
+    fn framing_rejects_are_the_reasons_the_text_search_found() {
+        for reason in crate::baseline::tests::every_reason() {
+            let text = reason.to_string().to_ascii_lowercase();
+            let searched = ["content-length", "transfer", "chunk", "body shorter"]
+                .iter()
+                .any(|needle| text.contains(needle));
+            assert_eq!(is_framing_reject(&reason), searched, "{reason:?}");
+        }
     }
 }

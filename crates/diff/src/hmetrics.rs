@@ -6,8 +6,8 @@
 //! One vector summarizes one implementation's observable behavior on one
 //! request; detection rules are predicates over sets of vectors.
 
-use hdiff_servers::{FramingChoice, Interpretation};
-use hdiff_wire::ascii;
+use hdiff_servers::{Decision, FramingChoice, Interpretation};
+use hdiff_wire::{ascii, ByteView};
 
 /// The behavior vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,17 +21,17 @@ pub struct HMetrics {
     /// Whether the message was accepted.
     pub accepted: bool,
     /// The host identity the implementation acted on.
-    pub host: Option<Vec<u8>>,
+    pub host: Option<ByteView>,
     /// The body payload as understood.
-    pub data: Vec<u8>,
+    pub data: ByteView,
     /// The framing decision, when accepted.
     pub framing: Option<FramingChoice>,
     /// Bytes consumed from the stream.
     pub consumed: usize,
     /// Whether message repair fired (chunk rewrites etc.).
     pub repaired: bool,
-    /// Diagnostic notes (log lines).
-    pub notes: Vec<String>,
+    /// The decisions the implementation logged.
+    pub notes: Vec<Decision>,
 }
 
 impl HMetrics {

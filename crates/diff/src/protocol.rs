@@ -244,7 +244,7 @@ pub fn run_protocol_campaign(
         }
     }
 
-    let run = fold_records(&cases, uuid, completed, &Default::default(), p.transport());
+    let run = fold_records(&cases, uuid, completed, &Default::default(), p.transport(), |_| {});
     let classes: BTreeSet<String> = run.findings.iter().filter_map(|f| p.finding_tag(f)).collect();
     Ok(ProtocolSummary { run, classes: classes.into_iter().collect(), promoted })
 }
@@ -393,7 +393,7 @@ mod tests {
             assert_eq!(resumed.len(), 3, "threads={threads}");
             drive(&driver, &cases, |c| c.0, attempt, &mut resumed, Some(&path), generation)
                 .unwrap();
-            let summary = fold_records(&cases, |c| c.0, resumed, &Default::default(), Sim);
+            let summary = fold_records(&cases, |c| c.0, resumed, &Default::default(), Sim, |_| {});
 
             let opts = ProtocolCampaignOptions { threads, promote_dir: None };
             let uninterrupted = run_protocol_campaign(&fragile, &opts).unwrap().run;

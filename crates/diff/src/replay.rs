@@ -15,11 +15,12 @@
 //! per Table II catalog vector, built by [`regen_golden`] — is the
 //! regression gate: `hdiff replay tests/golden` must stay green.
 
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use hdiff_servers::fault::{FaultInjector, FaultPlan, FaultSession};
-use hdiff_servers::ParserProfile;
+use hdiff_servers::{FramingChoice, Interpretation, ParserProfile};
 
 use crate::checkpoint::{data_err, read_finding, write_finding};
 use crate::detect::detect_case_with_oracle;
@@ -27,7 +28,6 @@ use crate::downgrade::{
     detect_downgrade, downgrade_digests, DowngradeProtocol, DowngradeWorkflow, Frontend,
 };
 use crate::findings::Finding;
-use crate::hmetrics::HMetrics;
 use crate::json::{push_json_str, Json, Parser};
 use crate::minimize::{FindingContext, MinimizeOptions};
 use crate::syntax::SyntaxOracle;
@@ -137,7 +137,7 @@ impl ReplayBundle {
             request: bytes.to_vec(),
             fault,
             findings,
-            digests: digests_of(&outcome),
+            digests: behavior_digests(&outcome),
             transport: Transport::Sim,
             frontend: Frontend::H1,
             protocol: None,
@@ -210,7 +210,7 @@ impl ReplayBundle {
                     self.fault,
                     self.transport,
                 );
-                self.report(&findings, &digests_of(&outcome))
+                self.report(&findings, &behavior_digests(&outcome))
             }
             Frontend::H2 => {
                 let fronts = DowngradeProtocol::new(self.transport)
@@ -506,7 +506,7 @@ fn execute(
 }
 
 // ---------------------------------------------------------------------------
-// HMetrics digests
+// Behavior digests
 // ---------------------------------------------------------------------------
 
 /// FNV-1a 64 running hash: the one digest primitive every workload's
@@ -523,22 +523,53 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    /// Hashes a byte string, length-separated.
-    pub fn write(&mut self, bytes: &[u8]) {
+    /// Mixes bytes in, with no length separator.
+    fn mix(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    /// Hashes a byte string, length-separated.
+    pub fn write(&mut self, bytes: &[u8]) {
+        self.mix(bytes);
         // Length separator: distinguishes ("ab","c") from ("a","bc").
         self.write_u64(bytes.len() as u64);
     }
 
+    /// Hashes the concatenation of `parts` as one length-separated byte
+    /// string, without concatenating them.
+    pub fn write_parts(&mut self, parts: &[&[u8]]) {
+        for part in parts {
+            self.mix(part);
+        }
+        self.write_u64(parts.iter().map(|part| part.len() as u64).sum());
+    }
+
+    /// Hashes the text `value` renders to as one length-separated byte
+    /// string: `write(value.to_string().as_bytes())` without the string.
+    pub fn write_display(&mut self, value: &impl fmt::Display) {
+        struct Text<'a> {
+            hash: &'a mut Fnv,
+            len: u64,
+        }
+        impl fmt::Write for Text<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.hash.mix(s.as_bytes());
+                self.len += s.len() as u64;
+                Ok(())
+            }
+        }
+        let mut text = Text { hash: self, len: 0 };
+        fmt::write(&mut text, format_args!("{value}")).expect("hashing text never fails");
+        let len = text.len;
+        self.write_u64(len);
+    }
+
     /// Hashes a u64 (little-endian bytes).
     pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.mix(&v.to_le_bytes());
     }
 }
 
@@ -548,24 +579,52 @@ impl Default for Fnv {
     }
 }
 
-fn hash_metrics(h: &mut Fnv, m: &HMetrics) {
-    h.write(m.implementation.as_bytes());
-    h.write_u64(u64::from(m.status_code));
-    h.write_u64(u64::from(m.accepted));
-    match &m.host {
+/// Hashes what `implementation` made of one message: outcome, Host,
+/// body, framing, boundary, repair flag and decisions (the fields of its
+/// [`crate::HMetrics`] vector).
+fn hash_interpretation(h: &mut Fnv, implementation: &str, i: &Interpretation) {
+    h.write(implementation.as_bytes());
+    h.write_u64(u64::from(i.outcome.status()));
+    h.write_u64(u64::from(i.outcome.is_accept()));
+    match &i.host {
         None => h.write_u64(0),
         Some(host) => {
             h.write_u64(1);
             h.write(host);
         }
     }
-    h.write(&m.data);
-    h.write(format!("{:?}", m.framing).as_bytes());
-    h.write_u64(m.consumed as u64);
-    h.write_u64(u64::from(m.repaired));
-    for note in &m.notes {
-        h.write(note.as_bytes());
+    h.write(&i.body);
+    hash_framing(h, i.outcome.is_accept().then_some(i.framing));
+    h.write_u64(i.consumed as u64);
+    h.write_u64(u64::from(i.repaired_chunked));
+    for note in &i.notes {
+        h.write_display(note);
     }
+}
+
+/// Hashes `framing` as its `Debug` text, the way the digests have always
+/// spelled it (`None`, `Some(Chunked)`, `Some(ContentLength(3))`, …).
+fn hash_framing(h: &mut Fnv, framing: Option<FramingChoice>) {
+    let mut digits = [0u8; 20];
+    let parts: [&[u8]; 3] = match framing {
+        None => [b"None", b"", b""],
+        Some(FramingChoice::None) => [b"Some(None)", b"", b""],
+        Some(FramingChoice::Chunked) => [b"Some(Chunked)", b"", b""],
+        Some(FramingChoice::ContentLength(n)) => {
+            let mut at = digits.len();
+            let mut n = n;
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (n % 10) as u8;
+                n /= 10;
+                if n == 0 {
+                    break;
+                }
+            }
+            [b"Some(ContentLength(", &digits[at..], b"))"]
+        }
+    };
+    h.write_parts(&parts);
 }
 
 /// Canonical behavior digests for one case outcome: one per direct
@@ -574,18 +633,11 @@ fn hash_metrics(h: &mut Fnv, m: &HMetrics) {
 /// The cross-transport consistency pass compares these digests between a
 /// sim and a TCP execution of the same case.
 pub fn behavior_digests(outcome: &CaseOutcome) -> Vec<(String, u64)> {
-    digests_of(outcome)
-}
-
-fn digests_of(outcome: &CaseOutcome) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(outcome.direct.len() + outcome.chains.len());
     for (backend, replies) in &outcome.direct {
         let mut h = Fnv::new();
         for reply in replies {
-            hash_metrics(
-                &mut h,
-                &HMetrics::from_interpretation(outcome.uuid, backend, &reply.interpretation),
-            );
+            hash_interpretation(&mut h, backend, &reply.interpretation);
             h.write_u64(u64::from(reply.response.status.as_u16()));
         }
         out.push((format!("direct:{backend}"), h.0));
@@ -593,10 +645,7 @@ fn digests_of(outcome: &CaseOutcome) -> Vec<(String, u64)> {
     for chain in &outcome.chains {
         let mut h = Fnv::new();
         for r in &chain.proxy_results {
-            hash_metrics(
-                &mut h,
-                &HMetrics::from_interpretation(outcome.uuid, &chain.proxy, &r.interpretation),
-            );
+            hash_interpretation(&mut h, &chain.proxy, &r.interpretation);
         }
         h.write(&chain.forwarded);
         h.write_u64(chain.forwarded_count as u64);
@@ -604,14 +653,7 @@ fn digests_of(outcome: &CaseOutcome) -> Vec<(String, u64)> {
             h.write(replay.backend.as_bytes());
             h.write_u64(u64::from(replay.cache_stored_error));
             for reply in &replay.replies {
-                hash_metrics(
-                    &mut h,
-                    &HMetrics::from_interpretation(
-                        outcome.uuid,
-                        &replay.backend,
-                        &reply.interpretation,
-                    ),
-                );
+                hash_interpretation(&mut h, &replay.backend, &reply.interpretation);
                 h.write_u64(u64::from(reply.response.status.as_u16()));
             }
         }
@@ -666,6 +708,33 @@ fn pad_with_noise(bytes: &[u8]) -> Vec<u8> {
 mod tests {
     use super::*;
     use hdiff_gen::AttackClass;
+
+    #[test]
+    fn framing_and_text_hash_as_their_rendered_strings() {
+        let written = |text: &str| {
+            let mut h = Fnv::new();
+            h.write(text.as_bytes());
+            h.0
+        };
+        for framing in [
+            None,
+            Some(FramingChoice::None),
+            Some(FramingChoice::Chunked),
+            Some(FramingChoice::ContentLength(0)),
+            Some(FramingChoice::ContentLength(1_234_567)),
+            Some(FramingChoice::ContentLength(u64::MAX)),
+        ] {
+            let mut h = Fnv::new();
+            hash_framing(&mut h, framing);
+            assert_eq!(h.0, written(&format!("{framing:?}")), "{framing:?}");
+        }
+        let mut h = Fnv::new();
+        h.write_display(&format_args!("{} of {:?}", 3, "é"));
+        assert_eq!(h.0, written("3 of \"é\""));
+        let mut h = Fnv::new();
+        h.write_parts(&[b"ab", b"", b"c"]);
+        assert_eq!(h.0, written("abc"));
+    }
 
     fn dual_host() -> Vec<u8> {
         b"GET / HTTP/1.1\r\nHost: h1.com\r\nHost: h2.com\r\n\r\n".to_vec()

@@ -362,12 +362,17 @@ impl DiffEngine {
         cases: &[TestCase],
         completed: BTreeMap<u64, CaseRecord>,
     ) -> RunSummary {
-        // The accept sets in corpus order, kept past the fold that
+        // The accept sets in corpus order, handed out by the fold that
         // consumes the records.
-        let accepts: Vec<Option<AcceptSet>> =
-            cases.iter().map(|c| completed.get(&c.uuid).and_then(|r| r.accepts)).collect();
-        let mut summary =
-            fold_records(cases, |c| c.uuid, completed, &self.base_telemetry, self.transport);
+        let mut accepts: Vec<Option<AcceptSet>> = Vec::with_capacity(cases.len());
+        let mut summary = fold_records(
+            cases,
+            |c| c.uuid,
+            completed,
+            &self.base_telemetry,
+            self.transport,
+            |record| accepts.push(record.and_then(|r| r.accepts)),
+        );
         summary.sr_violations = check_all(&self.profiles, cases);
         if let Some(oracle) = &self.syntax_oracle {
             summary.sr_violations.extend(host_conformance(oracle, &self.profiles, cases, &accepts));
@@ -571,14 +576,16 @@ pub fn run_case<C, E: fmt::Display>(
 
 /// Folds records into a [`RunSummary`] in corpus order, so the result is
 /// the same however (and across how many interruptions) they were made.
-/// Consumes the records; leaves `sr_violations`, `verdicts` and
-/// `coverage` for the caller.
+/// Consumes the records, showing each case's to `visit` first, in corpus
+/// order (`None` for a case without one); leaves `sr_violations`,
+/// `verdicts` and `coverage` for the caller.
 pub(crate) fn fold_records<C>(
     cases: &[C],
     uuid: impl Fn(&C) -> u64,
     mut completed: BTreeMap<u64, CaseRecord>,
     base_telemetry: &hdiff_obs::Telemetry,
     transport: Transport,
+    mut visit: impl FnMut(Option<&CaseRecord>),
 ) -> RunSummary {
     let mut findings = Vec::new();
     let mut degradations = Vec::new();
@@ -597,7 +604,9 @@ pub(crate) fn fold_records<C>(
     let case_span = hdiff_obs::MetricId::span("case");
     let mut slowest: Vec<(u64, u64)> = Vec::new();
     for case in cases {
-        let Some(r) = completed.remove(&uuid(case)) else { continue };
+        let record = completed.remove(&uuid(case));
+        visit(record.as_ref());
+        let Some(r) = record else { continue };
         executed += 1;
         findings.extend(r.findings);
         degradations.extend(r.degradations);

@@ -83,9 +83,7 @@ use hdiff_wire::parse_response;
 use crate::error::NetError;
 use crate::h2front::{self, H2FrontLog};
 use crate::proxy::{NetProxyConfig, ProxyConnLog};
-use crate::server::{
-    apply_reply_fault, is_final, ConnectionLog, NetServerConfig, ServerFault, Teardown,
-};
+use crate::server::{is_final, ConnectionLog, NetServerConfig, ServerFault, Teardown};
 
 use sys::{Epoll, EpollEvent, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use wheel::Wheel;
@@ -1389,7 +1387,10 @@ impl EventLoop {
             }
             let consumed = reply.interpretation.consumed;
             let rejected = !reply.interpretation.outcome.is_accept();
-            let reply = apply_reply_fault(&c.server, fault, reply);
+            let mut reply = reply;
+            if let Some(fault) = fault {
+                c.server.fault_reply(fault.kind(), &mut reply);
+            }
             let wire = reply.response.to_bytes();
             c.out.extend_from_slice(&wire);
             c.bytes_out += wire.len();

@@ -12,8 +12,8 @@
 
 use std::time::Duration;
 
-use hdiff_servers::{Interpretation, Server, ServerReply};
-use hdiff_wire::{Response, StatusCode};
+use hdiff_servers::{FaultKind, Interpretation, Outcome, RejectReason, ServerReply};
+use hdiff_wire::ChunkedError;
 
 /// Mirror of the in-process pipelining cap (see `Server::handle_stream`).
 pub const MAX_MESSAGES: usize = 16;
@@ -35,6 +35,19 @@ pub enum ServerFault {
     /// `Content-Length` header keeps its original value, so the client
     /// sees a genuinely short read).
     TruncateBody,
+}
+
+impl ServerFault {
+    /// The origin fault kind this is the socket-level effect of; its
+    /// effect on a reply is [`hdiff_servers::Server::fault_reply`]'s.
+    pub fn kind(self) -> FaultKind {
+        match self {
+            ServerFault::CloseNoReply => FaultKind::ConnReset,
+            ServerFault::Stall => FaultKind::StallRead,
+            ServerFault::Substitute503 => FaultKind::Transient5xx,
+            ServerFault::TruncateBody => FaultKind::TruncateResponse,
+        }
+    }
 }
 
 /// How a connection ended, recorded per connection.
@@ -94,12 +107,15 @@ impl Default for NetServerConfig {
 /// connection waits for more bytes on them instead of answering early.
 pub fn incomplete_reason(i: &Interpretation) -> bool {
     match &i.outcome {
-        hdiff_servers::Outcome::Accept => false,
-        hdiff_servers::Outcome::Reject { status, reason } => {
+        Outcome::Accept => false,
+        Outcome::Reject { status, reason } => {
             *status == 408
-                || reason.contains("no request line terminator")
-                || reason.contains("header section not terminated")
-                || reason.contains("chunked body truncated")
+                || matches!(
+                    reason,
+                    RejectReason::NoRequestLineTerminator
+                        | RejectReason::HeaderSectionUnterminated
+                        | RejectReason::Chunked(ChunkedError::Truncated)
+                )
         }
     }
 }
@@ -117,29 +133,4 @@ pub(crate) fn is_final(i: &Interpretation, remaining: usize, eof: bool) -> bool 
     } else {
         !incomplete_reason(i)
     }
-}
-
-/// Applies the reply-shaped fault effects exactly the way the in-process
-/// engine does, so recorded replies stay comparable across transports.
-pub(crate) fn apply_reply_fault(
-    server: &Server,
-    fault: Option<ServerFault>,
-    mut reply: ServerReply,
-) -> ServerReply {
-    match fault {
-        Some(ServerFault::Substitute503) => {
-            let mut r = Response::with_body(
-                StatusCode(503),
-                "injected transient upstream error".to_string(),
-            );
-            r.headers.push("Server", server.name());
-            reply.response = r;
-        }
-        Some(ServerFault::TruncateBody) => {
-            let keep = reply.response.body.len() / 2;
-            reply.response.body.truncate(keep);
-        }
-        _ => {}
-    }
-    reply
 }

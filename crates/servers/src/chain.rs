@@ -51,11 +51,15 @@ impl MultiHopResult {
             .hops
             .iter()
             .map(|h| {
-                (h.name.clone(), h.results.first().and_then(|r| r.interpretation.host.clone()))
+                let host = h.results.first().and_then(|r| r.interpretation.host.as_deref());
+                (h.name.clone(), host.map(<[u8]>::to_vec))
             })
             .collect();
         if let Some(reply) = self.origin_replies.first() {
-            out.push(("origin".to_string(), reply.interpretation.host.clone()));
+            out.push((
+                "origin".to_string(),
+                reply.interpretation.host.as_deref().map(<[u8]>::to_vec),
+            ));
         }
         out
     }

@@ -14,7 +14,9 @@
 //!   the RFC-strict default profile.
 //! * [`engine`] — `interpret()`: one request parsed under a profile into
 //!   an [`Interpretation`] (outcome, effective host, framing, consumed
-//!   bytes, notes).
+//!   bytes, decisions), every part a view into one copy of the message.
+//! * [`decision`] — the typed reject reasons and decisions an
+//!   interpretation records.
 //! * [`server`] — origin-server wrapper: pipelined stream handling and
 //!   echo-style responses describing the interpretation.
 //! * [`proxy`] — forwarding wrapper: request-line rewriting, hop-by-hop
@@ -28,6 +30,7 @@
 
 pub mod cache;
 pub mod chain;
+pub mod decision;
 pub mod downgrade;
 pub mod echo;
 pub mod engine;
@@ -40,6 +43,7 @@ pub mod server;
 
 pub use cache::{Cache, CacheKey, CachePolicy};
 pub use chain::{run_multihop, run_multihop_faulted, HopRecord, MultiHopResult};
+pub use decision::{Decision, RejectReason};
 pub use downgrade::{
     fronts, AuthorityPolicy, ClPolicy, DowngradeOutcome, DowngradeProfile, PathPolicy,
     SanitizePolicy, TePolicy,

@@ -9,7 +9,7 @@
 use hdiff_wire::ascii;
 use hdiff_wire::uri::{Authority, RequestTarget};
 use hdiff_wire::version::Version;
-use hdiff_wire::{encode_chunked, Response, StatusCode};
+use hdiff_wire::{encode_chunked, ByteView, Response, StatusCode};
 
 use crate::cache::Cache;
 use crate::engine::{interpret, FramingChoice, Interpretation, Outcome};
@@ -79,7 +79,7 @@ impl Proxy {
         let interpretation = interpret(&self.profile, input);
         match &interpretation.outcome {
             Outcome::Reject { status, reason } => {
-                let mut r = Response::with_body(StatusCode(*status), reason.as_bytes());
+                let mut r = Response::with_body(StatusCode(*status), reason.to_string());
                 r.headers.push("Server", &self.profile.name);
                 ProxyResult { action: ForwardAction::Rejected(r), interpretation }
             }
@@ -158,7 +158,7 @@ impl Proxy {
 
     /// Rebuilds the downstream message per the proxy behavior toggles.
     /// Returns the bytes and the rewritten Host identity, if any.
-    fn rebuild(&self, input: &[u8], i: &Interpretation) -> (Vec<u8>, Option<Vec<u8>>) {
+    fn rebuild(&self, input: &[u8], i: &Interpretation) -> (Vec<u8>, Option<ByteView>) {
         let behavior = self.profile.proxy.as_ref().expect("proxy behavior checked in new");
         // The forwarded message is about the consumed input plus a Via
         // line; sizing for that builds it in one allocation.
@@ -169,7 +169,7 @@ impl Proxy {
         // common origin-form target is forwarded without being copied.
         let authority = RequestTarget::authority_in(&i.target);
         let absolute = authority.map(|_| RequestTarget::classify(&i.target));
-        let uri_host = || authority.map(|a| Authority::parse(a).host.to_ascii_lowercase());
+        let uri_host = || authority.map(|a| lowercase_host(i, a));
         let (origin_form, rewritten_host) = match (&absolute, behavior.rewrite_abs_uri) {
             (Some(t @ RequestTarget::Absolute { .. }), RewriteAbsUri::Always) => {
                 (t.to_origin_form(), uri_host())
@@ -272,7 +272,7 @@ impl Proxy {
             } else if behavior.add_host_from_uri && i.recognized("host").next().is_none() {
                 if let Some(auth) = authority {
                     out.extend_from_slice(b"Host: ");
-                    out.extend_from_slice(&Authority::parse(auth).host.to_ascii_lowercase());
+                    out.extend(Authority::host_in(auth).iter().map(u8::to_ascii_lowercase));
                     out.extend_from_slice(b"\r\n");
                 }
             }
@@ -297,6 +297,18 @@ impl Proxy {
             }
         }
         (out, rewritten_host)
+    }
+}
+
+/// The lowercased host of `authority`, a part of `i.target`, as a view:
+/// the interpretation's own Host when it is that host, a view of the
+/// target when the host is already lowercase, and a copy otherwise.
+fn lowercase_host(i: &Interpretation, authority: &[u8]) -> ByteView {
+    let host = Authority::host_in(authority);
+    match &i.host {
+        Some(own) if own.eq_ignore_ascii_case(host) => own.clone(),
+        _ if !host.iter().any(u8::is_ascii_uppercase) => i.target.slice_ref(host),
+        _ => ByteView::from(host.to_ascii_lowercase()),
     }
 }
 

@@ -12,7 +12,7 @@
 use hdiff_wire::ascii;
 use hdiff_wire::chunked::decode_chunked;
 use hdiff_wire::header::HeaderField;
-use hdiff_wire::{Response, StatusCode};
+use hdiff_wire::{ByteView, Response, StatusCode};
 
 use crate::engine::{canonical_name, ClassifiedHeader, FramingChoice};
 use crate::fault::{FaultKind, FaultSession, FaultStage};
@@ -124,11 +124,11 @@ pub fn relay_response(profile: &ParserProfile, input: &[u8]) -> RelayAction {
                 }
                 ObsFoldPolicy::MergeSp => {
                     if let Some(last) = headers.pop() {
-                        let mut merged = last.field.into_raw();
+                        let mut merged = last.field.raw().to_vec();
                         merged.push(b' ');
                         merged.extend_from_slice(ascii::trim_ows(raw));
                         headers.push(ClassifiedHeader {
-                            field: HeaderField::from_raw(merged),
+                            field: HeaderField::over(ByteView::from(merged)),
                             canon: last.canon,
                         });
                         notes.push("merged response obs-fold".to_string());
@@ -138,7 +138,7 @@ pub fn relay_response(profile: &ParserProfile, input: &[u8]) -> RelayAction {
                 }
             }
         }
-        let field = HeaderField::from_raw(raw.to_vec());
+        let field = HeaderField::over(ByteView::from(raw));
         let canon = if field.has_ws_before_colon() {
             match profile.ws_colon {
                 // §3.2.4: a proxy MUST remove such whitespace from a

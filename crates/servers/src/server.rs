@@ -88,20 +88,8 @@ impl Server {
             let mut reply = self.handle(&input[pos..]);
             let consumed = reply.interpretation.consumed;
             let rejected = !reply.interpretation.outcome.is_accept();
-            match fault.map(|d| d.kind) {
-                Some(FaultKind::Transient5xx) => {
-                    let mut r = Response::with_body(
-                        StatusCode(503),
-                        "injected transient upstream error".to_string(),
-                    );
-                    r.headers.push("Server", &self.profile.name);
-                    reply.response = r;
-                }
-                Some(FaultKind::TruncateResponse) => {
-                    let keep = reply.response.body.len() / 2;
-                    reply.response.body.truncate(keep);
-                }
-                _ => {}
+            if let Some(decision) = fault {
+                self.fault_reply(decision.kind, &mut reply);
             }
             replies.push(reply);
             if rejected || consumed == 0 {
@@ -110,6 +98,28 @@ impl Server {
             pos += consumed;
         }
         replies
+    }
+
+    /// Applies the effect an origin fault of `kind` has on one reply —
+    /// the one implementation both the in-process stream and the socket
+    /// origin use. `Transient5xx` replaces the response with a 503
+    /// saying "injected transient upstream error" with the `Server`
+    /// field; `TruncateResponse` cuts the response body to half. The
+    /// other kinds shape no reply.
+    pub fn fault_reply(&self, kind: FaultKind, reply: &mut ServerReply) {
+        match kind {
+            FaultKind::Transient5xx => {
+                let mut r =
+                    Response::with_body(StatusCode(503), "injected transient upstream error");
+                r.headers.push("Server", &self.profile.name);
+                reply.response = r;
+            }
+            FaultKind::TruncateResponse => {
+                let keep = reply.response.body.len() / 2;
+                reply.response.body.truncate(keep);
+            }
+            _ => {}
+        }
     }
 
     /// Builds the echo-style response: status from the outcome; on accept,
@@ -138,7 +148,7 @@ impl Server {
                 Response::with_body(StatusCode::OK, body)
             }
             Outcome::Reject { status, reason } => {
-                Response::with_body(StatusCode(*status), reason.as_bytes())
+                Response::with_body(StatusCode(*status), reason.to_string())
             }
         };
         r.headers.push("Server", &self.profile.name);

@@ -49,7 +49,7 @@ proptest! {
         if differ {
             prop_assert!(
                 matches!(&strict.outcome, Outcome::Reject { reason, .. }
-                    if reason.contains("differing content-length list values")),
+                    if reason.to_string().contains("differing content-length list values")),
                 "{value:?} -> {:?}",
                 strict.outcome
             );
@@ -63,7 +63,7 @@ proptest! {
         let lenient = interpret(&profile, &msg);
         prop_assert!(lenient.outcome.is_accept(), "{value:?} -> {:?}", lenient.outcome);
         prop_assert_eq!(lenient.framing, FramingChoice::ContentLength(n));
-        let noted = lenient.notes.iter().any(|note| note.contains("differ textually"));
+        let noted = lenient.notes.iter().any(|note| note.to_string().contains("differ textually"));
         prop_assert_eq!(noted, differ, "{:?} notes {:?}", value, lenient.notes);
     }
 
@@ -81,7 +81,7 @@ proptest! {
         let i = interpret(&ParserProfile::strict("baseline"), &msg);
         prop_assert!(
             matches!(&i.outcome, Outcome::Reject { reason, .. }
-                if reason.contains("invalid content-length")),
+                if reason.to_string().contains("invalid content-length")),
             "{value:?} -> {:?}",
             i.outcome
         );

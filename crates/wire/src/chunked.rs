@@ -148,8 +148,24 @@ pub fn decode_chunked(
     input: &[u8],
     opts: &ChunkedDecodeOptions,
 ) -> Result<DecodedChunked, ChunkedError> {
-    let mut pos = 0usize;
     let mut payload = Vec::new();
+    let (consumed, repaired) = decode_chunked_into(input, opts, &mut payload)?;
+    Ok(DecodedChunked { payload, consumed, repaired })
+}
+
+/// [`decode_chunked`], appending the payload to `payload` instead of a
+/// vector of its own. Returns the input bytes consumed and whether the
+/// framing was repaired.
+///
+/// # Errors
+///
+/// As [`decode_chunked`]; `payload` may then hold part of the payload.
+pub fn decode_chunked_into(
+    input: &[u8],
+    opts: &ChunkedDecodeOptions,
+    payload: &mut Vec<u8>,
+) -> Result<(usize, bool), ChunkedError> {
+    let mut pos = 0usize;
     let mut repaired = false;
 
     loop {
@@ -194,7 +210,7 @@ pub fn decode_chunked(
                 let trailer = &input[pos..pos + t_end];
                 pos += t_end + 2;
                 if trailer.is_empty() {
-                    return Ok(DecodedChunked { payload, consumed: pos, repaired });
+                    return Ok((pos, repaired));
                 }
             }
         }
@@ -221,12 +237,12 @@ pub fn decode_chunked(
 
         if take < size_usize {
             // Repaired a truncated chunk: consume the rest and finish.
-            return Ok(DecodedChunked { payload, consumed: pos, repaired: true });
+            return Ok((pos, true));
         }
 
         if input.len() < pos + 2 || &input[pos..pos + 2] != b"\r\n" {
             if opts.truncate_short_final_chunk {
-                return Ok(DecodedChunked { payload, consumed: pos, repaired: true });
+                return Ok((pos, true));
             }
             return Err(ChunkedError::MissingDataCrlf);
         }

@@ -11,6 +11,8 @@
 //! * [`HeaderField`] — one raw header line; the *name* may legitimately
 //!   contain trailing whitespace or control bytes, because that is precisely
 //!   the kind of input HDiff tests.
+//! * [`ByteView`] — a cheaply clonable view into a shared immutable
+//!   buffer: how an interpretation quotes the message it parsed.
 //! * [`parse`] — an RFC 7230-strict request and response parser. Detection
 //!   does not use it: the strict baseline that attributes deviations is a
 //!   `hdiff-servers` profile. [`parse_request`] is the test oracle for
@@ -46,9 +48,11 @@ pub mod request;
 pub mod response;
 pub mod uri;
 pub mod version;
+pub mod view;
 
 pub use chunked::{
-    decode_chunked, encode_chunked, ChunkedDecodeOptions, ChunkedError, OverflowBehavior,
+    decode_chunked, decode_chunked_into, encode_chunked, ChunkedDecodeOptions, ChunkedError,
+    OverflowBehavior,
 };
 pub use header::{HeaderField, Headers};
 pub use method::Method;
@@ -57,6 +61,7 @@ pub use request::{Request, RequestBuilder};
 pub use response::{Response, StatusCode};
 pub use uri::{Authority, HostParseOptions, RequestTarget};
 pub use version::Version;
+pub use view::ByteView;
 
 /// Carriage-return/line-feed line terminator used throughout HTTP/1.x.
 pub const CRLF: &[u8] = b"\r\n";

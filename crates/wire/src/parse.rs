@@ -188,8 +188,8 @@ impl From<ParsedResponse> for Response {
     fn from(p: ParsedResponse) -> Response {
         Response {
             status: p.status,
-            reason: p.reason,
-            version: p.version.to_bytes(),
+            reason: p.reason.into(),
+            version: p.version.to_bytes().into(),
             headers: p.headers,
             body: p.body,
         }

@@ -1,5 +1,6 @@
 //! HTTP response representation.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::ascii;
@@ -111,10 +112,12 @@ impl From<u16> for StatusCode {
 pub struct Response {
     /// Status code of the status line.
     pub status: StatusCode,
-    /// Reason phrase (may be empty).
-    pub reason: Vec<u8>,
-    /// Version token on the status line.
-    pub version: Vec<u8>,
+    /// Reason phrase (may be empty): borrowed for the canonical phrase,
+    /// owned for one read off the wire.
+    pub reason: Cow<'static, [u8]>,
+    /// Version token on the status line: borrowed for `HTTP/1.1`, owned
+    /// for one read off the wire.
+    pub version: Cow<'static, [u8]>,
     /// Header fields in wire order.
     pub headers: Headers,
     /// Body bytes.
@@ -126,8 +129,8 @@ impl Response {
     pub fn new(status: StatusCode) -> Response {
         Response {
             status,
-            reason: status.reason().as_bytes().to_vec(),
-            version: b"HTTP/1.1".to_vec(),
+            reason: Cow::Borrowed(status.reason().as_bytes()),
+            version: Cow::Borrowed(b"HTTP/1.1"),
             headers: Headers::new(),
             body: Vec::new(),
         }
@@ -193,8 +196,15 @@ mod tests {
     #[test]
     fn empty_reason_omits_space() {
         let mut r = Response::new(StatusCode(299));
-        r.reason.clear();
+        r.reason = Cow::Borrowed(b"");
         assert!(r.to_bytes().starts_with(b"HTTP/1.1 299\r\n"));
+    }
+
+    #[test]
+    fn canonical_reason_and_version_are_borrowed() {
+        let r = Response::new(StatusCode::BAD_REQUEST);
+        assert!(matches!(r.reason, Cow::Borrowed(b"Bad Request")));
+        assert!(matches!(r.version, Cow::Borrowed(b"HTTP/1.1")));
     }
 
     #[test]

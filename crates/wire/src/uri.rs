@@ -195,12 +195,24 @@ impl Authority {
     /// RFC 3986-conformant split: userinfo is everything before the *last*
     /// `@`; port is digits after the last `:` outside an IPv6 literal.
     pub fn parse(raw: &[u8]) -> Authority {
-        let (userinfo, hostport) = match raw.iter().rposition(|&b| b == b'@') {
-            Some(i) => (Some(raw[..i].to_vec()), &raw[i + 1..]),
-            None => (None, raw),
-        };
+        let (userinfo, hostport) = split_userinfo(raw);
         let (host, port) = split_port(hostport);
-        Authority { userinfo, host: host.to_vec(), port: port.map(<[u8]>::to_vec) }
+        Authority {
+            userinfo: userinfo.map(<[u8]>::to_vec),
+            host: host.to_vec(),
+            port: port.map(<[u8]>::to_vec),
+        }
+    }
+
+    /// The host component `Authority::parse(raw).host` holds, borrowed
+    /// from `raw`.
+    ///
+    /// ```
+    /// use hdiff_wire::Authority;
+    /// assert_eq!(Authority::host_in(b"u@H2.com:80"), b"H2.com");
+    /// ```
+    pub fn host_in(raw: &[u8]) -> &[u8] {
+        split_port(split_userinfo(raw).1).0
     }
 
     /// The effective host an RFC-conformant implementation derives.
@@ -219,6 +231,14 @@ impl fmt::Display for Authority {
             write!(f, ":{}", ascii::escape_bytes(p))?;
         }
         Ok(())
+    }
+}
+
+/// Splits `[userinfo@]hostport` at the last `@`.
+fn split_userinfo(raw: &[u8]) -> (Option<&[u8]>, &[u8]) {
+    match raw.iter().rposition(|&b| b == b'@') {
+        Some(i) => (Some(&raw[..i]), &raw[i + 1..]),
+        None => (None, raw),
     }
 }
 
@@ -353,12 +373,23 @@ impl std::error::Error for HostError {}
 /// assert_eq!(interpret_host(b"h1.com@h2.com", &rfc).unwrap(), b"h2.com");
 /// ```
 pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, HostError> {
-    // Every policy step narrows the value, so it stays a slice of `raw`
-    // until the one owned copy at the end.
+    host_in(raw, opts).map(<[u8]>::to_ascii_lowercase)
+}
+
+/// The bytes of `raw` that [`interpret_host`] lowercases into the host
+/// identity: every policy step narrows the value, so it stays a slice of
+/// `raw`.
+///
+/// ```
+/// use hdiff_wire::uri::host_in;
+/// use hdiff_wire::HostParseOptions;
+/// assert_eq!(host_in(b" H1.com:80 ", &HostParseOptions::strict()).unwrap(), b"H1.com");
+/// ```
+pub fn host_in<'a>(raw: &'a [u8], opts: &HostParseOptions) -> Result<&'a [u8], HostError> {
     let mut value = ascii::trim_ows(raw);
     if value.is_empty() {
         return if opts.allow_empty {
-            Ok(Vec::new())
+            Ok(value)
         } else {
             Err(HostError { reason: "empty host value" })
         };
@@ -408,8 +439,7 @@ pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, Ho
 
     // Strip the port for identity comparison. Userinfo handling already
     // happened above per policy, so only the port is split here.
-    let (host, _port) = split_port(value);
-    Ok(host.to_ascii_lowercase())
+    Ok(split_port(value).0)
 }
 
 /// Whether `s` is a strictly valid RFC 3986 `uri-host` (reg-name, IPv4, or

@@ -1114,13 +1114,14 @@ fn probe(bytes: &[u8]) {
     profiles.extend(hdiff::servers::products());
     for p in profiles {
         let i = interpret(&p, bytes);
+        let notes: Vec<String> = i.notes.iter().map(ToString::to_string).collect();
         println!(
             "{:<12} {:<7} {:<22} {:<26} {}",
             p.name,
             i.outcome.status(),
             i.host.as_deref().map(ascii::escape_bytes).unwrap_or_else(|| "-".into()),
             format!("{:?}", i.framing),
-            i.notes.join("; "),
+            notes.join("; "),
         );
     }
 }
