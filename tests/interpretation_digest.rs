@@ -21,11 +21,19 @@
 //! runs here; the paper-scale h1-sim corpus (`abnf_seeds` 4000, seed 7)
 //! is the same check at scale, `#[ignore]`d and run in release
 //! (`cargo test --release --test interpretation_digest -- --ignored`).
+//!
+//! A second gate pins what a *faulted* case produces: the Table II
+//! catalog and the `quick()` corpus run through `Workflow::execute` under
+//! two fault plans at two attempts, and every outcome's behavior
+//! digests, fault events, budget flag and each chain's forwarded bytes,
+//! message lengths and relay-probe reaction are digested. The catalog
+//! pass runs over both transports against the same constants.
 
 use hdiff::diff::baseline::baseline_profile;
 use hdiff::diff::replay::behavior_digests;
-use hdiff::diff::{Fnv, Workflow};
-use hdiff::gen::TestCase;
+use hdiff::diff::{CaseOutcome, Fnv, Transport, Workflow, STEP_BUDGET};
+use hdiff::gen::{catalog, Origin, TestCase};
+use hdiff::servers::fault::{FaultInjector, FaultPlan, FaultSession};
 use hdiff::servers::{
     backends, products, proxies, ForwardAction, Interpretation, Outcome, Proxy, ProxyResult,
     Server, ServerReply,
@@ -205,4 +213,129 @@ fn h1_sim_interpretations_match_their_pinned_digests() {
     config.threads = 1;
     config.seed = 7;
     check("h1-sim seed 7", config, H1_SIM_SEED_7);
+}
+
+/// Counts and digest of one corpus's faulted outcomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FaultedDigests {
+    /// Outcomes digested: cases × plans × attempts.
+    outcomes: usize,
+    /// Outcomes that recorded at least one fault event.
+    faulted: usize,
+    /// Outcomes whose step budget ran out.
+    exhausted: usize,
+    /// Every digested field of every outcome, in run order.
+    digest: u64,
+}
+
+/// The Table II catalog as cases, numbered from 1 in catalog order.
+fn catalog_cases() -> Vec<TestCase> {
+    let mut out = Vec::new();
+    for entry in catalog::catalog() {
+        for (req, note) in &entry.requests {
+            out.push(TestCase {
+                uuid: out.len() as u64 + 1,
+                request: req.clone(),
+                assertions: Vec::new(),
+                origin: Origin::Catalog(entry.id.to_string()),
+                note: note.clone(),
+            });
+        }
+    }
+    out
+}
+
+fn hash_outcome(h: &mut Fnv, outcome: &CaseOutcome) {
+    for (view, digest) in behavior_digests(outcome) {
+        h.write(view.as_bytes());
+        h.write_u64(digest);
+    }
+    h.write_u64(outcome.fault_events.len() as u64);
+    for event in &outcome.fault_events {
+        h.write(event.hop.as_bytes());
+        h.write(event.stage.as_str().as_bytes());
+        h.write(event.kind.as_str().as_bytes());
+    }
+    h.write_u64(u64::from(outcome.budget_exhausted));
+    for chain in &outcome.chains {
+        h.write(chain.proxy.as_bytes());
+        h.write(&chain.forwarded);
+        h.write_u64(chain.forwarded_lens.len() as u64);
+        for &len in &chain.forwarded_lens {
+            h.write_u64(len as u64);
+        }
+        match &chain.relay_reaction {
+            None => h.write_u64(0),
+            Some(r) => {
+                h.write_u64(1);
+                h.write(r.fault.as_str().as_bytes());
+                h.write_u64(u64::from(r.replaced));
+                h.write_u64(r.status.map_or(0, |s| 1 + u64::from(s)));
+                h.write_u64(r.body_len as u64);
+            }
+        }
+    }
+}
+
+/// Runs every case under fault plans at rates 30 and 60 (seed 7), at
+/// attempts 0 and 1, over `transport`.
+fn faulted_digests(transport: Transport, cases: &[TestCase]) -> FaultedDigests {
+    let workflow = Workflow::standard();
+    let mut h = Fnv::new();
+    let (mut outcomes, mut faulted, mut exhausted) = (0, 0, 0);
+    for rate in [30, 60] {
+        let injector = FaultInjector::new(FaultPlan::new(7, rate));
+        for attempt in [0, 1] {
+            for case in cases {
+                let session = FaultSession::new(&injector, case.uuid, attempt, STEP_BUDGET);
+                let outcome = workflow
+                    .execute(
+                        transport,
+                        case.uuid,
+                        case.origin.to_string(),
+                        case.request.to_bytes(),
+                        &session,
+                    )
+                    .expect("the loopback testbed spawns");
+                hash_outcome(&mut h, &outcome);
+                outcomes += 1;
+                faulted += usize::from(!outcome.fault_events.is_empty());
+                exhausted += usize::from(outcome.budget_exhausted);
+            }
+        }
+    }
+    FaultedDigests { outcomes, faulted, exhausted, digest: h.0 }
+}
+
+fn check_faulted(name: &str, transport: Transport, cases: &[TestCase], pinned: FaultedDigests) {
+    let got = faulted_digests(transport, cases);
+    println!("{name} over {transport}: {got:#x?}");
+    assert_eq!(got, pinned, "{name} over {transport}: faulted outcomes drifted");
+}
+
+// Recorded while the sim decided faults and charged the step budget
+// inside the server and proxy models, and the socket transport replayed
+// that bookkeeping in the sim's order.
+
+const CATALOG_FAULTED: FaultedDigests =
+    FaultedDigests { outcomes: 144, faulted: 121, exhausted: 56, digest: 0x9414_47f3_e8a2_e8b4 };
+
+const QUICK_FAULTED: FaultedDigests =
+    FaultedDigests { outcomes: 860, faulted: 708, exhausted: 414, digest: 0xcf56_00e9_1040_ccaa };
+
+#[test]
+fn faulted_catalog_outcomes_match_their_pinned_digest_on_the_sim() {
+    check_faulted("catalog", Transport::Sim, &catalog_cases(), CATALOG_FAULTED);
+}
+
+#[test]
+fn faulted_catalog_outcomes_match_their_pinned_digest_on_the_wire() {
+    check_faulted("catalog", Transport::TcpAsync, &catalog_cases(), CATALOG_FAULTED);
+}
+
+#[test]
+fn faulted_quick_outcomes_match_their_pinned_digest() {
+    let hdiff = HDiff::new(HdiffConfig::quick());
+    let cases = hdiff.generate_cases(&hdiff.analyze());
+    check_faulted("quick", Transport::Sim, &cases, QUICK_FAULTED);
 }
