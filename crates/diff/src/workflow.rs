@@ -21,9 +21,14 @@
 //! built once per workflow, once per case and once per message.
 //!
 //! [`Workflow::execute`] is the one place an h1 case is dispatched on its
-//! [`Transport`]: the sim runs the steps in-process, and `tcp-async` runs
-//! them over the loopback testbed the workflow spawns at its first
-//! socket case and shares with every later caller.
+//! [`Transport`], and both transports run the one case body here. The
+//! body decides every fault, charges the step budget and builds the
+//! [`CaseOutcome`] in Fig. 6 order; it reads each hop's raw result from
+//! an executor ([`crate::transport`]'s `Hops`) that only runs hops and
+//! applies the fault effects it is handed: in-process, the sim calls the
+//! models one hop at a time, and `tcp-async` runs them on the loopback
+//! testbed the workflow spawns at its first socket case and shares with
+//! every later caller.
 
 use std::sync::OnceLock;
 
@@ -36,7 +41,7 @@ use hdiff_servers::{
     Interpretation, ParserProfile, Proxy, ProxyResult, Server, ServerReply, ORIGIN_HOP,
 };
 
-use crate::transport::{run_owned_tcp_async, Transport};
+use crate::transport::{Hops, Transport};
 
 /// Logical step budget of one case attempt, in every campaign, recording
 /// and replay. Fixed, not a knob: replay bundles freeze digests recorded
@@ -132,9 +137,9 @@ pub struct Workflow {
     proxies: Vec<ParserProfile>,
     backends: Vec<ParserProfile>,
     /// `proxies` as runnable models, built once.
-    sim_proxies: Vec<Proxy>,
+    pub(crate) sim_proxies: Vec<Proxy>,
     /// `backends` as runnable models, built once.
-    sim_backends: Vec<Server>,
+    pub(crate) sim_backends: Vec<Server>,
     /// Replay-reduction switch (on by default, like the paper).
     pub replay_reduction: bool,
     /// The loopback testbed serving every profile, spawned at the first
@@ -176,29 +181,29 @@ impl Workflow {
         &self.backends
     }
 
-    /// The proxies as the models the sim runs, in [`Workflow::proxies`]
-    /// order.
-    pub(crate) fn sim_proxies(&self) -> &[Proxy] {
-        &self.sim_proxies
-    }
-
     /// Runs all three steps for one test case.
     pub fn run_case(&self, case: &TestCase) -> CaseOutcome {
         self.run_case_faulted(case, None)
     }
 
-    /// [`Workflow::run_case`] with a fault session threaded through every
-    /// hop. The origin-side fault is decided once (under [`ORIGIN_HOP`]),
-    /// so all back-ends and all proxy chains of the case experience the
-    /// *same* damage; each proxy additionally runs a relay probe against
-    /// the canonical damaged bytes for that fault so the degradation pass
-    /// can compare their reactions.
+    /// [`Workflow::run_case`] under a fault session. The origin-side
+    /// fault is decided once (under [`ORIGIN_HOP`]), so all back-ends and
+    /// all proxy chains of the case experience the *same* damage; each
+    /// proxy additionally runs a relay probe against the canonical
+    /// damaged bytes for that fault so the degradation pass can compare
+    /// their reactions.
     pub fn run_case_faulted(
         &self,
         case: &TestCase,
         faults: Option<&FaultSession<'_>>,
     ) -> CaseOutcome {
-        self.run_owned(case.uuid, case.origin.to_string(), case.request.to_bytes(), faults)
+        self.run_steps(
+            Hops::Sim(self),
+            case.uuid,
+            case.origin.to_string(),
+            case.request.to_bytes(),
+            faults,
+        )
     }
 
     /// The raw-bytes workflow entry: runs all three steps over an exact
@@ -212,7 +217,7 @@ impl Workflow {
         bytes: &[u8],
         faults: Option<&FaultSession<'_>>,
     ) -> CaseOutcome {
-        self.run_owned(uuid, origin.to_string(), bytes.to_vec(), faults)
+        self.run_steps(Hops::Sim(self), uuid, origin.to_string(), bytes.to_vec(), faults)
     }
 
     /// Runs one case over `transport` under `faults`: the only dispatch
@@ -228,22 +233,33 @@ impl Workflow {
         bytes: Vec<u8>,
         faults: &FaultSession<'_>,
     ) -> Result<CaseOutcome, NetError> {
-        match transport {
-            Transport::Sim => Ok(self.run_owned(uuid, origin, bytes, Some(faults))),
-            Transport::TcpAsync => {
-                let testbed = self
-                    .testbed
+        let hops = match transport {
+            Transport::Sim => Hops::Sim(self),
+            Transport::TcpAsync => Hops::wire(
+                self.testbed
                     .get_or_init(|| AsyncTestbed::new(&self.backends, &self.proxies))
                     .as_ref()
-                    .map_err(Clone::clone)?;
-                Ok(run_owned_tcp_async(self, uuid, origin, bytes, Some(faults), testbed))
-            }
-        }
+                    .map_err(Clone::clone)?,
+            ),
+        };
+        Ok(self.run_steps(hops, uuid, origin, bytes, Some(faults)))
     }
 
-    /// The three steps over a case the outcome takes ownership of.
-    fn run_owned(
+    /// The three steps over a case the outcome takes ownership of: the
+    /// one case body of both transports. `hops` runs each hop and applies
+    /// the fault effects it is handed; everything else happens here. The
+    /// origin fault is decided once (under [`ORIGIN_HOP`]), so every
+    /// back-end and every chain of the case sees the *same* damage, and
+    /// each proxy's forward fault is peeked before its hop runs and
+    /// recorded for each forwarded message the case keeps. One step is
+    /// charged per reply and per proxy result, a hop's output is kept up
+    /// to the first charge that fails, and a hop runs only while the
+    /// budget has steps left; a stalled read exhausts it. Each proxy
+    /// also runs a relay probe against the canonical damaged bytes of the
+    /// origin fault, so the degradation pass can compare reactions.
+    pub(crate) fn run_steps(
         &self,
+        mut hops: Hops<'_>,
         uuid: u64,
         origin: String,
         bytes: Vec<u8>,
@@ -251,32 +267,65 @@ impl Workflow {
     ) -> CaseOutcome {
         let origin_fault =
             faults.and_then(|s| s.decide(ORIGIN_HOP, FaultStage::OriginRespond)).map(|d| d.kind);
+        let forward_fault = |proxy: &str| faults.and_then(|s| s.peek(proxy, FaultStage::Forward));
+        hops.start(&bytes, origin_fault, &forward_fault);
+        if let (Some(session), Some(FaultKind::StallRead)) = (faults, origin_fault) {
+            session.exhaust();
+        }
+        let has_steps = || !faults.is_some_and(FaultSession::exhausted);
+        let charge = || faults.is_none_or(|s| s.charge(1));
         let probe_bytes = origin_fault.and_then(damaged_upstream_bytes);
 
         // Step 3: direct back-end interpretation.
-        let direct: Vec<(String, Vec<ServerReply>)> = self
-            .sim_backends
-            .iter()
-            .map(|b| (b.profile.name.clone(), b.handle_stream_faulted(&bytes, faults)))
-            .collect();
+        let mut direct = Vec::with_capacity(self.backends.len());
+        for (i, backend) in self.backends.iter().enumerate() {
+            let mut replies =
+                if has_steps() { hops.direct(i, &bytes, origin_fault) } else { Vec::new() };
+            replies.truncate(replies.iter().take_while(|_| charge()).count());
+            direct.push((backend.name.clone(), replies));
+        }
 
         // Steps 1 and 2 per proxy.
         let mut gate = ReplayGate::new(self.replay_reduction);
-        let mut chains = Vec::with_capacity(self.sim_proxies.len());
-        for proxy in &self.sim_proxies {
-            let proxy_results = proxy.forward_stream_faulted(&bytes, faults);
+        let mut chains = Vec::with_capacity(self.proxies.len());
+        for (i, proxy) in self.sim_proxies.iter().enumerate() {
+            let name = &proxy.profile.name;
+            let mut proxy_results =
+                if has_steps() { hops.proxy(i, &bytes, forward_fault(name)) } else { Vec::new() };
+            let mut kept = 0;
+            for r in &proxy_results {
+                if !charge() {
+                    break;
+                }
+                if let (Some(session), Some(_)) = (faults, r.action.forwarded()) {
+                    let decision = session.decide(name, FaultStage::Forward);
+                    if decision.is_some_and(|d| d.kind == FaultKind::StallRead) {
+                        session.exhaust();
+                    }
+                }
+                kept += 1;
+            }
+            proxy_results.truncate(kept);
             let (forwarded, forwarded_lens) = forwarded_stream(&proxy_results);
 
             let mut replays = Vec::new();
             if gate.admits(&bytes, &proxy_results, forwarded_lens.len()) {
-                replays.reserve_exact(self.sim_backends.len());
-                for backend in &self.sim_backends {
-                    let replies = backend.handle_stream_faulted(&forwarded, faults);
+                if has_steps() {
+                    hops.start_replay(&forwarded, origin_fault);
+                }
+                replays.reserve_exact(self.backends.len());
+                for (j, backend) in self.backends.iter().enumerate() {
+                    let mut replies = if has_steps() {
+                        hops.replay(j, &forwarded, origin_fault)
+                    } else {
+                        Vec::new()
+                    };
+                    replies.truncate(replies.iter().take_while(|_| charge()).count());
                     // The proxy's cache decides on the first backend
                     // response under the proxy's own view of the request.
                     let cache_stored_error = simulate_cache(proxy, &proxy_results, &replies);
                     replays.push(ReplayRun {
-                        backend: backend.profile.name.clone(),
+                        backend: backend.name.clone(),
                         replies,
                         cache_stored_error,
                     });
@@ -289,7 +338,7 @@ impl Workflow {
             };
 
             chains.push(ChainRun {
-                proxy: proxy.profile.name.clone(),
+                proxy: name.clone(),
                 proxy_results,
                 forwarded,
                 forwarded_count: forwarded_lens.len(),
@@ -317,18 +366,18 @@ impl Workflow {
 /// client bytes are ambiguous. The ambiguity verdict depends on the case
 /// alone, so it is worked out the first time a chain needs it and reused
 /// by every later chain.
-pub(crate) struct ReplayGate {
+struct ReplayGate {
     reduction: bool,
     ambiguous: Option<bool>,
 }
 
 impl ReplayGate {
-    pub(crate) fn new(reduction: bool) -> ReplayGate {
+    fn new(reduction: bool) -> ReplayGate {
         ReplayGate { reduction, ambiguous: None }
     }
 
     /// Whether the chain with these proxy results replays `bytes`.
-    pub(crate) fn admits(
+    fn admits(
         &mut self,
         bytes: &[u8],
         proxy_results: &[ProxyResult],
@@ -342,7 +391,7 @@ impl ReplayGate {
 
 /// What a proxy sent downstream: the forwarded messages concatenated,
 /// and the length of each.
-pub(crate) fn forwarded_stream(proxy_results: &[ProxyResult]) -> (Vec<u8>, Vec<usize>) {
+fn forwarded_stream(proxy_results: &[ProxyResult]) -> (Vec<u8>, Vec<usize>) {
     let messages = || proxy_results.iter().filter_map(|r| r.action.forwarded());
     let mut forwarded = Vec::with_capacity(messages().map(<[u8]>::len).sum());
     let mut lens = Vec::new();
@@ -367,7 +416,7 @@ pub(crate) fn forwarded_stream(proxy_results: &[ProxyResult]) -> (Vec<u8>, Vec<u
 /// * `Transient5xx` — a well-formed 503; every conformant proxy relays it
 ///   untouched (the uniform-reaction control).
 /// * `StallRead` — no bytes ever arrive; nothing to probe with.
-pub(crate) fn damaged_upstream_bytes(kind: FaultKind) -> Option<Vec<u8>> {
+fn damaged_upstream_bytes(kind: FaultKind) -> Option<Vec<u8>> {
     match kind {
         FaultKind::ConnReset => Some(
             b"HTTP/1.1 200 OK\r\nX-Upstream-State: aborted\r\n retrying\r\nContent-Length: 4\r\n\r\nlost"
@@ -389,11 +438,7 @@ pub(crate) fn damaged_upstream_bytes(kind: FaultKind) -> Option<Vec<u8>> {
 
 /// Runs the relay probe: `profile` relays the damaged bytes and the
 /// reaction is summarized for pairwise comparison.
-pub(crate) fn probe_relay(
-    profile: &ParserProfile,
-    fault: FaultKind,
-    damaged: &[u8],
-) -> FaultReaction {
+fn probe_relay(profile: &ParserProfile, fault: FaultKind, damaged: &[u8]) -> FaultReaction {
     match relay_response(profile, damaged) {
         RelayAction::Relayed(bytes) => FaultReaction {
             fault,
@@ -413,11 +458,7 @@ pub(crate) fn probe_relay(
 /// Whether the proxy would cache the back-end's first response and that
 /// response is an error (the CPDoS precondition). Reads the storage
 /// decision alone: the proxy's cache stays untouched.
-pub(crate) fn simulate_cache(
-    proxy: &Proxy,
-    proxy_results: &[ProxyResult],
-    replies: &[ServerReply],
-) -> bool {
+fn simulate_cache(proxy: &Proxy, proxy_results: &[ProxyResult], replies: &[ServerReply]) -> bool {
     let (Some(first_proxy), Some(first_reply)) = (proxy_results.first(), replies.first()) else {
         return false;
     };

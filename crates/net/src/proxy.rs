@@ -10,8 +10,11 @@
 //! A forward-stage fault arrives as a pre-decided
 //! [`hdiff_servers::fault::FaultDecision`] carried by the exchange job;
 //! its byte-level effects — prefix cut, garbled octet, stalled (empty)
-//! forward — are applied with the same `FaultDecision` methods the
-//! in-process path uses, so both transports forward identical damage.
+//! forward — are applied by [`hdiff_servers::ForwardAction::apply_fault`],
+//! the function the in-process proxy stream calls, so both transports
+//! forward identical damage. Which damaged messages the case keeps, and
+//! which fault events it records, the case body in `hdiff_diff::workflow`
+//! decides.
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -45,7 +48,7 @@ impl NetProxyConfig {
 pub struct ProxyConnLog {
     /// Per-message results (interpretation + action, with post-fault
     /// forwarded bytes) — the same records the in-process
-    /// `forward_stream_faulted` produces.
+    /// [`hdiff_servers::Proxy::forward_stream_with`] produces.
     pub results: Vec<ProxyResult>,
     /// How the downstream connection ended.
     pub teardown: Teardown,

@@ -73,7 +73,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hdiff_servers::fault::{FaultDecision, FaultKind};
+use hdiff_servers::fault::FaultDecision;
 use hdiff_servers::{
     DowngradeProfile, EchoServer, ForwardAction, ParserProfile, Proxy, ProxyResult, Server,
     ServerReply,
@@ -1500,27 +1500,9 @@ impl EventLoop {
             }
             let consumed = r.interpretation.consumed;
             let rejected = matches!(r.action, ForwardAction::Rejected(_));
-            let mut drop_rest = false;
-
-            // Apply the pre-decided forward-stage fault to forwarded
-            // messages — byte-identically to the in-process path.
-            if let (Some(decision), ForwardAction::Forwarded(bytes)) = (fault, &r.action) {
-                match decision.kind {
-                    FaultKind::ConnReset => {
-                        let cut = decision.reset_point(bytes.len());
-                        r.action = ForwardAction::Forwarded(bytes[..cut].to_vec());
-                        drop_rest = true;
-                    }
-                    FaultKind::GarbleForward => {
-                        r.action = ForwardAction::Forwarded(decision.garble(bytes));
-                    }
-                    FaultKind::StallRead => {
-                        r.action = ForwardAction::Forwarded(Vec::new());
-                        drop_rest = true;
-                    }
-                    _ => {}
-                }
-            }
+            // The pre-decided forward-stage fault, applied by the code the
+            // in-process proxy stream runs.
+            let drop_rest = fault.is_some_and(|d| r.action.apply_fault(d));
 
             match &r.action {
                 ForwardAction::Forwarded(bytes) if !bytes.is_empty() => {

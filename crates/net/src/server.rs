@@ -15,8 +15,9 @@ use std::time::Duration;
 use hdiff_servers::{FaultKind, Interpretation, Outcome, RejectReason, ServerReply};
 use hdiff_wire::ChunkedError;
 
-/// Mirror of the in-process pipelining cap (see `Server::handle_stream`).
-pub const MAX_MESSAGES: usize = 16;
+/// The pipelining cap of every listener's default configuration: the
+/// in-process streams' own cap.
+pub use hdiff_servers::MAX_MESSAGES;
 
 /// Socket-level analogues of the origin-side fault kinds. The fault plan
 /// itself stays in `hdiff_servers::fault`; the campaign decides a fault

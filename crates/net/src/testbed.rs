@@ -4,10 +4,11 @@
 //! origin servers, all proxy hops, and one shared echo upstream —
 //! inside a single [`crate::reactor::Reactor`] event loop for the
 //! lifetime of the campaign. Cases fan out to every view *concurrently*
-//! as one job batch, connections come from the reactor's warm keep-alive
-//! pool, and each exchange collects its own connection log through the
-//! reactor's pairing tickets (so interleaved cases can never mix logs
-//! up). [`FrontTestbed`] does the same for the HTTP/2 downgrade fronts.
+//! as one job batch over pre-opened connections (each carries one
+//! exchange and closes), and each exchange collects its own connection
+//! log through the reactor's pairing tickets (so interleaved cases can
+//! never mix logs up). [`FrontTestbed`] does the same for the HTTP/2
+//! downgrade fronts.
 
 use std::time::Duration;
 
@@ -23,7 +24,7 @@ use crate::reactor::{
 use crate::server::NetServerConfig;
 use crate::timeout::io_timeout;
 
-/// Idle keep-alive connections the reactor pre-opens per listener.
+/// Idle connections the reactor pre-opens per listener.
 pub const WARM_DEPTH: usize = 2;
 
 /// Every profile of a campaign, served by one event loop.
@@ -38,8 +39,8 @@ pub struct AsyncTestbed {
 impl AsyncTestbed {
     /// Spawns the reactor and hosts `backends` as origin listeners and
     /// `proxies` as forwarding hops (relaying to a shared echo that
-    /// keeps no records), then pre-warms a keep-alive pool for every
-    /// listener.
+    /// keeps no records), then pre-opens [`WARM_DEPTH`] idle
+    /// connections to every listener.
     ///
     /// Fails with a typed error on unsupported targets (no epoll
     /// backend).
@@ -86,7 +87,7 @@ impl AsyncTestbed {
     }
 
     /// An exchange job against `listener`, paired so the output carries
-    /// the connection log, claiming a warm pooled connection when one is
+    /// the connection log, claiming a pre-opened connection when one is
     /// available.
     pub fn exchange_job(&self, listener: &AsyncListener, bytes: &[u8], mode: SendMode) -> Job {
         self.exchange_job_with(listener, bytes, mode, None, io_timeout())

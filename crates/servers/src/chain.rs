@@ -7,9 +7,8 @@
 //! runs a request through an arbitrary chain of proxies before the origin,
 //! recording every hop's interpretation.
 
-use crate::fault::{FaultEvent, FaultSession};
 use crate::proxy::{ForwardAction, Proxy, ProxyResult};
-use crate::response_path::{relay_response_faulted, RelayAction};
+use crate::response_path::{relay_response, RelayAction};
 use crate::server::{Server, ServerReply};
 use crate::ParserProfile;
 use hdiff_wire::Response;
@@ -38,8 +37,6 @@ pub struct MultiHopResult {
     /// reply is relayed back through the proxy chain (hop order reversed).
     /// `None` when no hop forwarded anything.
     pub client_response: Option<Response>,
-    /// Faults injected during the run (empty without a fault session).
-    pub faults: Vec<FaultEvent>,
 }
 
 impl MultiHopResult {
@@ -71,26 +68,13 @@ pub fn run_multihop(
     origin: &ParserProfile,
     bytes: &[u8],
 ) -> MultiHopResult {
-    run_multihop_faulted(proxies, origin, bytes, None)
-}
-
-/// [`run_multihop`] with a fault session threaded through every hop:
-/// request forwarding, the origin's response, and the relay path back to
-/// the client all consult the injector, and every fault that fired is
-/// recorded in [`MultiHopResult::faults`].
-pub fn run_multihop_faulted(
-    proxies: &[ParserProfile],
-    origin: &ParserProfile,
-    bytes: &[u8],
-    faults: Option<&FaultSession<'_>>,
-) -> MultiHopResult {
     let mut hops = Vec::new();
     let mut current = bytes.to_vec();
     let mut rejected_at = None;
 
     for (i, profile) in proxies.iter().enumerate() {
         let proxy = Proxy::new(profile.clone());
-        let results = proxy.forward_stream_faulted(&current, faults);
+        let results = proxy.forward_stream(&current);
         let mut next = Vec::new();
         for r in &results {
             if let ForwardAction::Forwarded(f) = &r.action {
@@ -109,18 +93,17 @@ pub fn run_multihop_faulted(
     let origin_replies = if current.is_empty() {
         Vec::new()
     } else {
-        Server::new(origin.clone()).handle_stream_faulted(&current, faults)
+        Server::new(origin.clone()).handle_stream(&current)
     };
 
     // Relay the first response back through the chain, innermost proxy
     // first; any hop may replace a malformed upstream reply with its own
-    // 502 per RFC 7230 §3.2.4.
-    let reached = if rejected_at.is_some() { rejected_at.unwrap_or(0) } else { proxies.len() };
+    // 502 per RFC 7230 §3.2.4. The origin replied, so no hop rejected.
     let client_response = origin_replies.first().map(|first| {
         let mut bytes = first.response.to_bytes();
         let mut response = first.response.clone();
-        for profile in proxies[..reached].iter().rev() {
-            match relay_response_faulted(profile, &bytes, faults) {
+        for profile in proxies.iter().rev() {
+            match relay_response(profile, &bytes) {
                 RelayAction::Relayed(b) => {
                     if let Ok(parsed) = hdiff_wire::parse_response(&b) {
                         response = parsed.into();
@@ -136,14 +119,7 @@ pub fn run_multihop_faulted(
         response
     });
 
-    MultiHopResult {
-        hops,
-        rejected_at,
-        origin_replies,
-        origin_bytes: current,
-        client_response,
-        faults: faults.map(|s| s.events()).unwrap_or_default(),
-    }
+    MultiHopResult { hops, rejected_at, origin_replies, origin_bytes: current, client_response }
 }
 
 #[cfg(test)]

@@ -79,8 +79,6 @@ pub enum FaultStage {
     Forward,
     /// The origin producing its response.
     OriginRespond,
-    /// A hop relaying the response back toward the client.
-    Relay,
 }
 
 impl FaultStage {
@@ -89,15 +87,12 @@ impl FaultStage {
         match self {
             FaultStage::Forward => "forward",
             FaultStage::OriginRespond => "origin-respond",
-            FaultStage::Relay => "relay",
         }
     }
 
     /// Parses [`FaultStage::as_str`] output.
     pub fn parse(s: &str) -> Option<FaultStage> {
-        [FaultStage::Forward, FaultStage::OriginRespond, FaultStage::Relay]
-            .into_iter()
-            .find(|st| st.as_str() == s)
+        [FaultStage::Forward, FaultStage::OriginRespond].into_iter().find(|st| st.as_str() == s)
     }
 
     /// The fault kinds that can physically occur at this stage.
@@ -112,9 +107,6 @@ impl FaultStage {
                 FaultKind::Transient5xx,
                 FaultKind::StallRead,
             ],
-            FaultStage::Relay => {
-                &[FaultKind::ConnReset, FaultKind::TruncateResponse, FaultKind::GarbleForward]
-            }
         }
     }
 }
@@ -264,9 +256,12 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Per-case-attempt fault context threaded through proxy, server, chain
-/// and relay processing. Interior-mutable so the hooks take `&self`; a
-/// session belongs to one worker thread for one attempt.
+/// Per-case-attempt fault context: the decisions recorded as events and
+/// the step budget. For an h1 case only the case body in
+/// `hdiff_diff::workflow` decides faults and charges steps; the server
+/// and proxy models only apply the effects they are handed.
+/// Interior-mutable so the body takes `&self`; a session belongs to one
+/// worker thread for one attempt.
 #[derive(Debug)]
 pub struct FaultSession<'a> {
     injector: &'a FaultInjector,
@@ -291,10 +286,11 @@ impl<'a> FaultSession<'a> {
     }
 
     /// Looks up the decision for `(hop, stage)` *without* recording an
-    /// event. The wire transport needs the decision before a hop runs (the
-    /// socket thread cannot share this `RefCell`-based session), but the
-    /// event must only be recorded if the hop actually reaches the faulted
-    /// stage — the caller follows up with [`FaultSession::decide`] then.
+    /// event. A proxy hop needs its forward decision before it runs (on
+    /// the wire it runs on the event loop, which cannot share this
+    /// `RefCell`-based session), but the event is recorded only for a
+    /// forwarded message the case keeps — the caller follows up with
+    /// [`FaultSession::decide`] then.
     pub fn peek(&self, hop: &str, stage: FaultStage) -> Option<FaultDecision> {
         self.injector.decide(self.uuid, hop, stage, self.attempt)
     }
@@ -362,7 +358,7 @@ mod tests {
         let a = FaultInjector::new(FaultPlan::new(42, 35));
         let b = FaultInjector::new(FaultPlan::new(42, 35));
         for uuid in 0..500 {
-            for stage in [FaultStage::Forward, FaultStage::OriginRespond, FaultStage::Relay] {
+            for stage in [FaultStage::Forward, FaultStage::OriginRespond] {
                 assert_eq!(a.decide(uuid, "squid", stage, 3), b.decide(uuid, "squid", stage, 3));
             }
         }
@@ -438,7 +434,7 @@ mod tests {
         for k in FaultKind::ALL {
             assert_eq!(FaultKind::parse(k.as_str()), Some(k));
         }
-        for st in [FaultStage::Forward, FaultStage::OriginRespond, FaultStage::Relay] {
+        for st in [FaultStage::Forward, FaultStage::OriginRespond] {
             assert_eq!(FaultStage::parse(st.as_str()), Some(st));
         }
     }

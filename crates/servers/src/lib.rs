@@ -42,7 +42,7 @@ pub mod response_path;
 pub mod server;
 
 pub use cache::{Cache, CacheKey, CachePolicy};
-pub use chain::{run_multihop, run_multihop_faulted, HopRecord, MultiHopResult};
+pub use chain::{run_multihop, HopRecord, MultiHopResult};
 pub use decision::{Decision, RejectReason};
 pub use downgrade::{
     fronts, AuthorityPolicy, ClPolicy, DowngradeOutcome, DowngradeProfile, PathPolicy,
@@ -57,4 +57,4 @@ pub use products::{backends, product, products, proxies, ProductId};
 pub use profile::ParserProfile;
 pub use proxy::{ForwardAction, Proxy, ProxyResult};
 pub use response_path::{relay_response, RelayAction};
-pub use server::{Server, ServerReply, ORIGIN_HOP};
+pub use server::{Server, ServerReply, MAX_MESSAGES, ORIGIN_HOP};

@@ -13,8 +13,9 @@ use hdiff_wire::{encode_chunked, ByteView, Response, StatusCode};
 
 use crate::cache::Cache;
 use crate::engine::{interpret, FramingChoice, Interpretation, Outcome};
-use crate::fault::{FaultKind, FaultSession, FaultStage};
+use crate::fault::{FaultDecision, FaultKind};
 use crate::profile::{ForwardVersion, ParserProfile, RewriteAbsUri, VersionPolicy};
+use crate::server::MAX_MESSAGES;
 
 /// Header names a hop-by-hop-stripping proxy always removes, whatever
 /// the Connection header nominates (RFC 7230 §6.1).
@@ -36,6 +37,31 @@ impl ForwardAction {
         match self {
             ForwardAction::Forwarded(b) => Some(b),
             ForwardAction::Rejected(_) => None,
+        }
+    }
+
+    /// Damages a forwarded message as the forward-stage fault `decision`
+    /// does: `ConnReset` cuts it to a prefix, `GarbleForward` flips one
+    /// octet, and `StallRead` forwards nothing. Returns whether the
+    /// connection drops the rest of the stream. The one implementation
+    /// of forward damage: the in-process proxy stream and the socket
+    /// proxy both call it. A rejection is left as it is.
+    pub fn apply_fault(&mut self, decision: FaultDecision) -> bool {
+        let ForwardAction::Forwarded(bytes) = self else { return false };
+        match decision.kind {
+            FaultKind::ConnReset => {
+                bytes.truncate(decision.reset_point(bytes.len()));
+                true
+            }
+            FaultKind::GarbleForward => {
+                *bytes = decision.garble(bytes);
+                false
+            }
+            FaultKind::StallRead => {
+                bytes.clear();
+                true
+            }
+            FaultKind::TruncateResponse | FaultKind::Transient5xx => false,
         }
     }
 }
@@ -99,54 +125,28 @@ impl Proxy {
     /// Processes a whole connection: consecutive messages, each forwarded
     /// or rejected. Smuggled payloads surface as extra messages here.
     pub fn forward_stream(&self, input: &[u8]) -> Vec<ProxyResult> {
-        self.forward_stream_faulted(input, None)
+        self.forward_stream_with(input, None)
     }
 
-    /// [`Proxy::forward_stream`] with a fault hook: each message's
-    /// forwarding consults the session for a Forward-stage fault at this
-    /// hop, which can reset the connection mid-message (prefix forwarded,
-    /// stream dropped), garble the forwarded bytes, or stall the read
-    /// (budget exhaustion, nothing further forwarded).
-    pub fn forward_stream_faulted(
+    /// [`Proxy::forward_stream`] under a forward-stage fault already
+    /// decided for this hop: every forwarded message is damaged by
+    /// [`ForwardAction::apply_fault`], and a fault that drops the rest of
+    /// the stream ends it after that message.
+    pub fn forward_stream_with(
         &self,
         input: &[u8],
-        faults: Option<&FaultSession<'_>>,
+        fault: Option<FaultDecision>,
     ) -> Vec<ProxyResult> {
         let mut out = Vec::new();
         let mut pos = 0usize;
-        for _ in 0..16 {
+        for _ in 0..MAX_MESSAGES {
             if pos >= input.len() {
                 break;
-            }
-            if let Some(session) = faults {
-                if !session.charge(1) {
-                    break; // budget already exhausted upstream
-                }
             }
             let mut r = self.forward(&input[pos..]);
             let consumed = r.interpretation.consumed;
             let rejected = matches!(r.action, ForwardAction::Rejected(_));
-            let mut drop_rest = false;
-            if let (Some(session), ForwardAction::Forwarded(bytes)) = (faults, &r.action) {
-                if let Some(decision) = session.decide(&self.profile.name, FaultStage::Forward) {
-                    match decision.kind {
-                        FaultKind::ConnReset => {
-                            let cut = decision.reset_point(bytes.len());
-                            r.action = ForwardAction::Forwarded(bytes[..cut].to_vec());
-                            drop_rest = true;
-                        }
-                        FaultKind::GarbleForward => {
-                            r.action = ForwardAction::Forwarded(decision.garble(bytes));
-                        }
-                        FaultKind::StallRead => {
-                            session.exhaust();
-                            r.action = ForwardAction::Forwarded(Vec::new());
-                            drop_rest = true;
-                        }
-                        _ => {}
-                    }
-                }
-            }
+            let drop_rest = fault.is_some_and(|d| r.action.apply_fault(d));
             out.push(r);
             if rejected || consumed == 0 || drop_rest {
                 break;

@@ -15,7 +15,6 @@ use hdiff_wire::header::HeaderField;
 use hdiff_wire::{ByteView, Response, StatusCode};
 
 use crate::engine::{canonical_name, ClassifiedHeader, FramingChoice};
-use crate::fault::{FaultKind, FaultSession, FaultStage};
 use crate::profile::{NamePolicy, ObsFoldPolicy, ParserProfile, WsColonPolicy};
 
 /// How a response was handled on the relay path.
@@ -35,46 +34,6 @@ impl RelayAction {
             RelayAction::Relayed(b) => Some(b),
             RelayAction::Replaced(_) => None,
         }
-    }
-}
-
-/// [`relay_response`] with a fault hook: a Relay-stage fault at this hop
-/// corrupts what the hop sends downstream — the relayed bytes get reset
-/// mid-stream (prefix only), truncated, or garbled. A `Replaced` action
-/// is the hop's own locally-generated response and is not subject to
-/// forwarding faults.
-pub fn relay_response_faulted(
-    profile: &ParserProfile,
-    input: &[u8],
-    faults: Option<&FaultSession<'_>>,
-) -> RelayAction {
-    if let Some(session) = faults {
-        session.charge(1);
-    }
-    let action = relay_response(profile, input);
-    let Some(decision) = faults.and_then(|s| s.decide(&profile.name, FaultStage::Relay)) else {
-        return action;
-    };
-    match action {
-        RelayAction::Relayed(bytes) => {
-            let damaged = match decision.kind {
-                FaultKind::ConnReset => bytes[..decision.reset_point(bytes.len())].to_vec(),
-                FaultKind::TruncateResponse => {
-                    // Cut half of the body, keeping the header section so
-                    // the next hop sees a framing-vs-payload mismatch.
-                    let body_start = bytes
-                        .windows(4)
-                        .position(|w| w == b"\r\n\r\n")
-                        .map_or(bytes.len(), |p| p + 4);
-                    let body_len = bytes.len() - body_start;
-                    bytes[..body_start + body_len / 2].to_vec()
-                }
-                FaultKind::GarbleForward => decision.garble(&bytes),
-                _ => bytes,
-            };
-            RelayAction::Relayed(damaged)
-        }
-        replaced => replaced,
     }
 }
 

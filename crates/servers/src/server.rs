@@ -5,7 +5,7 @@
 use hdiff_wire::{ascii, Response, StatusCode};
 
 use crate::engine::{interpret, Interpretation, Outcome};
-use crate::fault::{FaultKind, FaultSession, FaultStage};
+use crate::fault::FaultKind;
 use crate::profile::ParserProfile;
 
 /// The hop name under which origin-side faults are decided. One constant
@@ -13,6 +13,10 @@ use crate::profile::ParserProfile;
 /// *same* injected origin fault — the precondition for comparing their
 /// reactions.
 pub const ORIGIN_HOP: &str = "origin";
+
+/// The most pipelined messages one connection is parsed for, by the
+/// in-process server and proxy streams and by their socket counterparts.
+pub const MAX_MESSAGES: usize = 16;
 
 /// One request's worth of server output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,47 +53,31 @@ impl Server {
     }
 
     /// Handles a full connection's bytes: consecutive (pipelined)
-    /// messages until a reject, exhaustion, or the safety cap. This is
-    /// where a smuggled second request becomes visible.
+    /// messages until a reject, exhaustion, or the [`MAX_MESSAGES`] cap.
+    /// This is where a smuggled second request becomes visible.
     pub fn handle_stream(&self, input: &[u8]) -> Vec<ServerReply> {
-        self.handle_stream_faulted(input, None)
+        self.handle_stream_with(input, None)
     }
 
-    /// [`Server::handle_stream`] with a fault hook. An origin-stage fault
-    /// (decided once per case under the [`ORIGIN_HOP`] key, so it is
-    /// identical for every back-end and every proxy chain of the case)
-    /// can reset the connection before any reply, stall the read, answer
-    /// with a transient 503, or truncate the response body.
-    pub fn handle_stream_faulted(
-        &self,
-        input: &[u8],
-        faults: Option<&FaultSession<'_>>,
-    ) -> Vec<ServerReply> {
-        let fault = faults.and_then(|s| s.decide(ORIGIN_HOP, FaultStage::OriginRespond));
-        match fault.map(|d| d.kind) {
-            Some(FaultKind::ConnReset) => return Vec::new(),
-            Some(FaultKind::StallRead) => {
-                faults.expect("decision implies session").exhaust();
-                return Vec::new();
-            }
-            _ => {}
+    /// [`Server::handle_stream`] under an origin fault already decided
+    /// for the case: `ConnReset` and `StallRead` leave the connection
+    /// without a reply, and every other kind shapes each reply through
+    /// [`Server::fault_reply`].
+    pub fn handle_stream_with(&self, input: &[u8], fault: Option<FaultKind>) -> Vec<ServerReply> {
+        if matches!(fault, Some(FaultKind::ConnReset | FaultKind::StallRead)) {
+            return Vec::new();
         }
         let mut replies = Vec::new();
         let mut pos = 0usize;
-        for _ in 0..16 {
+        for _ in 0..MAX_MESSAGES {
             if pos >= input.len() {
                 break;
-            }
-            if let Some(session) = faults {
-                if !session.charge(1) {
-                    break;
-                }
             }
             let mut reply = self.handle(&input[pos..]);
             let consumed = reply.interpretation.consumed;
             let rejected = !reply.interpretation.outcome.is_accept();
-            if let Some(decision) = fault {
-                self.fault_reply(decision.kind, &mut reply);
+            if let Some(kind) = fault {
+                self.fault_reply(kind, &mut reply);
             }
             replies.push(reply);
             if rejected || consumed == 0 {

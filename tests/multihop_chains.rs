@@ -80,7 +80,6 @@ fn rejection_at_every_hop_index_truncates_the_chain_there() {
             r.client_response.is_none(),
             "no origin reply means nothing to relay at index {reject_at}"
         );
-        assert!(r.faults.is_empty(), "no fault session, no fault events");
     }
 }
 

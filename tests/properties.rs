@@ -82,7 +82,7 @@ proptest! {
         let a = FaultInjector::new(FaultPlan::new(seed, rate));
         let b = FaultInjector::new(FaultPlan::new(seed, rate));
         for hop in ["origin", "nginx", "squid", "a-very-long-hop-name"] {
-            for stage in [FaultStage::Forward, FaultStage::OriginRespond, FaultStage::Relay] {
+            for stage in [FaultStage::Forward, FaultStage::OriginRespond] {
                 for attempt in 0..3u32 {
                     prop_assert_eq!(
                         a.decide(uuid, hop, stage, attempt),
