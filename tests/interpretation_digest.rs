@@ -28,6 +28,11 @@
 //! digests, fault events, budget flag and each chain's forwarded bytes,
 //! message lengths and relay-probe reaction are digested. The catalog
 //! pass runs over both transports against the same constants.
+//!
+//! A third gate pins the bytes those faulted outcomes' replies render:
+//! every direct reply, replay reply and proxy rejection of the same runs,
+//! over both transports, so an injected 503 or a truncated body cannot
+//! drift while its status stays put.
 
 use hdiff::diff::baseline::baseline_profile;
 use hdiff::diff::replay::behavior_digests;
@@ -338,4 +343,130 @@ fn faulted_quick_outcomes_match_their_pinned_digest() {
     let hdiff = HDiff::new(HdiffConfig::quick());
     let cases = hdiff.generate_cases(&hdiff.analyze());
     check_faulted("quick", Transport::Sim, &cases, QUICK_FAULTED);
+}
+
+/// Counts and digest of the bytes every reply of a corpus's faulted
+/// outcomes renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReplyBytesDigests {
+    /// Outcomes digested: cases × plans × attempts.
+    outcomes: usize,
+    /// Direct replies rendered.
+    direct: usize,
+    /// Replay replies rendered.
+    replay: usize,
+    /// Proxy rejections rendered.
+    rejections: usize,
+    /// The rendered bytes of every one of them, in run order, each after
+    /// the name of the implementation that sent it.
+    digest: u64,
+}
+
+/// Digests the rendered bytes of every reply; returns how many there were.
+fn hash_reply_bytes(h: &mut Fnv, name: &str, replies: &[ServerReply]) -> usize {
+    h.write(name.as_bytes());
+    h.write_u64(replies.len() as u64);
+    for reply in replies {
+        h.write(&reply.response.to_bytes());
+    }
+    replies.len()
+}
+
+/// Runs every case under the fault plans of [`faulted_digests`] over
+/// `transport` and digests the bytes of every direct reply, replay reply
+/// and proxy rejection: what an injected 503 or a truncated body looks
+/// like on the wire, which behavior digests (status only) do not pin.
+fn reply_bytes_digests(transport: Transport, cases: &[TestCase]) -> ReplyBytesDigests {
+    let workflow = Workflow::standard();
+    let mut h = Fnv::new();
+    let mut got = ReplyBytesDigests { outcomes: 0, direct: 0, replay: 0, rejections: 0, digest: 0 };
+    for rate in [30, 60] {
+        let injector = FaultInjector::new(FaultPlan::new(7, rate));
+        for attempt in [0, 1] {
+            for case in cases {
+                let session = FaultSession::new(&injector, case.uuid, attempt, STEP_BUDGET);
+                let outcome = workflow
+                    .execute(
+                        transport,
+                        case.uuid,
+                        case.origin.to_string(),
+                        case.request.to_bytes(),
+                        &session,
+                    )
+                    .expect("the loopback testbed spawns");
+                for (backend, replies) in &outcome.direct {
+                    got.direct += hash_reply_bytes(&mut h, backend, replies);
+                }
+                for chain in &outcome.chains {
+                    h.write(chain.proxy.as_bytes());
+                    for result in &chain.proxy_results {
+                        if let ForwardAction::Rejected(response) = &result.action {
+                            h.write(&response.to_bytes());
+                            got.rejections += 1;
+                        }
+                    }
+                    for run in &chain.replays {
+                        got.replay += hash_reply_bytes(&mut h, &run.backend, &run.replies);
+                    }
+                }
+                got.outcomes += 1;
+            }
+        }
+    }
+    got.digest = h.0;
+    got
+}
+
+fn check_reply_bytes(
+    name: &str,
+    transport: Transport,
+    cases: &[TestCase],
+    pinned: ReplyBytesDigests,
+) {
+    let got = reply_bytes_digests(transport, cases);
+    println!("{name} over {transport}: {got:#x?}");
+    assert_eq!(got, pinned, "{name} over {transport}: rendered reply bytes drifted");
+}
+
+// Recorded while every reply and every proxy rejection was built as a
+// wire `Response` when it was made.
+
+const CATALOG_REPLY_BYTES: ReplyBytesDigests = ReplyBytesDigests {
+    outcomes: 144,
+    direct: 609,
+    replay: 837,
+    rejections: 433,
+    digest: 0xfd84_e3c2_321c_f038,
+};
+
+const QUICK_REPLY_BYTES: ReplyBytesDigests = ReplyBytesDigests {
+    outcomes: 860,
+    direct: 3_953,
+    replay: 4_791,
+    rejections: 1_637,
+    digest: 0x014f_1143_9da3_b929,
+};
+
+#[test]
+fn faulted_catalog_reply_bytes_match_their_pinned_digest_on_the_sim() {
+    check_reply_bytes("catalog", Transport::Sim, &catalog_cases(), CATALOG_REPLY_BYTES);
+}
+
+#[test]
+fn faulted_catalog_reply_bytes_match_their_pinned_digest_on_the_wire() {
+    check_reply_bytes("catalog", Transport::TcpAsync, &catalog_cases(), CATALOG_REPLY_BYTES);
+}
+
+#[test]
+fn faulted_quick_reply_bytes_match_their_pinned_digest_on_the_sim() {
+    let hdiff = HDiff::new(HdiffConfig::quick());
+    let cases = hdiff.generate_cases(&hdiff.analyze());
+    check_reply_bytes("quick", Transport::Sim, &cases, QUICK_REPLY_BYTES);
+}
+
+#[test]
+fn faulted_quick_reply_bytes_match_their_pinned_digest_on_the_wire() {
+    let hdiff = HDiff::new(HdiffConfig::quick());
+    let cases = hdiff.generate_cases(&hdiff.analyze());
+    check_reply_bytes("quick", Transport::TcpAsync, &cases, QUICK_REPLY_BYTES);
 }
