@@ -6,13 +6,13 @@
 //! the `Host` production?") directly against the adapted grammar, the way
 //! the paper uses ABNF as the syntax oracle.
 //!
-//! [`matches`]/[`matches_with_budget`] are thin wrappers over the
+//! [`matches()`]/[`matches_with_budget`] are thin wrappers over the
 //! compiled, memoizing matcher ([`crate::memo`]): the grammar is lowered
 //! once to the arena IR ([`Grammar::compiled`], cached per grammar) and
 //! matched with packrat memoization, so repeated sub-derivations cost
 //! O(1) and the expansion budget is effectively never reached on real
 //! inputs. The original backtracking recognizer is preserved unchanged in
-//! [`reference`] as the differential-testing oracle and benchmark
+//! [`reference`](mod@reference) as the differential-testing oracle and benchmark
 //! baseline.
 
 use crate::grammar::Grammar;
@@ -40,7 +40,7 @@ impl MatchOutcome {
 /// Default expansion budget. For the compiled matcher this counts *fresh
 /// rule computations* (memo misses), which are bounded by `rules ×
 /// positions` — typical matches use well under 1% of it. For
-/// [`reference`] it counts node expansions, as before.
+/// [`reference`](mod@reference) it counts node expansions, as before.
 pub const DEFAULT_BUDGET: usize = 200_000;
 
 /// Tests whether `input` (in full) derives from `rule` in `grammar`.

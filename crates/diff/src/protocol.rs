@@ -193,7 +193,7 @@ fn seed_attempt(p: &dyn Protocol, (uuid, case): &SeedCase) -> io::Result<Attempt
 }
 
 /// Runs a workload's seed corpus through its differential matrix on the
-/// campaign driver ([`crate::runner::drive`]): one chunk, no checkpoint,
+/// campaign driver (`runner::drive`): one chunk, no checkpoint,
 /// no faults. Deterministic and invariant in `threads`; when promoting,
 /// the first finding of each class tag is minimized and frozen as
 /// `<protocol>-<tag>.json`. A case whose execution panics is

@@ -10,10 +10,10 @@
 //! dying, and checkpoints progress so an interrupted campaign resumes and
 //! converges to the identical [`RunSummary`].
 //!
-//! [`drive`] is the one driver, generic over the case type and the
+//! `drive` is the one driver, generic over the case type and the
 //! function that runs one attempt of a case: [`DiffEngine`] passes the h1
 //! attempt, [`crate::run_protocol_campaign`] a seed workload's
-//! `Protocol::execute`; both fold records through [`fold_records`]. The
+//! `Protocol::execute`; both fold records through `fold_records`. The
 //! stream fuzzer keeps its own serial feedback loop but executes every
 //! candidate through [`run_case`], so each workload's cases run under one
 //! quarantine and telemetry policy (`case` span, `case.quarantined`,

@@ -375,6 +375,8 @@ impl FuzzEngine {
         let mut novel_views = 0u64;
         let mut seen_classes: std::collections::BTreeSet<String> =
             std::collections::BTreeSet::new();
+        // Host values whose matcher trace the coverage map already holds.
+        let mut traced_hosts: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
         let mut promoted: Vec<PromotedStream> = Vec::new();
 
         let deadline = match opts.budget {
@@ -507,14 +509,19 @@ impl FuzzEngine {
                     continue;
                 }
 
-                // Matcher-side coverage: trace every Host value the
-                // stream carries.
+                // Matcher-side coverage: trace each Host value the
+                // stream carries the first time the session meets it. A
+                // value's trace never changes, and absorbing it again
+                // adds nothing.
                 let before = summary_points(&global_cov);
                 for req in &cand.stream.requests {
                     for host in host_values(&req.bytes) {
-                        let (_, visited) =
-                            hdiff_abnf::memo::match_rule_traced(&cg, "Host", &host, 20_000);
-                        global_cov.absorb_rules(&visited);
+                        if !traced_hosts.contains(&host) {
+                            let (_, visited) =
+                                hdiff_abnf::memo::match_rule_traced(&cg, "Host", &host, 20_000);
+                            global_cov.absorb_rules(&visited);
+                            traced_hosts.insert(host);
+                        }
                     }
                 }
                 let cov_gain = cand.gen_gain + (summary_points(&global_cov) - before);

@@ -56,7 +56,7 @@
 //!   server log) is retried once on a fresh connection.
 //! * **Blocking `connect`, bounded burst.** Loopback connects complete
 //!   in microseconds *when the listener backlog has room*, so the loop
-//!   issues at most [`CONNECT_BURST`] connects per iteration and drains
+//!   issues at most `CONNECT_BURST` connects per iteration and drains
 //!   accepts in between — the backlog (128) can never overflow and the
 //!   kernel's 1 s SYN-retry stall can never trigger.
 
@@ -1389,11 +1389,11 @@ impl EventLoop {
             let rejected = !reply.interpretation.outcome.is_accept();
             let mut reply = reply;
             if let Some(fault) = fault {
-                c.server.fault_reply(fault.kind(), &mut reply);
+                reply.response.apply_fault(fault.kind());
             }
-            let wire = reply.response.to_bytes();
-            c.out.extend_from_slice(&wire);
-            c.bytes_out += wire.len();
+            let start = c.out.len();
+            reply.response.write_to(&mut c.out);
+            c.bytes_out += c.out.len() - start;
             c.replies.push(reply);
             if rejected || consumed == 0 {
                 // The connection closes on error, like the engine — once
@@ -1532,7 +1532,7 @@ impl EventLoop {
                     c.pos += consumed;
                 }
                 ForwardAction::Rejected(response) => {
-                    c.out.extend_from_slice(&response.to_bytes());
+                    response.write_to(&mut c.out);
                     c.results.push(r);
                     c.closing = true;
                     return;
@@ -2204,7 +2204,8 @@ mod tests {
         );
         let full = Server::new(ParserProfile::strict("wire")).handle(bytes);
         let log = ex.server_log.expect("log");
-        assert_eq!(log.replies[0].response.body.len(), full.response.body.len() / 2);
+        let body_len = |r: &hdiff_servers::EchoResponse| r.to_response().body.len();
+        assert_eq!(body_len(&log.replies[0].response), body_len(&full.response) / 2);
         // The wire carries fewer body bytes than the Content-Length claims.
         assert!(ex.response.len() < full.response.to_bytes().len());
     }

@@ -6,7 +6,8 @@
 //! the existing [`hdiff_servers::engine`] over a buffered connection:
 //! bytes are read incrementally, messages are parsed and answered as
 //! they complete (keep-alive pipelining), and a connection that delivers
-//! the same bytes as an in-process [`Server::handle_stream`] call
+//! the same bytes as an in-process
+//! [`Server::handle_stream`](hdiff_servers::Server::handle_stream) call
 //! produces the identical reply sequence — the property the
 //! cross-transport consistency pass asserts.
 
@@ -40,7 +41,7 @@ pub enum ServerFault {
 
 impl ServerFault {
     /// The origin fault kind this is the socket-level effect of; its
-    /// effect on a reply is [`hdiff_servers::Server::fault_reply`]'s.
+    /// effect on a reply is [`hdiff_servers::EchoResponse::apply_fault`]'s.
     pub fn kind(self) -> FaultKind {
         match self {
             ServerFault::CloseNoReply => FaultKind::ConnReset,

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use hdiff_wire::{Response, Version};
 
 use crate::profile::CacheBehavior;
+use crate::reply::EchoResponse;
 
 /// Cache key: the host identity *as the cache understood it* plus the
 /// request target. A disagreement between the cache's host and the origin's
@@ -66,30 +67,31 @@ impl Cache {
     }
 
     /// Attempts to store a response for `(key, method, request version)`.
-    /// Stores exactly when [`Cache::decide`] says [`StoreDecision::Stored`].
+    /// Stores exactly when [`Cache::decide`] says [`StoreDecision::Stored`],
+    /// and renders the stored wire [`Response`] only then.
     pub fn store(
         &mut self,
         key: CacheKey,
         method: &[u8],
         request_version: &Version,
-        response: &Response,
+        response: &EchoResponse,
     ) -> StoreDecision {
         let decision = self.decide(method, request_version, response);
         if decision == StoreDecision::Stored {
-            self.entries.insert(key, response.clone());
+            self.entries.insert(key, response.to_response());
         }
         decision
     }
 
     /// The decision [`Cache::store`] would make for this request and
-    /// response, read from the policy alone: nothing is stored and
-    /// nothing is copied. The decision never depends on the key or on
-    /// what the cache already holds.
+    /// response, read from the policy and the response's status alone:
+    /// nothing is stored, copied or rendered. The decision never depends
+    /// on the key or on what the cache already holds.
     pub fn decide(
         &self,
         method: &[u8],
         request_version: &Version,
-        response: &Response,
+        response: &EchoResponse,
     ) -> StoreDecision {
         if !self.policy.enabled {
             return StoreDecision::Disabled;
@@ -125,29 +127,40 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::ParserProfile;
+    use crate::server::Server;
     use hdiff_wire::StatusCode;
 
     fn policy(errors: bool, pre11: bool) -> CacheBehavior {
         CacheBehavior { enabled: true, store_errors: errors, store_pre11: pre11 }
     }
 
+    /// A strict origin's 200 reply.
+    fn ok() -> EchoResponse {
+        Server::new(ParserProfile::strict("o"))
+            .handle(b"GET / HTTP/1.1\r\nHost: h\r\n\r\n")
+            .response
+    }
+
+    /// A strict origin's 400 reply.
+    fn bad_request() -> EchoResponse {
+        Server::new(ParserProfile::strict("o")).handle(b"GET / HTTP/1.1\r\n\r\n").response
+    }
+
     #[test]
     fn stores_ok_get_responses() {
         let mut c = Cache::new(policy(false, false));
-        let d = c.store(
-            CacheKey::new("h1.com", "/"),
-            b"GET",
-            &Version::Http11,
-            &Response::with_body(StatusCode::OK, "hi"),
-        );
+        let d = c.store(CacheKey::new("h1.com", "/"), b"GET", &Version::Http11, &ok());
         assert_eq!(d, StoreDecision::Stored);
-        assert_eq!(c.lookup(&CacheKey::new("h1.com", "/")).unwrap().status, StatusCode::OK);
+        let stored = c.lookup(&CacheKey::new("h1.com", "/")).unwrap();
+        assert_eq!(stored.status, StatusCode::OK);
+        assert_eq!(stored.to_bytes(), ok().to_bytes());
         assert!(c.poisoned_entries().is_empty());
     }
 
     #[test]
     fn error_storability_is_the_cpdos_switch() {
-        let err = Response::with_body(StatusCode::BAD_REQUEST, "bad");
+        let err = bad_request();
         let key = CacheKey::new("victim.com", "/");
 
         let mut strict = Cache::new(policy(false, false));
@@ -164,7 +177,7 @@ mod tests {
 
     #[test]
     fn pre11_policy() {
-        let ok = Response::with_body(StatusCode::OK, "x");
+        let ok = ok();
         let key = CacheKey::new("h", "/");
         let mut strict = Cache::new(policy(true, false));
         assert_eq!(
@@ -178,12 +191,7 @@ mod tests {
     #[test]
     fn only_get_is_cacheable() {
         let mut c = Cache::new(policy(true, true));
-        let d = c.store(
-            CacheKey::new("h", "/"),
-            b"POST",
-            &Version::Http11,
-            &Response::with_body(StatusCode::OK, "x"),
-        );
+        let d = c.store(CacheKey::new("h", "/"), b"POST", &Version::Http11, &ok());
         assert_eq!(d, StoreDecision::MethodNotCacheable);
     }
 
@@ -191,12 +199,7 @@ mod tests {
     fn disabled_cache_stores_nothing() {
         let mut c =
             Cache::new(CacheBehavior { enabled: false, store_errors: true, store_pre11: true });
-        let d = c.store(
-            CacheKey::new("h", "/"),
-            b"GET",
-            &Version::Http11,
-            &Response::with_body(StatusCode::OK, "x"),
-        );
+        let d = c.store(CacheKey::new("h", "/"), b"GET", &Version::Http11, &ok());
         assert_eq!(d, StoreDecision::Disabled);
     }
 }

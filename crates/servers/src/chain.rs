@@ -100,8 +100,8 @@ pub fn run_multihop(
     // first; any hop may replace a malformed upstream reply with its own
     // 502 per RFC 7230 §3.2.4. The origin replied, so no hop rejected.
     let client_response = origin_replies.first().map(|first| {
-        let mut bytes = first.response.to_bytes();
-        let mut response = first.response.clone();
+        let mut response = first.response.to_response();
+        let mut bytes = response.to_bytes();
         for profile in proxies.iter().rev() {
             match relay_response(profile, &bytes) {
                 RelayAction::Relayed(b) => {

@@ -19,6 +19,8 @@
 //!   interpretation records.
 //! * [`server`] — origin-server wrapper: pipelined stream handling and
 //!   echo-style responses describing the interpretation.
+//! * [`reply`] — the response a server or proxy answers a message with,
+//!   kept as its status and parts and rendered on demand.
 //! * [`proxy`] — forwarding wrapper: request-line rewriting, hop-by-hop
 //!   stripping, version repair, message repair, transparent forwarding.
 //! * [`cache`] — the shared response cache used by CPDoS detection.
@@ -38,6 +40,7 @@ pub mod fault;
 pub mod products;
 pub mod profile;
 pub mod proxy;
+pub mod reply;
 pub mod response_path;
 pub mod server;
 
@@ -56,5 +59,6 @@ pub use fault::{
 pub use products::{backends, product, products, proxies, ProductId};
 pub use profile::ParserProfile;
 pub use proxy::{ForwardAction, Proxy, ProxyResult};
+pub use reply::EchoResponse;
 pub use response_path::{relay_response, RelayAction};
 pub use server::{Server, ServerReply, MAX_MESSAGES, ORIGIN_HOP};

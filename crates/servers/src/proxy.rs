@@ -6,15 +6,18 @@
 //! re-framing of bodies it repaired. Every one of those decisions is a
 //! [`crate::profile::ProxyBehavior`] toggle.
 
+use std::sync::Arc;
+
 use hdiff_wire::ascii;
 use hdiff_wire::uri::{Authority, RequestTarget};
 use hdiff_wire::version::Version;
-use hdiff_wire::{encode_chunked, ByteView, Response, StatusCode};
+use hdiff_wire::{encode_chunked, ByteView};
 
 use crate::cache::Cache;
 use crate::engine::{interpret, FramingChoice, Interpretation, Outcome};
 use crate::fault::{FaultDecision, FaultKind};
 use crate::profile::{ForwardVersion, ParserProfile, RewriteAbsUri, VersionPolicy};
+use crate::reply::EchoResponse;
 use crate::server::MAX_MESSAGES;
 
 /// Header names a hop-by-hop-stripping proxy always removes, whatever
@@ -28,7 +31,7 @@ pub enum ForwardAction {
     /// Forwarded downstream as these bytes.
     Forwarded(Vec<u8>),
     /// Rejected at the proxy with this response.
-    Rejected(Response),
+    Rejected(EchoResponse),
 }
 
 impl ForwardAction {
@@ -82,6 +85,8 @@ pub struct Proxy {
     pub profile: ParserProfile,
     /// The proxy's shared response cache.
     pub cache: Cache,
+    /// The product name, shared by every rejection's `Server` line.
+    name: Arc<str>,
 }
 
 impl Proxy {
@@ -92,22 +97,21 @@ impl Proxy {
     /// Panics if the profile has no proxy behavior configured.
     pub fn new(profile: ParserProfile) -> Proxy {
         let behavior = profile.proxy.clone().expect("profile must have proxy behavior");
-        Proxy { cache: Cache::new(behavior.cache), profile }
+        Proxy { cache: Cache::new(behavior.cache), name: Arc::from(profile.name.as_str()), profile }
     }
 
     /// The product name.
     pub fn name(&self) -> &str {
-        &self.profile.name
+        &self.name
     }
 
     /// Processes one client message (first on the stream).
     pub fn forward(&self, input: &[u8]) -> ProxyResult {
         let interpretation = interpret(&self.profile, input);
         match &interpretation.outcome {
-            Outcome::Reject { status, reason } => {
-                let mut r = Response::with_body(StatusCode(*status), reason.to_string());
-                r.headers.push("Server", &self.profile.name);
-                ProxyResult { action: ForwardAction::Rejected(r), interpretation }
+            Outcome::Reject { .. } => {
+                let response = EchoResponse::new(&self.name, &interpretation);
+                ProxyResult { action: ForwardAction::Rejected(response), interpretation }
             }
             Outcome::Accept => {
                 let (bytes, rewritten_host) = self.rebuild(input, &interpretation);
@@ -316,6 +320,7 @@ fn lowercase_host(i: &Interpretation, authority: &[u8]) -> ByteView {
 mod tests {
     use super::*;
     use crate::profile::{NamePolicy, ParserProfile, ProxyBehavior};
+    use hdiff_wire::StatusCode;
 
     fn strict_proxy() -> Proxy {
         let mut p = ParserProfile::strict("strictproxy");

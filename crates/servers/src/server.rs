@@ -2,11 +2,12 @@
 //! responses describing the interpretation (the paper's back-end feedback
 //! "through application scripting languages, such as PHP, and ASPX").
 
-use hdiff_wire::{ascii, Response, StatusCode};
+use std::sync::Arc;
 
-use crate::engine::{interpret, Interpretation, Outcome};
+use crate::engine::{interpret, Interpretation};
 use crate::fault::FaultKind;
 use crate::profile::ParserProfile;
+use crate::reply::EchoResponse;
 
 /// The hop name under which origin-side faults are decided. One constant
 /// for every back-end, so every proxy chain of the same case sees the
@@ -23,8 +24,8 @@ pub const MAX_MESSAGES: usize = 16;
 pub struct ServerReply {
     /// The interpretation that produced the response.
     pub interpretation: Interpretation,
-    /// The response the server sends.
-    pub response: Response,
+    /// The response the server sends, rendered on demand.
+    pub response: EchoResponse,
 }
 
 /// A simulated origin server.
@@ -32,23 +33,25 @@ pub struct ServerReply {
 pub struct Server {
     /// The behavioral profile.
     pub profile: ParserProfile,
+    /// The product name, shared by every reply's `Server` line.
+    name: Arc<str>,
 }
 
 impl Server {
     /// Wraps a profile as an origin server.
     pub fn new(profile: ParserProfile) -> Server {
-        Server { profile }
+        Server { name: Arc::from(profile.name.as_str()), profile }
     }
 
     /// The product name.
     pub fn name(&self) -> &str {
-        &self.profile.name
+        &self.name
     }
 
     /// Handles a single request (first message on the stream).
     pub fn handle(&self, input: &[u8]) -> ServerReply {
         let interpretation = interpret(&self.profile, input);
-        let response = self.respond(&interpretation);
+        let response = EchoResponse::new(&self.name, &interpretation);
         ServerReply { interpretation, response }
     }
 
@@ -61,8 +64,8 @@ impl Server {
 
     /// [`Server::handle_stream`] under an origin fault already decided
     /// for the case: `ConnReset` and `StallRead` leave the connection
-    /// without a reply, and every other kind shapes each reply through
-    /// [`Server::fault_reply`].
+    /// without a reply, and every other kind shapes each reply's
+    /// response through [`EchoResponse::apply_fault`].
     pub fn handle_stream_with(&self, input: &[u8], fault: Option<FaultKind>) -> Vec<ServerReply> {
         if matches!(fault, Some(FaultKind::ConnReset | FaultKind::StallRead)) {
             return Vec::new();
@@ -77,7 +80,7 @@ impl Server {
             let consumed = reply.interpretation.consumed;
             let rejected = !reply.interpretation.outcome.is_accept();
             if let Some(kind) = fault {
-                self.fault_reply(kind, &mut reply);
+                reply.response.apply_fault(kind);
             }
             replies.push(reply);
             if rejected || consumed == 0 {
@@ -87,74 +90,20 @@ impl Server {
         }
         replies
     }
-
-    /// Applies the effect an origin fault of `kind` has on one reply —
-    /// the one implementation both the in-process stream and the socket
-    /// origin use. `Transient5xx` replaces the response with a 503
-    /// saying "injected transient upstream error" with the `Server`
-    /// field; `TruncateResponse` cuts the response body to half. The
-    /// other kinds shape no reply.
-    pub fn fault_reply(&self, kind: FaultKind, reply: &mut ServerReply) {
-        match kind {
-            FaultKind::Transient5xx => {
-                let mut r =
-                    Response::with_body(StatusCode(503), "injected transient upstream error");
-                r.headers.push("Server", &self.profile.name);
-                reply.response = r;
-            }
-            FaultKind::TruncateResponse => {
-                let keep = reply.response.body.len() / 2;
-                reply.response.body.truncate(keep);
-            }
-            _ => {}
-        }
-    }
-
-    /// Builds the echo-style response: status from the outcome; on accept,
-    /// a body reporting what the server understood (host, method, body
-    /// length and payload) so the differential engine can read the
-    /// back-end's perception (Fig. 6, step 3).
-    fn respond(&self, i: &Interpretation) -> Response {
-        let mut r = match &i.outcome {
-            Outcome::Accept => {
-                let host = i.host.as_deref().unwrap_or(b"-");
-                // Sized for every part plus the decimal body length, so
-                // the body is built in one allocation.
-                let mut body = Vec::with_capacity(
-                    40 + host.len() + i.method.len() + i.target.len() + i.body.len(),
-                );
-                body.extend_from_slice(b"host=");
-                body.extend_from_slice(host);
-                body.extend_from_slice(b";method=");
-                body.extend_from_slice(&i.method);
-                body.extend_from_slice(b";target=");
-                body.extend_from_slice(&i.target);
-                body.extend_from_slice(b";len=");
-                ascii::push_dec(&mut body, i.body.len() as u64);
-                body.extend_from_slice(b";data=");
-                body.extend_from_slice(&i.body);
-                Response::with_body(StatusCode::OK, body)
-            }
-            Outcome::Reject { status, reason } => {
-                Response::with_body(StatusCode(*status), reason.to_string())
-            }
-        };
-        r.headers.push("Server", &self.profile.name);
-        r
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::{DuplicateClPolicy, ParserProfile};
+    use hdiff_wire::StatusCode;
 
     #[test]
     fn echoes_interpretation() {
         let s = Server::new(ParserProfile::strict("base"));
         let reply = s.handle(b"POST / HTTP/1.1\r\nHost: h1.com\r\nContent-Length: 3\r\n\r\nabc");
         assert_eq!(reply.response.status, StatusCode::OK);
-        let body = String::from_utf8_lossy(&reply.response.body);
+        let body = String::from_utf8_lossy(&reply.response.to_response().body).into_owned();
         assert!(body.contains("host=h1.com"), "{body}");
         assert!(body.contains("len=3"));
         assert!(body.contains("data=abc"));
@@ -165,7 +114,7 @@ mod tests {
         let s = Server::new(ParserProfile::strict("base"));
         let reply = s.handle(b"GET / HTTP/1.1\r\n\r\n");
         assert_eq!(reply.response.status, StatusCode::BAD_REQUEST);
-        assert!(String::from_utf8_lossy(&reply.response.body).contains("host"));
+        assert!(String::from_utf8_lossy(&reply.response.to_response().body).contains("host"));
     }
 
     #[test]

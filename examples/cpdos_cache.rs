@@ -32,7 +32,7 @@ fn main() {
     println!(
         "apache (backend) answers: {} {}\n",
         reply.response.status,
-        String::from_utf8_lossy(&reply.response.body)
+        String::from_utf8_lossy(&reply.response.to_response().body)
     );
     assert!(reply.response.status.is_error(), "backend must reject the repaired line");
 

@@ -23,7 +23,7 @@ use std::cell::Cell;
 use hdiff::diff::{DiffEngine, Workflow};
 use hdiff::gen::{catalog, Origin, TestCase, TreeMutator};
 use hdiff::obs::{count, observe, span, Recorder};
-use hdiff::servers::{interpret, products, ParserProfile, Server};
+use hdiff::servers::{interpret, products, proxies, ParserProfile, Proxy, Server};
 use hdiff::{HDiff, HdiffConfig};
 
 struct CountingAlloc;
@@ -126,17 +126,20 @@ fn catalog_cases() -> Vec<TestCase> {
 }
 
 /// Allocations per case of `Workflow::run_case` over the catalog. The
-/// code this budget was set on makes 224.1 (8,068 over 36 cases); while
-/// every interpretation owned copies of its parts and every response its
-/// reason and version it made 392.7 (14,136).
-const RUN_CASE_BUDGET: f64 = 226.0;
+/// code this budget was set on makes 127.2 (4,578 over 36 cases); while
+/// every reply and proxy rejection was built as a wire `Response` it
+/// made 224.1 (8,068), and while every interpretation also owned copies
+/// of its parts and every response its reason and version 392.7
+/// (14,136).
+const RUN_CASE_BUDGET: f64 = 129.0;
 
 /// Allocations per case of a one-thread `DiffEngine::run` over the
-/// catalog. The code this budget was set on makes 238.6 (8,590 over 36
-/// cases); with owned interpretation parts it made 414.5 (14,922), and
-/// while findings also owned their names, culprit sets and evidence as
-/// strings 489.8 (17,634).
-const ENGINE_RUN_BUDGET: f64 = 241.0;
+/// catalog. The code this budget was set on makes 141.7 (5,100 over 36
+/// cases); with wire `Response` replies it made 238.6 (8,590), with
+/// owned interpretation parts too 414.5 (14,922), and while findings
+/// also owned their names, culprit sets and evidence as strings 489.8
+/// (17,634).
+const ENGINE_RUN_BUDGET: f64 = 143.0;
 
 /// Bytes per case a one-thread `DiffEngine::run` over the catalog, 20
 /// times over, may grow the heap by: its records, their telemetry
@@ -212,39 +215,52 @@ fn engine_run_stays_within_its_heap_budget() {
 const INTERPRET_BUDGET: f64 = 1.9;
 
 /// Allocations per message of `Server::handle` over the catalog under
-/// each of the ten product profiles: the interpretation plus its echo
-/// reply (body, header list, `Content-Length` and `Server` lines). The
-/// code this budget was set on makes 6.14 (2,211); with owned
-/// interpretation parts and a response that owned its reason phrase and
-/// version token it made 12.83 (4,620).
-const SERVER_HANDLE_BUDGET: f64 = 6.2;
+/// each of the ten product profiles: the interpretation, plus a copy of
+/// a reject reason that quotes a chunk line (the reply's response holds
+/// views and renders nothing). The code this budget was set on makes
+/// 1.90 (684); while the reply built its response (body, header list,
+/// `Content-Length` and `Server` lines) it made 6.14 (2,211), and with
+/// owned interpretation parts and a response that owned its reason
+/// phrase and version token 12.83 (4,620).
+const SERVER_HANDLE_BUDGET: f64 = 1.95;
 
-/// Every catalog message under every product, run through `f` once
-/// outside the count and once inside it; prints the count under `name`
-/// and returns the allocations per message and how many of the counted
-/// messages `f` accepted.
-fn per_message(name: &str, f: impl Fn(&Server, &[u8]) -> bool) -> (f64, usize) {
-    let servers: Vec<Server> = products().into_iter().map(Server::new).collect();
+/// Allocations per message of `Proxy::forward` over the catalog under
+/// each of the six proxy profiles: the interpretation plus the
+/// forwarded bytes of an accepted message (a rejection renders
+/// nothing). The code this budget was set on makes 2.58 (557 over 216
+/// messages).
+const PROXY_FORWARD_BUDGET: f64 = 2.6;
+
+/// Every catalog message under every one of `models`, run through `f`
+/// once outside the count and once inside it; prints the count under
+/// `name` and returns the allocations per message and how many of the
+/// counted messages `f` accepted.
+fn per_message<M>(name: &str, models: &[M], f: impl Fn(&M, &[u8]) -> bool) -> (f64, usize) {
     let messages: Vec<Vec<u8>> = catalog_cases().iter().map(|c| c.request.to_bytes()).collect();
     let run = || {
         let mut accepted = 0;
-        for server in &servers {
+        for model in models {
             for message in &messages {
-                accepted += usize::from(f(server, message));
+                accepted += usize::from(f(model, message));
             }
         }
         accepted
     };
     run();
     let (allocations, accepted) = allocations_in(run);
-    let count = servers.len() * messages.len();
+    let count = models.len() * messages.len();
     println!("{name}: {allocations} allocations over {count} messages");
     (allocations as f64 / count as f64, accepted)
 }
 
+/// The ten products as origin servers.
+fn servers() -> Vec<Server> {
+    products().into_iter().map(Server::new).collect()
+}
+
 #[test]
 fn interpret_stays_within_its_allocation_budget() {
-    let (per_message, accepted) = per_message("interpret", |server, message| {
+    let (per_message, accepted) = per_message("interpret", &servers(), |server, message| {
         interpret(&server.profile, message).outcome.is_accept()
     });
     assert!(accepted > 0);
@@ -256,13 +272,26 @@ fn interpret_stays_within_its_allocation_budget() {
 
 #[test]
 fn server_handle_stays_within_its_allocation_budget() {
-    let (per_message, accepted) = per_message("Server::handle", |server, message| {
+    let (per_message, accepted) = per_message("Server::handle", &servers(), |server, message| {
         server.handle(message).response.status.is_success()
     });
     assert!(accepted > 0);
     assert!(
         per_message <= SERVER_HANDLE_BUDGET,
         "Server::handle made {per_message:.2} allocations per message, budget {SERVER_HANDLE_BUDGET}"
+    );
+}
+
+#[test]
+fn proxy_forward_stays_within_its_allocation_budget() {
+    let proxies: Vec<Proxy> = proxies().into_iter().map(Proxy::new).collect();
+    let (per_message, forwarded) = per_message("Proxy::forward", &proxies, |proxy, message| {
+        proxy.forward(message).action.forwarded().is_some()
+    });
+    assert!(forwarded > 0);
+    assert!(
+        per_message <= PROXY_FORWARD_BUDGET,
+        "Proxy::forward made {per_message:.2} allocations per message, budget {PROXY_FORWARD_BUDGET}"
     );
 }
 

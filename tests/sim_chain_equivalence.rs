@@ -17,10 +17,10 @@ use hdiff::gen::{catalog, Origin, TestCase};
 use hdiff::servers::cache::{Cache, CacheKey, StoreDecision};
 use hdiff::servers::engine::canonical_name;
 use hdiff::servers::fault::{FaultInjector, FaultPlan, FaultSession};
-use hdiff::servers::CachePolicy;
+use hdiff::servers::{CachePolicy, ParserProfile, Server};
 use hdiff::wire::ascii;
 use hdiff::wire::uri::{interpret_host, AtSignPolicy, CommaPolicy, HostError, SlashPolicy};
-use hdiff::wire::{HostParseOptions, RequestTarget, Response, StatusCode, Version};
+use hdiff::wire::{HostParseOptions, RequestTarget, StatusCode, Version};
 
 /// Tokens the rewritten helpers branch on, in several spellings.
 const PIECES: [&[u8]; 40] = [
@@ -408,7 +408,9 @@ proptest! {
         // Half the cases use the one cacheable method.
         let method = if n.is_multiple_of(2) { b"GET".to_vec() } else { method };
         let version = version(n >> 1, &method);
-        let response = Response::with_body(StatusCode(status), "x");
+        let origin = Server::new(ParserProfile::strict("o"));
+        let mut response = origin.handle(b"GET / HTTP/1.1\r\nHost: h\r\n\r\n").response;
+        response.status = StatusCode(status);
         for round in 0..2 {
             let decided = cache.decide(&method, &version, &response);
             let held = cache.len();
