@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use hdiff_wire::{Response, Version};
+use hdiff_wire::Version;
 
 use crate::profile::CacheBehavior;
 use crate::reply::EchoResponse;
@@ -47,7 +47,7 @@ pub use crate::profile::CacheBehavior as CachePolicy;
 #[derive(Debug, Clone)]
 pub struct Cache {
     policy: CacheBehavior,
-    entries: BTreeMap<CacheKey, Response>,
+    entries: BTreeMap<CacheKey, EchoResponse>,
 }
 
 impl Cache {
@@ -67,8 +67,9 @@ impl Cache {
     }
 
     /// Attempts to store a response for `(key, method, request version)`.
-    /// Stores exactly when [`Cache::decide`] says [`StoreDecision::Stored`],
-    /// and renders the stored wire [`Response`] only then.
+    /// Stores exactly when [`Cache::decide`] says [`StoreDecision::Stored`].
+    /// The entry is the response itself, rendered only when someone asks
+    /// for its bytes.
     pub fn store(
         &mut self,
         key: CacheKey,
@@ -78,7 +79,7 @@ impl Cache {
     ) -> StoreDecision {
         let decision = self.decide(method, request_version, response);
         if decision == StoreDecision::Stored {
-            self.entries.insert(key, response.to_response());
+            self.entries.insert(key, response.clone());
         }
         decision
     }
@@ -109,12 +110,12 @@ impl Cache {
     }
 
     /// Looks up a stored response.
-    pub fn lookup(&self, key: &CacheKey) -> Option<&Response> {
+    pub fn lookup(&self, key: &CacheKey) -> Option<&EchoResponse> {
         self.entries.get(key)
     }
 
     /// Whether any stored entry is an error response — the CPDoS telltale.
-    pub fn poisoned_entries(&self) -> Vec<(&CacheKey, &Response)> {
+    pub fn poisoned_entries(&self) -> Vec<(&CacheKey, &EchoResponse)> {
         self.entries.iter().filter(|(_, r)| r.status.is_error()).collect()
     }
 
