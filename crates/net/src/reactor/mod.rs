@@ -1391,9 +1391,9 @@ impl EventLoop {
             if let Some(fault) = fault {
                 reply.response.apply_fault(fault.kind());
             }
-            let start = c.out.len();
-            reply.response.write_to(&mut c.out);
-            c.bytes_out += c.out.len() - start;
+            let wire = reply.response.to_bytes();
+            c.out.extend_from_slice(&wire);
+            c.bytes_out += wire.len();
             c.replies.push(reply);
             if rejected || consumed == 0 {
                 // The connection closes on error, like the engine — once
@@ -1532,7 +1532,7 @@ impl EventLoop {
                     c.pos += consumed;
                 }
                 ForwardAction::Rejected(response) => {
-                    response.write_to(&mut c.out);
+                    c.out.extend_from_slice(&response.to_bytes());
                     c.results.push(r);
                     c.closing = true;
                     return;

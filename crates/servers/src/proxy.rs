@@ -6,8 +6,6 @@
 //! re-framing of bodies it repaired. Every one of those decisions is a
 //! [`crate::profile::ProxyBehavior`] toggle.
 
-use std::sync::Arc;
-
 use hdiff_wire::ascii;
 use hdiff_wire::uri::{Authority, RequestTarget};
 use hdiff_wire::version::Version;
@@ -17,7 +15,7 @@ use crate::cache::Cache;
 use crate::engine::{interpret, FramingChoice, Interpretation, Outcome};
 use crate::fault::{FaultDecision, FaultKind};
 use crate::profile::{ForwardVersion, ParserProfile, RewriteAbsUri, VersionPolicy};
-use crate::reply::EchoResponse;
+use crate::reply::{server_name, EchoResponse};
 use crate::server::MAX_MESSAGES;
 
 /// Header names a hop-by-hop-stripping proxy always removes, whatever
@@ -85,8 +83,8 @@ pub struct Proxy {
     pub profile: ParserProfile,
     /// The proxy's shared response cache.
     pub cache: Cache,
-    /// The product name, shared by every rejection's `Server` line.
-    name: Arc<str>,
+    /// The product name, interned for every rejection's `Server` line.
+    name: &'static str,
 }
 
 impl Proxy {
@@ -97,12 +95,12 @@ impl Proxy {
     /// Panics if the profile has no proxy behavior configured.
     pub fn new(profile: ParserProfile) -> Proxy {
         let behavior = profile.proxy.clone().expect("profile must have proxy behavior");
-        Proxy { cache: Cache::new(behavior.cache), name: Arc::from(profile.name.as_str()), profile }
+        Proxy { cache: Cache::new(behavior.cache), name: server_name(&profile.name), profile }
     }
 
     /// The product name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.profile.name
     }
 
     /// Processes one client message (first on the stream).
@@ -110,7 +108,7 @@ impl Proxy {
         let interpretation = interpret(&self.profile, input);
         match &interpretation.outcome {
             Outcome::Reject { .. } => {
-                let response = EchoResponse::new(&self.name, &interpretation);
+                let response = EchoResponse::new(self.name, &interpretation);
                 ProxyResult { action: ForwardAction::Rejected(response), interpretation }
             }
             Outcome::Accept => {

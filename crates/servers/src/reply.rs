@@ -7,12 +7,11 @@
 //! what its bytes are made of — views into the interpretation's buffer
 //! or the reject reason, the implementation's name, and the shaping an
 //! origin fault applied — and renders the bytes only when asked, for a
-//! socket ([`EchoResponse::write_to`]), a digest
-//! ([`EchoResponse::to_bytes`]) or a cache entry
-//! ([`EchoResponse::to_response`]).
+//! socket or a digest ([`EchoResponse::to_bytes`]) or as a wire
+//! response ([`EchoResponse::to_response`]).
 
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 
 use hdiff_wire::{ascii, ByteView, Response, StatusCode};
 
@@ -22,6 +21,27 @@ use crate::fault::FaultKind;
 
 /// The body of the 503 a `Transient5xx` origin fault substitutes.
 const INJECTED_ERROR: &[u8] = b"injected transient upstream error";
+
+/// The `Server` field value of every reply of the implementation
+/// `name`.
+///
+/// Each distinct name is copied once per process into a table that is
+/// never freed, so a reply carries the name as a plain reference: no
+/// allocation per model or per reply, and no reference count that
+/// threads running the same models would write to. The names are the
+/// products' and the test models', a few dozen in a process.
+pub(crate) fn server_name(name: &str) -> &'static str {
+    static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    // Nothing panics while the lock is held, and the table is valid
+    // after every push, so a poisoned lock is safe to use.
+    let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&known) = names.iter().find(|&&known| known == name) {
+        return known;
+    }
+    let name: &'static str = Box::leak(name.into());
+    names.push(name);
+    name
+}
 
 /// One response of a simulated implementation.
 ///
@@ -35,8 +55,8 @@ const INJECTED_ERROR: &[u8] = b"injected transient upstream error";
 pub struct EchoResponse {
     /// Status code of the status line.
     pub status: StatusCode,
-    /// The `Server` field value, shared by every reply of one model.
-    server: Arc<str>,
+    /// The `Server` field value, interned by [`server_name`].
+    server: &'static str,
     body: Body,
     /// Whether only the first half of the body is sent while
     /// `Content-Length` keeps the full length.
@@ -58,7 +78,7 @@ impl EchoResponse {
     /// What `server` answers the message it interpreted as `i` with: 200
     /// and the echo on accept, the reject status and its reason
     /// otherwise.
-    pub(crate) fn new(server: &Arc<str>, i: &Interpretation) -> EchoResponse {
+    pub(crate) fn new(server: &'static str, i: &Interpretation) -> EchoResponse {
         let (status, body) = match &i.outcome {
             Outcome::Accept => (
                 StatusCode::OK,
@@ -73,7 +93,7 @@ impl EchoResponse {
                 (StatusCode(*status), Body::Reject(reason.clone()))
             }
         };
-        EchoResponse { status, server: Arc::clone(server), body, truncated: false }
+        EchoResponse { status, server, body, truncated: false }
     }
 
     /// Shapes the response as an origin fault of `kind` does — the one
@@ -94,47 +114,17 @@ impl EchoResponse {
         }
     }
 
-    /// Appends the response's bytes to `out`.
-    pub fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"HTTP/1.1 ");
-        ascii::push_dec(out, u64::from(self.status.0));
-        let reason = self.status.reason();
-        if !reason.is_empty() {
-            out.push(b' ');
-            out.extend_from_slice(reason.as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        // The body is written first, so that its length is known; the
-        // header lines then go after it and are rotated in front of it.
-        let body_start = out.len();
-        self.write_body(out);
-        let full = out.len() - body_start;
-        if self.truncated {
-            out.truncate(body_start + full / 2);
-        }
-        let sent = out.len() - body_start;
-        out.extend_from_slice(b"Content-Length: ");
-        ascii::push_dec(out, full as u64);
-        out.extend_from_slice(b"\r\nServer: ");
-        out.extend_from_slice(self.server.as_bytes());
-        out.extend_from_slice(b"\r\n\r\n");
-        out[body_start..].rotate_left(sent);
-    }
-
     /// The response's bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out);
-        out
+        self.to_response().to_bytes()
     }
 
-    /// The response as a wire [`Response`], whose bytes are
-    /// [`EchoResponse::to_bytes`].
+    /// The response as a wire [`Response`].
     pub fn to_response(&self) -> Response {
         let mut body = Vec::new();
         self.write_body(&mut body);
         let mut response = Response::with_body(self.status, body);
-        response.headers.push("Server", self.server.as_bytes());
+        response.headers.push("Server", self.server);
         if self.truncated {
             response.body.truncate(response.body.len() / 2);
         }
@@ -174,30 +164,17 @@ mod tests {
         Server::new(ParserProfile::strict("base")).handle(input).response
     }
 
-    /// Every shape: accept, reject, each with each reply-shaping fault.
-    fn shapes() -> Vec<EchoResponse> {
-        let accept = reply(b"POST /p HTTP/1.1\r\nHost: h1.com\r\nContent-Length: 3\r\n\r\nabc");
-        let hostless = reply(b"GET / HTTP/1.0\r\n\r\n");
-        let reject = reply(b"GET / HTTP/1.1\r\n\r\n");
-        let mut out = Vec::new();
-        for base in [accept, hostless, reject] {
-            for kind in [None, Some(FaultKind::Transient5xx), Some(FaultKind::TruncateResponse)] {
-                let mut r = base.clone();
-                if let Some(kind) = kind {
-                    r.apply_fault(kind);
-                }
-                out.push(r);
-            }
-        }
-        out
-    }
-
     #[test]
     fn renders_the_echo_of_an_accept() {
         assert_eq!(
             reply(b"POST /p HTTP/1.1\r\nHost: h1.com\r\nContent-Length: 3\r\n\r\nabc").to_bytes(),
             b"HTTP/1.1 200 OK\r\nContent-Length: 48\r\nServer: base\r\n\r\n\
               host=h1.com;method=POST;target=/p;len=3;data=abc"
+        );
+        assert_eq!(
+            reply(b"GET / HTTP/1.0\r\n\r\n").to_bytes(),
+            b"HTTP/1.1 200 OK\r\nContent-Length: 38\r\nServer: base\r\n\r\n\
+              host=-;method=GET;target=/;len=0;data="
         );
     }
 
@@ -234,21 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn the_wire_response_renders_the_same_bytes() {
-        for r in shapes() {
-            let response = r.to_response();
-            assert_eq!(response.status, r.status);
-            assert_eq!(response.to_bytes(), r.to_bytes(), "{r:?}");
-        }
-    }
-
-    #[test]
-    fn write_to_appends() {
-        for r in shapes() {
-            let mut out = b"prefix".to_vec();
-            r.write_to(&mut out);
-            assert_eq!(out[..6], *b"prefix");
-            assert_eq!(out[6..], r.to_bytes());
-        }
+    fn each_name_is_interned_once() {
+        let name = String::from("interned-once");
+        let first = server_name(&name);
+        assert_eq!(first, "interned-once");
+        assert!(std::ptr::eq(first, server_name("interned-once")));
     }
 }

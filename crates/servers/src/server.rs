@@ -2,12 +2,10 @@
 //! responses describing the interpretation (the paper's back-end feedback
 //! "through application scripting languages, such as PHP, and ASPX").
 
-use std::sync::Arc;
-
 use crate::engine::{interpret, Interpretation};
 use crate::fault::FaultKind;
 use crate::profile::ParserProfile;
-use crate::reply::EchoResponse;
+use crate::reply::{server_name, EchoResponse};
 
 /// The hop name under which origin-side faults are decided. One constant
 /// for every back-end, so every proxy chain of the same case sees the
@@ -33,25 +31,25 @@ pub struct ServerReply {
 pub struct Server {
     /// The behavioral profile.
     pub profile: ParserProfile,
-    /// The product name, shared by every reply's `Server` line.
-    name: Arc<str>,
+    /// The product name, interned for every reply's `Server` line.
+    name: &'static str,
 }
 
 impl Server {
     /// Wraps a profile as an origin server.
     pub fn new(profile: ParserProfile) -> Server {
-        Server { name: Arc::from(profile.name.as_str()), profile }
+        Server { name: server_name(&profile.name), profile }
     }
 
     /// The product name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.profile.name
     }
 
     /// Handles a single request (first message on the stream).
     pub fn handle(&self, input: &[u8]) -> ServerReply {
         let interpretation = interpret(&self.profile, input);
-        let response = EchoResponse::new(&self.name, &interpretation);
+        let response = EchoResponse::new(self.name, &interpretation);
         ServerReply { interpretation, response }
     }
 
