@@ -283,11 +283,14 @@ fn hash_outcome(h: &mut Fnv, outcome: &CaseOutcome) {
 }
 
 /// Runs every case under fault plans at rates 30 and 60 (seed 7), at
-/// attempts 0 and 1, over `transport`.
-fn faulted_digests(transport: Transport, cases: &[TestCase]) -> FaultedDigests {
+/// attempts 0 and 1, over `transport`, and hands each outcome to `visit`
+/// in run order.
+fn for_each_faulted_outcome(
+    transport: Transport,
+    cases: &[TestCase],
+    mut visit: impl FnMut(&CaseOutcome),
+) {
     let workflow = Workflow::standard();
-    let mut h = Fnv::new();
-    let (mut outcomes, mut faulted, mut exhausted) = (0, 0, 0);
     for rate in [30, 60] {
         let injector = FaultInjector::new(FaultPlan::new(7, rate));
         for attempt in [0, 1] {
@@ -302,13 +305,21 @@ fn faulted_digests(transport: Transport, cases: &[TestCase]) -> FaultedDigests {
                         &session,
                     )
                     .expect("the loopback testbed spawns");
-                hash_outcome(&mut h, &outcome);
-                outcomes += 1;
-                faulted += usize::from(!outcome.fault_events.is_empty());
-                exhausted += usize::from(outcome.budget_exhausted);
+                visit(&outcome);
             }
         }
     }
+}
+
+fn faulted_digests(transport: Transport, cases: &[TestCase]) -> FaultedDigests {
+    let mut h = Fnv::new();
+    let (mut outcomes, mut faulted, mut exhausted) = (0, 0, 0);
+    for_each_faulted_outcome(transport, cases, |outcome| {
+        hash_outcome(&mut h, outcome);
+        outcomes += 1;
+        faulted += usize::from(!outcome.fault_events.is_empty());
+        exhausted += usize::from(outcome.budget_exhausted);
+    });
     FaultedDigests { outcomes, faulted, exhausted, digest: h.0 }
 }
 
@@ -372,47 +383,31 @@ fn hash_reply_bytes(h: &mut Fnv, name: &str, replies: &[ServerReply]) -> usize {
     replies.len()
 }
 
-/// Runs every case under the fault plans of [`faulted_digests`] over
-/// `transport` and digests the bytes of every direct reply, replay reply
-/// and proxy rejection: what an injected 503 or a truncated body looks
-/// like on the wire, which behavior digests (status only) do not pin.
+/// Digests the bytes of every direct reply, replay reply and proxy
+/// rejection of the faulted outcomes of `cases` over `transport`: what
+/// an injected 503 or a truncated body looks like on the wire, which
+/// behavior digests (status only) do not pin.
 fn reply_bytes_digests(transport: Transport, cases: &[TestCase]) -> ReplyBytesDigests {
-    let workflow = Workflow::standard();
     let mut h = Fnv::new();
     let mut got = ReplyBytesDigests { outcomes: 0, direct: 0, replay: 0, rejections: 0, digest: 0 };
-    for rate in [30, 60] {
-        let injector = FaultInjector::new(FaultPlan::new(7, rate));
-        for attempt in [0, 1] {
-            for case in cases {
-                let session = FaultSession::new(&injector, case.uuid, attempt, STEP_BUDGET);
-                let outcome = workflow
-                    .execute(
-                        transport,
-                        case.uuid,
-                        case.origin.to_string(),
-                        case.request.to_bytes(),
-                        &session,
-                    )
-                    .expect("the loopback testbed spawns");
-                for (backend, replies) in &outcome.direct {
-                    got.direct += hash_reply_bytes(&mut h, backend, replies);
+    for_each_faulted_outcome(transport, cases, |outcome| {
+        for (backend, replies) in &outcome.direct {
+            got.direct += hash_reply_bytes(&mut h, backend, replies);
+        }
+        for chain in &outcome.chains {
+            h.write(chain.proxy.as_bytes());
+            for result in &chain.proxy_results {
+                if let ForwardAction::Rejected(response) = &result.action {
+                    h.write(&response.to_bytes());
+                    got.rejections += 1;
                 }
-                for chain in &outcome.chains {
-                    h.write(chain.proxy.as_bytes());
-                    for result in &chain.proxy_results {
-                        if let ForwardAction::Rejected(response) = &result.action {
-                            h.write(&response.to_bytes());
-                            got.rejections += 1;
-                        }
-                    }
-                    for run in &chain.replays {
-                        got.replay += hash_reply_bytes(&mut h, &run.backend, &run.replies);
-                    }
-                }
-                got.outcomes += 1;
+            }
+            for run in &chain.replays {
+                got.replay += hash_reply_bytes(&mut h, &run.backend, &run.replies);
             }
         }
-    }
+        got.outcomes += 1;
+    });
     got.digest = h.0;
     got
 }
